@@ -2,12 +2,11 @@
 // §11.6): a 64-participant economy built as 8 complete-graph sharing islands
 // of 8, measured at 1/2/4/8 worker shards.
 //
-// Connectivity partitioning turns each island into its own shard, so an
-// admission consult solves a 9-variable LP instead of the 65-variable
-// full-system LP the direct path (threads=1: one shard over everything)
-// solves. Simplex cost grows superlinearly in the variable count, which is
-// where the speedup comes from -- the sweep's throughput ratio is real even
-// on a single-core host, because the win is smaller LPs, not parallelism.
+// Connectivity partitioning turns each island into its own shard. Every
+// shard's allocator solves a consult over the requester's island alone (a
+// 9-variable LP) whether it holds one island or all eight (threads=1), so
+// the sweep measures what more worker threads add on top of that:
+// parallelism and per-shard warm state.
 //
 // Two phases per shard count:
 //   * throughput -- pipelined waves of submit() (one per participant),

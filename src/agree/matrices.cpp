@@ -1,6 +1,9 @@
 #include "agree/matrices.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 
 namespace agora::agree {
 
@@ -33,6 +36,42 @@ void AgreementSystem::validate(bool allow_overdraft) const {
       AGORA_REQUIRE(row <= 1.0 + 1e-9,
                     "row sum of S exceeds 1 (overdraft); pass allow_overdraft to permit");
   }
+}
+
+std::vector<std::vector<std::size_t>> connected_components(const AgreementSystem& sys) {
+  const std::size_t n = sys.size();
+  AGORA_REQUIRE(sys.relative.rows() == n && sys.relative.cols() == n, "S shape mismatch");
+  AGORA_REQUIRE(sys.absolute.rows() == n && sys.absolute.cols() == n, "A shape mismatch");
+  // Union-find over one row-major pass of S and A. A union keeps the smaller
+  // root, so every root is its component's smallest member.
+  std::vector<std::size_t> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  const auto root = [&](std::size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];  // path halving
+    return i;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> s = sys.relative.row(i);
+    const std::span<const double> a = sys.absolute.row(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!(s[j] > 0.0 || a[j] > 0.0)) continue;
+      const std::size_t ri = root(i), rj = root(j);
+      if (ri != rj) parent[std::max(ri, rj)] = std::min(ri, rj);
+    }
+  }
+  // Visiting principals ascending emits components in order of their
+  // smallest member (the root), each with its members ascending.
+  std::vector<std::vector<std::size_t>> comps;
+  std::vector<std::size_t> index(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = root(i);
+    if (index[r] == n) {
+      index[r] = comps.size();
+      comps.emplace_back();
+    }
+    comps[index[r]].push_back(i);
+  }
+  return comps;
 }
 
 }  // namespace agora::agree

@@ -40,4 +40,11 @@ struct AgreementSystem {
   void validate(bool allow_overdraft = false) const;
 };
 
+/// Connected components of the symmetrized agreement support S + A: i and j
+/// share a component when a chain of relative or absolute agreements, in
+/// either direction, links them. Capacity can only flow along such chains,
+/// so every entitlement between two components is identically zero. Members
+/// are ascending; components are ordered by their smallest member.
+std::vector<std::vector<std::size_t>> connected_components(const AgreementSystem& sys);
+
 }  // namespace agora::agree

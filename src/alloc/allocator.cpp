@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "lp/model_builder.h"
 #include "lp/solve.h"
@@ -48,6 +49,16 @@ Allocator::Allocator(agree::AgreementSystem sys, AllocatorOptions opts)
   }
   report_.shares = agree::overdraft_clamp(std::move(t));
   refresh_availability();
+
+  components_ = agree::connected_components(sys_);
+  component_of_.resize(sys_.size());
+  local_of_.resize(sys_.size());
+  for (std::size_t c = 0; c < components_.size(); ++c)
+    for (std::size_t l = 0; l < components_[c].size(); ++l) {
+      component_of_[components_[c][l]] = c;
+      local_of_[components_[c][l]] = l;
+    }
+  models_.resize(components_.size());
 }
 
 void Allocator::refresh_availability() {
@@ -122,8 +133,20 @@ AllocationPlan Allocator::allocate(std::size_t a, double amount) const {
   return plan;
 }
 
+AllocationModelCache& Allocator::component_model(std::size_t a, double amount) const {
+  const std::size_t c = component_of_[a];
+  AllocationModelCache& model = models_[c];
+  if (!model.built()) {
+    obs_cache_misses_->inc();
+    model.build(sys_, report_, components_[c]);
+  } else {
+    obs_cache_hits_->inc();
+  }
+  model.patch(report_, a, amount);
+  return model;
+}
+
 bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan) const {
-  const std::size_t n = sys_.size();
   // Self-draw feasibility test: d = amount * e_a respects its bound exactly
   // when the amount fits inside the requester's retained entitlement U_aa.
   if (amount > report_.entitlement(a, a)) {
@@ -132,29 +155,30 @@ bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan
     return false;
   }
 
+  // Certify admission against the CURRENT compact model of a's component --
+  // the same problem object the LP would have solved -- so a grant from this
+  // path carries the same "independently verified against the problem data"
+  // guarantee as a pipeline answer (minus optimality, which this path
+  // deliberately trades).
+  AllocationModelCache& model = component_model(a, amount);
+  const std::vector<std::size_t>& members = model.members();
+  const std::size_t m = members.size();
+
   // theta for the self-draw plan: the drop at i is amount * That_ai with
   // That_aa = retained_a and That_ai = K_ai, every coefficient <= 1 (clamped
   // transitive shares, retained in [0,1]), hence "theta <= 1 per unit" --
-  // the perturbation never exceeds the request itself.
+  // the perturbation never exceeds the request itself. K_ai is zero outside
+  // a's component.
   double maxcoeff = sys_.retained[a];
   const double* row = report_.shares.row(a).data();
-  for (std::size_t i = 0; i < n; ++i)
+  for (const std::size_t i : members)
     if (i != a && row[i] > maxcoeff) maxcoeff = row[i];
   const double theta = amount * maxcoeff;
 
-  // Certify admission against the CURRENT compact model -- the same problem
-  // object the LP would have solved -- so a grant from this path carries the
-  // same "independently verified against the problem data" guarantee as a
-  // pipeline answer (minus optimality, which this path deliberately trades).
-  if (!cache_.built()) {
-    obs_cache_misses_->inc();
-    cache_.build(sys_, report_);
-  }
-  cache_.patch(report_, a, amount);
-  fast_x_.assign(n + 1, 0.0);
-  fast_x_[a] = amount;
-  fast_x_[n] = theta;
-  const lp::Certificate cert = verifier_.certify_admission(cache_.problem(), fast_x_, theta);
+  fast_x_.assign(m + 1, 0.0);
+  fast_x_[local_of_[a]] = amount;
+  fast_x_[m] = theta;
+  const lp::Certificate cert = verifier_.certify_admission(model.problem(), fast_x_, theta);
   if (!cert.certified) {
     fastpath_fallthrough_.inc();
     if constexpr (obs::kEnabled) obs_fastpath_fallthrough_->inc();
@@ -165,11 +189,11 @@ bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan
   plan.certified = true;
   plan.theta = theta;
   plan.lp_iterations = 0;
-  plan.draw.assign(n, 0.0);
+  plan.draw.assign(sys_.size(), 0.0);
   plan.draw[a] = amount;
   plan.capacity_before = report_.capacity;
-  plan.capacity_after.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
+  plan.capacity_after = report_.capacity;
+  for (const std::size_t i : members) {
     const double coeff = i == a ? sys_.retained[a] : row[i];
     plan.capacity_after[i] = report_.capacity[i] - amount * coeff;
   }
@@ -183,26 +207,27 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
   AllocationPlan plan;
   plan.capacity_before = report_.capacity;
 
-  // In both branches below, variables are d_0..d_{n-1} then theta, so the
-  // extraction after the solve is shared.
+  // Variables are the draws of `members`, in member order, then theta, so
+  // the extraction after the solve is shared by both branches below.
   lp::SolveResult r;
+  std::vector<std::size_t> all;  // the rebuild path's members: everyone
+  std::span<const std::size_t> members;
   if (!exact && opts_.reuse_context && !opts_.solve.presolve) {
-    // Amortized path: the model structure is built once per Allocator;
-    // each request only patches the d_k bounds (U_kA) and the demand rhs.
-    if (!cache_.built()) {
-      obs_cache_misses_->inc();
-      cache_.build(sys_, report_);
-    } else {
-      obs_cache_hits_->inc();
-    }
-    cache_.patch(report_, a, amount);
+    // Amortized path: one model structure per component, built once per
+    // Allocator; each request only patches the draw bounds (U_kA) and the
+    // demand rhs of its requester's component.
+    AllocationModelCache& model = component_model(a, amount);
+    members = model.members();
     const bool revised = opts_.solve.backend == lp::Backend::Revised;
     if (opts_.certify) {
-      r = run_certified(cache_.problem(), revised ? &cache_.workspace() : nullptr, plan);
+      r = run_certified(model.problem(), revised ? &model.workspace() : nullptr, plan);
     } else {
-      r = lp::solve(cache_.problem(), opts_.solve, revised ? &cache_.workspace() : nullptr);
+      r = lp::solve(model.problem(), opts_.solve, revised ? &model.workspace() : nullptr);
     }
   } else {
+    all.resize(n);
+    std::iota(all.begin(), all.end(), 0);
+    members = all;
     lp::ModelBuilder mb(lp::Sense::Minimize);
     // Draw variables bounded by A's entitlement at each node (U_kA; the own
     // node's bound is retained_a * V_a, i.e. entitlement(a, a)).
@@ -254,13 +279,15 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
   }
 
   plan.status = PlanStatus::Satisfied;
+  const std::size_t m = members.size();
   plan.draw.assign(n, 0.0);
-  for (std::size_t k = 0; k < n; ++k) plan.draw[k] = std::max(0.0, r.x[k]);
-  plan.theta = r.x[n];
-  plan.capacity_after.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t l = 0; l < m; ++l) plan.draw[members[l]] = std::max(0.0, r.x[l]);
+  plan.theta = r.x[m];
+  // Only members draw, and a member's draw moves no non-member's capacity.
+  plan.capacity_after = report_.capacity;
+  for (const std::size_t i : members) {
     double drop = 0.0;
-    for (std::size_t k = 0; k < n; ++k)
+    for (const std::size_t k : members)
       drop += plan.draw[k] * (k == i ? sys_.retained[i] : report_.shares(k, i));
     plan.capacity_after[i] = report_.capacity[i] - drop;
   }

@@ -16,7 +16,10 @@
 //   * Compact: n draw variables + theta. The capacity drop at i is the
 //     linear map  drop_i = sum_k d_k * That_ki  with That_ii = retained_i
 //     and That_ki = K_ki, so the whole model is (n+1) variables and (n+1)
-//     rows. This is what the simulator uses.
+//     rows. This is what the simulator uses. With reuse_context on (the
+//     default) each consult solves it over the requester's connected
+//     agreement component only -- (m+1) variables and rows for a component
+//     of m -- which has the same optimum (see AllocationModelCache).
 //   * FullPaper: the paper's verbatim variable set -- I'_ij, C'_i, V'_i and
 //     theta, i.e. n^2 + n + 1 variables with constraints (1)-(6). Useful
 //     for fidelity and as a stress test for the LP substrate.
@@ -80,12 +83,16 @@ struct AllocatorOptions {
     return o;
   }();
   /// Reuse the compact model structure (and, for the Revised engine, the
-  /// previous optimal basis as a warm start) across allocate() calls. The
-  /// returned plans are identical either way; this only removes per-request
-  /// model rebuilding and solver allocations. The reuse state is per
-  /// Allocator and not synchronized: turn this off if one Allocator instance
-  /// must serve concurrent allocate() calls. Compact relaxed solves only
-  /// (exact mode and presolve always take the rebuild path).
+  /// previous optimal basis as a warm start) across allocate() calls, one
+  /// model per connected agreement component, each consult solving only its
+  /// requester's. Off, every consult rebuilds the whole-system model. The
+  /// decisions agree either way (same status, same optimal theta); this
+  /// removes per-request model rebuilding, solver allocations, and the
+  /// variables and rows a requester's entitlements cannot touch. The reuse
+  /// state is per Allocator and not synchronized: turn this off if one
+  /// Allocator instance must serve concurrent allocate() calls. Compact
+  /// relaxed solves only (exact mode and presolve always take the rebuild
+  /// path).
   bool reuse_context = true;
   /// Verify every LP answer against the original problem (lp::Verifier) and
   /// escalate through the staged solve chain (lp::SolvePipeline) until one
@@ -154,6 +161,9 @@ class Allocator : public AllocatorBase {
   /// Attempt the theta<=1 self-draw grant; true when `plan` was filled with a
   /// certified Satisfied plan, false to fall through to the LP.
   bool try_fast_path(std::size_t a, double amount, AllocationPlan& plan) const;
+  /// The cached model of a's component (built on first use), patched for
+  /// request (a, amount).
+  AllocationModelCache& component_model(std::size_t a, double amount) const;
   AllocationPlan solve_compact(std::size_t a, double amount, bool exact) const;
   AllocationPlan solve_full(std::size_t a, double amount, bool exact) const;
   lp::SolveResult run_solver(const lp::Problem& p) const;
@@ -182,9 +192,15 @@ class Allocator : public AllocatorBase {
   obs::Counter* obs_plans_failed_ = nullptr;
   obs::Counter* obs_fastpath_granted_ = nullptr;
   obs::Counter* obs_fastpath_fallthrough_ = nullptr;
-  /// Lazily built compact-model structure + solver workspace; logically a
-  /// memo of (sys_, report_), hence mutable behind const allocate().
-  mutable AllocationModelCache cache_;
+  /// Connected agreement components (agree::connected_components), fixed at
+  /// construction, and each principal's component and index within it.
+  std::vector<std::vector<std::size_t>> components_;
+  std::vector<std::size_t> component_of_;
+  std::vector<std::size_t> local_of_;
+  /// One lazily built compact model + solver workspace per component;
+  /// logically a memo of (sys_, report_), hence mutable behind const
+  /// allocate().
+  mutable std::vector<AllocationModelCache> models_;
   /// Certified solve chain (statistics mutate behind const allocate()).
   mutable lp::SolvePipeline pipeline_;
   /// Admission-certification scratch for the fast path.

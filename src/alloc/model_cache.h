@@ -8,20 +8,27 @@
 // place before each solve: no ModelBuilder, no vector reallocation, no
 // per-request Problem construction.
 //
+// A cache spans one set of principals, the *members*: ascending global
+// indices, normally one connected component of the agreement graph (see
+// agree::connected_components). Its variables are the members' draws in
+// member order, then theta; its rows are demand, then one perturbation row
+// per member. A requester's entitlements are zero outside its component and
+// no member's capacity drop involves a non-member, so the component model
+// has the whole-system model's optimum (DESIGN.md section 8). Built over
+// every principal, it is coefficient-identical to the per-request
+// ModelBuilder path in Allocator::solve_compact, so any engine run on it
+// yields bit-identical results to that path.
+//
 // The cache also owns the lp::SolveWorkspace threaded into
 // RevisedSimplexSolver::solve, so successive solves of the patched model
 // warm-start from the previous optimal basis.
-//
-// The cached Problem is coefficient-identical to what the historical
-// per-request ModelBuilder path produced (variables in the same order: d_0..
-// d_{n-1} then theta; rows: demand then perturb_0..perturb_{n-1}), so any
-// engine run on it yields bit-identical results to the legacy path.
 //
 // Not thread-safe: a cache belongs to one Allocator and must not be used by
 // concurrent solves (see AllocatorOptions::reuse_context to opt out).
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "agree/capacity.h"
 #include "agree/matrices.h"
@@ -34,14 +41,22 @@ class AllocationModelCache {
  public:
   bool built() const { return built_; }
 
-  /// Build the compact relaxed model structure (bounds and rhs are
-  /// placeholders; patch() must run before any solve).
+  /// Build the compact relaxed model structure over every principal of
+  /// `sys` (bounds and rhs are placeholders; patch() must run before any
+  /// solve).
   void build(const agree::AgreementSystem& sys, const agree::CapacityReport& report);
 
+  /// Build it over `members` only (ascending global indices).
+  void build(const agree::AgreementSystem& sys, const agree::CapacityReport& report,
+             std::vector<std::size_t> members);
+
   /// Point the model at request (a, amount) under the current entitlements:
-  /// d_k in [0, U_kA] and demand rhs = amount.
+  /// the draw on member k in [0, U_kA] and demand rhs = amount. `a` is a
+  /// global index and must be a member.
   void patch(const agree::CapacityReport& report, std::size_t a, double amount);
 
+  /// Global index of each draw variable, in variable order.
+  const std::vector<std::size_t>& members() const { return members_; }
   lp::Problem& problem() { return problem_; }
   lp::SolveWorkspace& workspace() { return ws_; }
 
@@ -54,7 +69,7 @@ class AllocationModelCache {
 
  private:
   bool built_ = false;
-  std::size_t n_ = 0;
+  std::vector<std::size_t> members_;
   lp::Problem problem_;
   lp::SolveWorkspace ws_;
 };

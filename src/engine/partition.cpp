@@ -19,14 +19,8 @@ std::size_t find_root(std::vector<std::size_t>& parent, std::size_t i) {
   return i;
 }
 
-void unite(std::vector<std::size_t>& parent, std::size_t a, std::size_t b) {
-  a = find_root(parent, a);
-  b = find_root(parent, b);
-  if (a != b) parent[std::max(a, b)] = std::min(a, b);
-}
-
-/// Groups of participants (components or agglomerated clusters), each
-/// ascending, ordered by smallest member for determinism.
+/// Agglomerated clusters, each ascending, ordered by smallest member for
+/// determinism (the same convention as agree::connected_components).
 std::vector<std::vector<std::size_t>> collect_groups(std::vector<std::size_t>& parent) {
   const std::size_t n = parent.size();
   std::vector<std::vector<std::size_t>> groups;
@@ -122,14 +116,7 @@ Partition partition_participants(const agree::AgreementSystem& sys,
   AGORA_REQUIRE(n > 0, "cannot partition an empty system");
   std::size_t shards = opts.shards == 0 ? 1 : std::min(opts.shards, n);
 
-  // Connected components of the symmetrized agreement support S + A.
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (i != j && (sys.relative(i, j) > 0.0 || sys.absolute(i, j) > 0.0))
-        unite(parent, i, j);
-  const std::vector<std::vector<std::size_t>> comps = collect_groups(parent);
+  const std::vector<std::vector<std::size_t>> comps = agree::connected_components(sys);
 
   Partition part;
   part.components = comps.size();

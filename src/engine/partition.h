@@ -7,10 +7,11 @@
 // for its participants with a *local* LP over only those participants, and
 // the decision is exactly what the global allocator would have produced for
 // them (entitlements crossing a component boundary are identically zero).
-// This is GMA's locality argument applied to our agreement economies, and
-// it is also the perf win: the simplex is superlinear in participant count,
-// so eight shards solving 9-variable LPs beat one solver on a 65-variable
-// model even on a single core.
+// This is GMA's locality argument applied to our agreement economies. The
+// allocator applies the same argument inside a shard: a shard holding
+// several components solves each consult over the requester's component
+// alone (alloc::AllocationModelCache), so connectivity sharding adds
+// parallelism rather than a smaller LP.
 //
 // When the economy is a single connected component there is no independent
 // split. Two fallbacks exist:
@@ -67,9 +68,10 @@ struct PartitionOptions {
 };
 
 /// Partition the participants of `sys` into at most `opts.shards` shards.
-/// Connectivity first: connected components (union of the relative and
-/// absolute agreement supports, symmetrized) are bin-packed onto shards,
-/// largest first. When there are fewer components than requested shards:
+/// Connectivity first: connected components (agree::connected_components:
+/// the relative and absolute agreement supports, symmetrized) are
+/// bin-packed onto shards, largest first. When there are fewer components
+/// than requested shards:
 /// federated mode cuts components by heavy-edge agglomeration (lightest
 /// total agreement weight crosses shards), otherwise falls back to hash
 /// routing over full replicas (single component) or shrinks the shard

@@ -607,9 +607,9 @@ bool try_warm_start(const StandardForm& sf, SolveWorkspace& W, const SolverOptio
   const std::size_t m = sf.rows();
   if (W.warm_basis.size() != m) return false;
   W.basis = W.warm_basis;
-  const bool factored = use_sparse(opts)
-                            ? (W.slu.factorized() && W.slu.dim() == m)
-                            : (W.binv.rows() == m && W.binv.cols() == m);
+  const bool factored =
+      W.warm_factored && (use_sparse(opts) ? (W.slu.factorized() && W.slu.dim() == m)
+                                           : (W.binv.rows() == m && W.binv.cols() == m));
   if (!factored || W.pivots_since_factor >= RevisedSimplexSolver::kRefactorInterval) {
     if (!refactorize(sf, W, opts, &stats)) return false;
   } else {
@@ -681,11 +681,13 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
   bool warmed = false;
   if (ws && W.warm && W.warm_rows == m && W.warm_cols == n &&
       W.warm_fingerprint == sf.fingerprint) {
-    W.warm = false;  // re-established only if this solve reaches optimality
     warmed = try_warm_start(sf, W, opts_, res.iterations, res.stats);
   } else if (ws) {
     W.warm = false;
   }
+  // From here on the factorization moves off warm_basis; only an optimal
+  // exit (which re-seats warm_basis) re-establishes it.
+  W.warm_factored = false;
 
   if (!warmed) {
     W.basis = sf.initial_basis;
@@ -790,6 +792,7 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
     W.warm_cols = n;
     W.warm_fingerprint = sf.fingerprint;
     W.warm = true;
+    W.warm_factored = true;
   }
   return res;
 }

@@ -47,9 +47,15 @@ struct SolveWorkspace {
   std::vector<bool> allowed;        ///< per-column entry permission.
 
   // --- Warm-start state: persists across solves. When `warm` is true,
-  // (warm_basis, binv) describe the optimum of the previous solve and
-  // warm_fingerprint identifies the (A, c) it is valid for. -----------------
+  // warm_basis is the last optimal basis and warm_fingerprint identifies the
+  // (A, c) it is valid for. A solve that ends without an optimum (an
+  // infeasible rhs, say) keeps that basis: only b moved, so it stays dual
+  // feasible for the next rhs. -----------------------------------------------
   bool warm = false;
+  /// True while the retained factorization (slu / binv) is that of
+  /// warm_basis, i.e. the last solve ended at its optimum; otherwise the
+  /// next warm entry refactorizes warm_basis.
+  bool warm_factored = false;
   std::vector<std::size_t> warm_basis;
   std::size_t warm_rows = 0;
   std::size_t warm_cols = 0;

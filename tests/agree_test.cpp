@@ -46,6 +46,22 @@ TEST(AgreementSystem, ValidateRejectsNegativeCapacity) {
   EXPECT_THROW(s.validate(), PreconditionError);
 }
 
+TEST(ConnectedComponents, LinksInEitherDirectionThroughSOrA) {
+  AgreementSystem sys(7);
+  sys.relative(3, 0) = 0.1;  // S link, against index order
+  sys.absolute(1, 5) = 2.0;  // A-only link
+  sys.relative(5, 6) = 0.3;  // chains 1-5-6
+  // 2 and 4 stay isolated.
+  const std::vector<std::vector<std::size_t>> want{{0, 3}, {1, 5, 6}, {2}, {4}};
+  EXPECT_EQ(connected_components(sys), want);
+}
+
+TEST(ConnectedComponents, EmptyAndAgreementFreeSystems) {
+  EXPECT_TRUE(connected_components(AgreementSystem(0)).empty());
+  const std::vector<std::vector<std::size_t>> want{{0}, {1}, {2}};
+  EXPECT_EQ(connected_components(AgreementSystem(3)), want);
+}
+
 // ------------------------------------------------------------- transitive ---
 
 TEST(Transitive, DirectLevelEqualsS) {

@@ -252,6 +252,29 @@ TEST(AllocatorWarmstart, LockstepEnginesAgreeOverRequestReleaseSequences) {
   }
 }
 
+/// A denial must not cost the next consult its warm start: the infeasible
+/// solve moved only b, so the last optimal basis stays valid for (A, c).
+TEST(AllocatorWarmstart, InfeasibleConsultKeepsTheWarmBasis) {
+  agree::AgreementSystem sys(5);
+  sys.relative = agree::complete_graph(5, 0.1);
+  for (std::size_t i = 0; i < 5; ++i) sys.capacity[i] = 10.0;
+  AllocatorOptions opts = engine_opts(lp::Backend::Revised, true);
+  opts.sink = obs::Sink::none();
+  Allocator alloc(sys, opts);
+  const double avail = alloc.available_to(1);
+  ASSERT_TRUE(alloc.allocate(1, 0.5 * avail).satisfied());  // cold: seeds the basis
+  const AllocationPlan denied = alloc.allocate(1, 2.0 * avail);
+  EXPECT_EQ(denied.status, PlanStatus::Insufficient);
+  EXPECT_TRUE(denied.certified);
+  ASSERT_TRUE(alloc.allocate(1, 0.6 * avail).satisfied());
+  const lp::PipelineStats& s = *alloc.solver_stats();
+  constexpr int kWarm = static_cast<int>(lp::PipelineStage::WarmRevised);
+  constexpr int kCold = static_cast<int>(lp::PipelineStage::ColdRevised);
+  EXPECT_EQ(s.attempts[kWarm], 2u);  // the denial and the consult after it
+  EXPECT_EQ(s.attempts[kCold], 1u);  // only the very first consult
+  EXPECT_EQ(s.failures[kWarm], 0u);
+}
+
 /// reuse_context must not change results when capacities never move either
 /// (repeated identical requests -- the pure warm-start steady state).
 TEST(AllocatorWarmstart, RepeatedIdenticalRequestsStaySatisfiedAndStable) {

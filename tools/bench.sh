@@ -37,7 +37,7 @@ cmake --build "${BUILD}" -j --target micro_lp micro_warmstart micro_certify scal
   --benchmark_out="${OUT}/micro_certify.json" --benchmark_out_format=json \
   | tee "${OUT}/certify_summary.txt"
 
-python3 tools/bench_lp_json.py \
+python3 tools/bench_lp_json.py "${BUILD}" \
   "${OUT}/micro_lp.json" "${OUT}/lpscale_summary.txt" \
   "${OUT}/micro_warmstart.json" "${OUT}/warmstart_summary.txt" \
   "${OUT}/micro_certify.json" "${OUT}/certify_summary.txt" BENCH_lp.json

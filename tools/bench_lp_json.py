@@ -3,9 +3,13 @@
 micro_certify into the compact BENCH_lp.json the repo tracks (see
 tools/bench.sh).
 
-Usage: bench_lp_json.py <micro_lp.json> <lpscale_summary.txt> \
+Usage: bench_lp_json.py <build_dir> <micro_lp.json> <lpscale_summary.txt> \
                         <micro_warmstart.json> <warmstart_summary.txt> \
                         <micro_certify.json> <certify_summary.txt> <out.json>
+
+`build_type` records agora's own CMAKE_BUILD_TYPE, read from
+<build_dir>/CMakeCache.txt; google-benchmark's library build type is kept
+separately as `benchmark_library_build_type`.
 
 Only the Python standard library is used. For every benchmark we keep the
 iteration count, ns/solve (real time) and -- where the benchmark reports it
@@ -20,6 +24,7 @@ are recorded alongside the timings.
 """
 
 import json
+import os
 import re
 import sys
 
@@ -108,25 +113,40 @@ def parse_certify(path):
     }
 
 
+def cmake_build_type(build_dir):
+    """CMAKE_BUILD_TYPE from the build directory's CMakeCache.txt."""
+    path = os.path.join(build_dir, "CMakeCache.txt")
+    try:
+        with open(path) as f:
+            for line in f:
+                m = re.match(r"CMAKE_BUILD_TYPE:\w+=(.*)$", line.strip())
+                if m:
+                    return m.group(1) or "unknown"
+    except OSError as e:
+        raise SystemExit(f"cannot read {path}: {e}")
+    return "unknown"
+
+
 def main(argv):
-    if len(argv) != 8:
+    if len(argv) != 9:
         raise SystemExit(__doc__)
-    lp_benches, context = load_benchmarks(argv[1])
-    warm_benches, _ = load_benchmarks(argv[3])
-    certify_benches, _ = load_benchmarks(argv[5])
+    lp_benches, context = load_benchmarks(argv[2])
+    warm_benches, _ = load_benchmarks(argv[4])
+    certify_benches, _ = load_benchmarks(argv[6])
     doc = {
         "schema": "agora-bench-lp/3",
-        "build_type": context.get("library_build_type", "unknown"),
+        "build_type": cmake_build_type(argv[1]),
+        "benchmark_library_build_type": context.get("library_build_type", "unknown"),
         "num_cpus": context.get("num_cpus", 0),
         "benchmarks": lp_benches + warm_benches + certify_benches,
-        "scaling": parse_lpscale(argv[2]),
-        "warmstart": parse_warmstart(argv[4]),
-        "certify": parse_certify(argv[6]),
+        "scaling": parse_lpscale(argv[3]),
+        "warmstart": parse_warmstart(argv[5]),
+        "certify": parse_certify(argv[7]),
     }
-    with open(argv[7], "w") as f:
+    with open(argv[8], "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-    print(f"wrote {argv[7]}")
+    print(f"wrote {argv[8]}")
 
 
 if __name__ == "__main__":
