@@ -86,7 +86,7 @@ lp::Problem compact_allocation_lp(std::size_t n);
 /// neighbors up to ring distance 3 (Figure 13's distance-decayed shape, cut
 /// off so the matrix is genuinely sparse). Row density stays O(1) as n
 /// grows, which is what makes the n = 1000 LP tractable for the sparse
-/// basis and a stress case for the dense inverse.
+/// basis.
 agree::AgreementSystem banded_sharing_system(std::size_t n);
 
 /// Transitive options for the banded system: chains capped at 2 hops keep

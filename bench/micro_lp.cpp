@@ -1,6 +1,6 @@
-// Ablation: sparse-LU revised simplex vs dense-inverse revised simplex vs
-// tableau simplex (vs brute force on tiny instances) on allocation-shaped
-// LPs of growing size, all through the unified lp::solve entry point.
+// Ablation: revised simplex vs tableau simplex (vs brute force on tiny
+// instances) on allocation-shaped LPs of growing size, all through the
+// unified lp::solve entry point.
 //
 // Two fixtures:
 //   * figbench::compact_allocation_lp -- the dense complete-graph model the
@@ -11,20 +11,24 @@
 //     the regime the sparse basis exists for.
 //
 // Before the google-benchmark registrations run, main() executes the
-// LPSCALE sweep: n in {100, 500, 1000} on the banded fixture (dense inverse
-// only through n = 500 -- m^2 storage makes it the foil, not the subject),
-// printing one machine-readable line per configuration:
+// LPSCALE sweep on the banded fixture: warm revised consults at n in
+// {100, 500, 1000}, plus the tableau-first certified solve chain
+// (lp::SolvePipeline, Backend::Tableau, presolve off) at n = 100 as the foil
+// -- every timed tableau consult is certified, so a tableau answer the
+// Verifier rejects costs its fallback instead of counting as a fast wrong
+// answer. One machine-readable line per configuration:
 //
-//   LPSCALE n=<n> backend=<sparse-lu|dense-inverse> certified=<0|1>
+//   LPSCALE n=<n> backend=<revised|tableau-chain> certified=<0|1>
 //     consults_per_s=<r> iterations=<it> basis_nnz=<z> lu_nnz=<z>
 //     fill_ratio=<f> refactorizations=<c> max_eta=<e>
 //
-// tools/bench.sh tees these into bench_results/lpscale_summary.txt and
-// tools/bench_lp_json.py folds them into BENCH_lp.json ("scaling" block).
-// The sweep doubles as the release gate: main() exits 1 unless every
-// configuration solves Optimal AND certifies against the original problem,
-// the n = 1000 sparse solve certifies end-to-end, and the sparse basis
-// beats the dense inverse by >= 5x consults/s at n = 100.
+// (the factorization telemetry reads 0 for the tableau). tools/bench.sh tees
+// these into bench_results/lpscale_summary.txt and tools/bench_lp_json.py
+// folds them into BENCH_lp.json ("scaling" block). The sweep doubles as the
+// release gate: main() exits 1 unless every configuration solves Optimal AND
+// certifies against the original problem, the n = 1000 revised solve
+// certifies end-to-end, and warm revised reaches >= 20x the tableau chain's
+// consults/s at n = 100.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -36,66 +40,84 @@
 #include "fig_common.h"
 #include "lp/certify.h"
 #include "lp/solve.h"
+#include "lp/solve_pipeline.h"
 
 namespace {
 
 using namespace agora;
 using figbench::compact_allocation_lp;
 
-lp::SolveOptions backend_opts(lp::Backend backend, lp::BasisRep basis) {
+lp::SolveOptions backend_opts(lp::Backend backend) {
   lp::SolveOptions opts;
   opts.backend = backend;
-  opts.basis = basis;
   return opts;
 }
+
+/// Minimum warm-revised / tableau-chain consults/s ratio at n = 100.
+constexpr double kMinSpeedupN100 = 20.0;
 
 // --- LPSCALE sweep ---------------------------------------------------------
 
 struct ScalePoint {
   std::size_t n = 0;
-  lp::BasisRep basis = lp::BasisRep::SparseLu;
+  bool tableau_chain = false;
   bool certified = false;
   bool optimal = false;
   double consults_per_s = 0.0;
   lp::SolveResult result;
 };
 
-/// Solve + certify the banded fixture once for telemetry, then time warm
-/// consults (the loop the paper's GRM runs) for throughput.
-ScalePoint run_scale_point(std::size_t n, lp::BasisRep basis) {
+/// Solve + certify the banded fixture once for telemetry, then time consults
+/// (the loop the paper's GRM runs) for throughput: warm revised solves
+/// against the cached model, or -- `tableau_chain` -- the tableau-first
+/// certified chain.
+ScalePoint run_scale_point(std::size_t n, bool tableau_chain) {
   ScalePoint pt;
   pt.n = n;
-  pt.basis = basis;
+  pt.tableau_chain = tableau_chain;
   const agree::AgreementSystem sys = figbench::banded_sharing_system(n);
   const agree::CapacityReport rep = agree::compute_capacities(
       sys, figbench::sparse_bench_alloc_options().transitive);
   alloc::AllocationModelCache cache;
   cache.build(sys, rep);
   cache.patch(rep, /*a=*/0, rep.capacity[0] * 0.5);
-  const lp::SolveOptions opts = backend_opts(lp::Backend::Revised, basis);
 
+  lp::PipelineOptions po;
+  po.solve.backend = lp::Backend::Tableau;
+  po.solve.presolve = false;
+  po.sink = obs::Sink::none();
+  lp::SolvePipeline chain(po);
+  const lp::SolveOptions opts = backend_opts(lp::Backend::Revised);
   lp::SolveWorkspace& ws = cache.workspace();
-  pt.result = lp::solve(cache.problem(), opts, &ws);
+  // One consult: a certified chain answer, or a raw warm revised solve.
+  const auto consult = [&]() -> lp::SolveResult {
+    if (!tableau_chain) return lp::solve(cache.problem(), opts, &ws);
+    lp::PipelineResult pr = chain.solve(cache.problem());
+    if (!pr.certified()) pt.certified = false;
+    return std::move(pr.result);
+  };
+
+  pt.result = consult();
   pt.optimal = pt.result.optimal();
   lp::Verifier verifier(opts.tols);
-  const lp::Certificate cert = verifier.certify(cache.problem(), pt.result);
-  pt.certified = cert.certified;
+  pt.certified = verifier.certify(cache.problem(), pt.result).certified;
 
-  // Throughput: warm consults against the cached model. Each consult is the
-  // GRM's per-request pattern verbatim -- AllocationModelCache::patch points
-  // the model at requester a's entitlements and amount (bounds + rhs motion
-  // that repatch_standard_form_rhs absorbs without a rebuild), and the solve
-  // warm-starts from the previous optimal basis. Rotating the requester
-  // makes every consult re-optimize against a genuinely different binding
-  // set (~10 pivots at n = 100), the workload the sparse basis exists for.
-  // Reps are sized so the n = 1000 configuration finishes in a few seconds.
+  // Throughput. Each consult is the GRM's per-request pattern verbatim --
+  // AllocationModelCache::patch points the model at requester a's
+  // entitlements and amount (bounds + rhs motion that
+  // repatch_standard_form_rhs absorbs without a rebuild), and the revised
+  // solve warm-starts from the previous optimal basis. Rotating the
+  // requester makes every consult re-optimize against a genuinely different
+  // binding set (~10 pivots at n = 100), the workload the sparse basis
+  // exists for. Reps are sized so the n = 1000 configuration finishes in a
+  // few seconds.
   const int reps = n >= 1000 ? 20 : (n >= 500 ? 50 : 200);
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < reps; ++i) {
     const std::size_t a = static_cast<std::size_t>(i) * 17 % n;
     cache.patch(rep, a,
                 rep.capacity[a] * (0.05 + 0.95 * static_cast<double>(i % 8) / 8.0));
-    const lp::SolveResult r = lp::solve(cache.problem(), opts, &ws);
+    const lp::SolveResult r = consult();
     benchmark::DoNotOptimize(r.objective);
     if (!r.optimal()) pt.optimal = false;
   }
@@ -115,8 +137,9 @@ void print_scale_point(const ScalePoint& pt) {
       "LPSCALE n=%zu backend=%s certified=%d consults_per_s=%.2f "
       "iterations=%llu basis_nnz=%llu lu_nnz=%llu fill_ratio=%.3f "
       "refactorizations=%llu max_eta=%llu\n",
-      pt.n, lp::to_string(pt.basis), pt.certified && pt.optimal ? 1 : 0,
-      pt.consults_per_s, static_cast<unsigned long long>(pt.result.iterations),
+      pt.n, pt.tableau_chain ? "tableau-chain" : "revised",
+      pt.certified && pt.optimal ? 1 : 0, pt.consults_per_s,
+      static_cast<unsigned long long>(pt.result.iterations),
       static_cast<unsigned long long>(s.basis_nnz),
       static_cast<unsigned long long>(s.lu_nnz), fill,
       static_cast<unsigned long long>(s.refactorizations),
@@ -124,35 +147,36 @@ void print_scale_point(const ScalePoint& pt) {
 }
 
 /// Returns false (gate failure) unless every configuration certifies, the
-/// n = 1000 sparse solve certifies, and sparse >= 5x dense at n = 100.
+/// n = 1000 revised solve certifies, and warm revised reaches
+/// kMinSpeedupN100 times the tableau chain's consults/s at n = 100.
 bool run_scaling_sweep() {
   bool ok = true;
-  double sparse_100 = 0.0;
-  double dense_100 = 0.0;
+  double revised_100 = 0.0;
+  double tableau_100 = 0.0;
   for (const std::size_t n : {std::size_t{100}, std::size_t{500}, std::size_t{1000}}) {
-    const ScalePoint sparse = run_scale_point(n, lp::BasisRep::SparseLu);
-    print_scale_point(sparse);
-    if (!sparse.certified || !sparse.optimal) {
-      std::fprintf(stderr, "GATE: sparse n=%zu failed to solve+certify\n", n);
+    const ScalePoint revised = run_scale_point(n, /*tableau_chain=*/false);
+    print_scale_point(revised);
+    if (!revised.certified || !revised.optimal) {
+      std::fprintf(stderr, "GATE: revised n=%zu failed to solve+certify\n", n);
       ok = false;
     }
-    if (n == 100) sparse_100 = sparse.consults_per_s;
-    if (n <= 500) {  // dense m^2 storage is the foil; skip it at n = 1000
-      const ScalePoint dense = run_scale_point(n, lp::BasisRep::DenseInverse);
-      print_scale_point(dense);
-      if (!dense.certified || !dense.optimal) {
-        std::fprintf(stderr, "GATE: dense n=%zu failed to solve+certify\n", n);
-        ok = false;
-      }
-      if (n == 100) dense_100 = dense.consults_per_s;
+    if (n != 100) continue;
+    revised_100 = revised.consults_per_s;
+    // The dense tableau is the foil; time it at n = 100 only.
+    const ScalePoint tableau = run_scale_point(n, /*tableau_chain=*/true);
+    print_scale_point(tableau);
+    if (!tableau.certified || !tableau.optimal) {
+      std::fprintf(stderr, "GATE: tableau chain n=%zu failed to solve+certify\n", n);
+      ok = false;
     }
+    tableau_100 = tableau.consults_per_s;
   }
-  const double speedup = dense_100 > 0.0 ? sparse_100 / dense_100 : 0.0;
-  std::printf("LPSCALE speedup_n100=%.2f\n", speedup);
-  if (speedup < 5.0) {
+  const double speedup = tableau_100 > 0.0 ? revised_100 / tableau_100 : 0.0;
+  std::printf("LPSCALE revised_vs_tableau_n100=%.2f\n", speedup);
+  if (speedup < kMinSpeedupN100) {
     std::fprintf(stderr,
-                 "GATE: sparse/dense consults_per_s at n=100 is %.2fx (< 5x)\n",
-                 speedup);
+                 "GATE: revised/tableau-chain consults_per_s at n=100 is %.2fx (< %.0fx)\n",
+                 speedup, kMinSpeedupN100);
     ok = false;
   }
   return ok;
@@ -162,8 +186,7 @@ bool run_scaling_sweep() {
 
 void BM_TableauSimplex(benchmark::State& state) {
   const lp::Problem p = compact_allocation_lp(static_cast<std::size_t>(state.range(0)));
-  const lp::SolveOptions opts =
-      backend_opts(lp::Backend::Tableau, lp::BasisRep::DenseInverse);
+  const lp::SolveOptions opts = backend_opts(lp::Backend::Tableau);
   for (auto _ : state) {
     const lp::SolveResult r = lp::solve(p, opts);
     benchmark::DoNotOptimize(r.objective);
@@ -171,35 +194,22 @@ void BM_TableauSimplex(benchmark::State& state) {
 }
 BENCHMARK(BM_TableauSimplex)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
 
-void BM_RevisedSimplexDense(benchmark::State& state) {
+void BM_RevisedSimplex(benchmark::State& state) {
   const lp::Problem p = compact_allocation_lp(static_cast<std::size_t>(state.range(0)));
-  const lp::SolveOptions opts =
-      backend_opts(lp::Backend::Revised, lp::BasisRep::DenseInverse);
+  const lp::SolveOptions opts = backend_opts(lp::Backend::Revised);
   for (auto _ : state) {
     const lp::SolveResult r = lp::solve(p, opts);
     benchmark::DoNotOptimize(r.objective);
   }
 }
-BENCHMARK(BM_RevisedSimplexDense)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
-
-void BM_RevisedSimplexSparse(benchmark::State& state) {
-  const lp::Problem p = compact_allocation_lp(static_cast<std::size_t>(state.range(0)));
-  const lp::SolveOptions opts =
-      backend_opts(lp::Backend::Revised, lp::BasisRep::SparseLu);
-  for (auto _ : state) {
-    const lp::SolveResult r = lp::solve(p, opts);
-    benchmark::DoNotOptimize(r.objective);
-  }
-}
-BENCHMARK(BM_RevisedSimplexSparse)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_RevisedSimplex)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
 
 /// Same solver, but with a persistent workspace: rhs/bounds are unchanged
 /// between iterations, so every solve after the first warm-starts from the
 /// optimal basis and should price once and pivot zero times.
 void BM_RevisedSimplexWarm(benchmark::State& state) {
   const lp::Problem p = compact_allocation_lp(static_cast<std::size_t>(state.range(0)));
-  const lp::SolveOptions opts =
-      backend_opts(lp::Backend::Revised, lp::BasisRep::SparseLu);
+  const lp::SolveOptions opts = backend_opts(lp::Backend::Revised);
   lp::SolveWorkspace ws;
   for (auto _ : state) {
     const lp::SolveResult r = lp::solve(p, opts, &ws);
@@ -210,8 +220,7 @@ BENCHMARK(BM_RevisedSimplexWarm)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
 
 void BM_BruteForce(benchmark::State& state) {
   const lp::Problem p = compact_allocation_lp(static_cast<std::size_t>(state.range(0)));
-  lp::SolveOptions opts;
-  opts.backend = lp::Backend::BruteForce;
+  const lp::SolveOptions opts = backend_opts(lp::Backend::BruteForce);
   for (auto _ : state) {
     const lp::SolveResult r = lp::solve(p, opts);
     benchmark::DoNotOptimize(r.objective);

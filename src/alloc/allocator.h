@@ -69,7 +69,7 @@ struct AllocatorOptions {
   Formulation formulation = Formulation::Compact;
   EqualityMode equality = EqualityMode::Relaxed;
   /// Every LP knob in one struct (see lp/solve.h): backend choice, presolve
-  /// switch, basis representation, iteration caps, tolerances. The defaults
+  /// switch, tolerances. The defaults
   /// here deliberately diverge from lp::SolveOptions' own to preserve the
   /// allocator's historical behavior: tableau backend, and presolve off --
   /// the allocator's hot paths patch a cached model whose structure presolve

@@ -207,9 +207,7 @@ AllocationPlan HierarchicalAllocator::allocate(std::size_t a, double amount) con
       r = std::move(pr.result);
       if (!pr.certified()) r.status = lp::Status::IterationLimit;  // force fallback below
     } else {
-      lp::SolveOptions fine = opts_.solve;
-      fine.backend = lp::Backend::Tableau;
-      r = lp::solve(mb.problem(), fine);
+      r = lp::solve(mb.problem(), opts_.solve);
     }
     plan.lp_iterations += r.iterations;
     if (r.status != lp::Status::Optimal) {

@@ -19,9 +19,9 @@
 // ModelBuilder path in Allocator::solve_compact, so any engine run on it
 // yields bit-identical results to that path.
 //
-// The cache also owns the lp::SolveWorkspace threaded into
-// RevisedSimplexSolver::solve, so successive solves of the patched model
-// warm-start from the previous optimal basis.
+// The cache also owns the lp::SolveWorkspace threaded into lp::solve
+// (Backend::Revised), so successive solves of the patched model warm-start
+// from the previous optimal basis.
 //
 // Not thread-safe: a cache belongs to one Allocator and must not be used by
 // concurrent solves (see AllocatorOptions::reuse_context to opt out).

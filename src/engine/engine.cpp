@@ -88,6 +88,10 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
         alloc::AllocatorOptions xopts = opts_.alloc;
         xopts.certify = false;  // reference measurements, never admissions
         xopts.fast_path = false;
+        // Warm revised, whatever the admission backend: on a single-component
+        // economy the tableau can stall or misreport a reference solve, and
+        // an unsatisfied reference drops its probe.
+        xopts.solve.backend = lp::Backend::Revised;
         exact_ = std::make_unique<alloc::Allocator>(sys_, xopts);
       }
     }

@@ -333,8 +333,9 @@ class EnforcementEngine : public alloc::AllocatorBase {
   /// AND produced at least one credit. Guarded by mutate_mu_ (settlement,
   /// consumption); construction happens before the workers start.
   std::unique_ptr<Federation> fed_;
-  /// Exact full-system reference allocator for gap probes (certification
-  /// off: it measures, it never admits). Guarded by mutate_mu_.
+  /// Exact full-system reference allocator for gap probes (warm revised,
+  /// certification off: it measures, it never admits). Guarded by
+  /// mutate_mu_.
   mutable std::unique_ptr<alloc::Allocator> exact_;
   /// Gap telemetry published by settlement rounds (guarded by agg_mu_ so
   /// stats() never contends with a settlement in flight).

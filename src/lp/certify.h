@@ -2,8 +2,8 @@
 //
 // The enforcement guarantee (paper Section 3) is only as strong as the LP
 // answer backing each consult, and the warm-started revised simplex reuses a
-// cached basis inverse across hundreds of perturbed solves -- exactly the
-// regime where accumulated floating-point drift or a degenerate basis can
+// cached basis factorization across hundreds of perturbed solves -- exactly
+// the regime where accumulated floating-point drift or a degenerate basis can
 // silently return a wrong allocation. The Verifier closes that gap: it
 // checks any returned solution against the ORIGINAL problem, using only the
 // problem data (never the solver's internal state), and returns a typed

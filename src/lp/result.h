@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "lp/tolerances.h"
-
 namespace agora::lp {
 
 enum class Status {
@@ -27,30 +25,12 @@ inline const char* to_string(Status s) {
   return "unknown";
 }
 
-/// How the revised simplex maintains the basis matrix between pivots.
-enum class BasisRep {
-  /// Markowitz-ordered sparse LU with product-form eta updates (the
-  /// default; see lp/sparse_lu.h). Work per iteration scales with the
-  /// factorization's nonzeros, not with m^2.
-  SparseLu,
-  /// The historical explicit dense m x m inverse, kept selectable for
-  /// differential testing and as the numerical reference.
-  DenseInverse,
-};
-
-inline const char* to_string(BasisRep b) {
-  switch (b) {
-    case BasisRep::SparseLu: return "sparse-lu";
-    case BasisRep::DenseInverse: return "dense-inverse";
-  }
-  return "unknown";
-}
-
 /// Per-solve numerical health counters, populated by the revised simplex
 /// (the tableau solver fills what applies). Consumed by lp::SolvePipeline's
 /// degradation telemetry.
 struct SolveStats {
-  /// Full basis-inverse rebuilds (pivot-count cadence + residual-triggered).
+  /// Full basis refactorizations (pivot-count and eta-size cadence plus
+  /// residual-triggered).
   std::uint64_t refactorizations = 0;
   /// The subset of refactorizations forced by an x_B residual check.
   std::uint64_t residual_refactorizations = 0;
@@ -58,15 +38,14 @@ struct SolveStats {
   std::uint64_t refinement_steps = 0;
   /// Pivots taken under Bland's rule (stall / anti-cycling mode).
   std::uint64_t bland_pivots = 0;
-  /// Cheap condition estimate ||B||_inf * ||B^-1||_inf at the last
-  /// refactorization (0 when no refactorization happened). The sparse-LU
-  /// basis reports the proxy ||B||_inf * |u_max/u_min| instead.
+  /// Cheap condition proxy ||B||_inf * |u_max/u_min| over the LU factors'
+  /// diagonal at the last refactorization (0 when none happened).
   double condition_estimate = 0.0;
   /// Worst relative ||b - B x_B||_inf observed during the solve.
   double max_xb_residual = 0.0;
-  /// Sparse-LU basis telemetry (zero under BasisRep::DenseInverse):
-  /// nonzeros of the factored basis columns, of L+U, and the worst
-  /// product-form eta-file length, all at/since the last refactorization.
+  /// Sparse-LU basis telemetry (zero for the tableau): nonzeros of the
+  /// factored basis columns, of L+U, and the worst product-form eta-file
+  /// length, all at/since the last refactorization.
   std::uint64_t basis_nnz = 0;
   std::uint64_t lu_nnz = 0;
   std::uint64_t max_eta_count = 0;
@@ -101,23 +80,6 @@ struct SolveResult {
   SolveStats stats;
 
   bool optimal() const { return status == Status::Optimal; }
-};
-
-/// Solver tuning knobs shared by both simplex implementations.
-struct SolverOptions {
-  /// Feasibility / reduced-cost tolerance.
-  double tol = 1e-9;
-  /// Hard cap on simplex iterations per phase.
-  std::uint64_t max_iterations = 100000;
-  /// After this many consecutive degenerate pivots, switch to Bland's rule
-  /// (guarantees termination at the cost of speed).
-  std::uint64_t stall_threshold = 64;
-  /// Basis representation for the revised simplex (ignored by the tableau
-  /// solver, which has no factored basis).
-  BasisRep basis = BasisRep::SparseLu;
-  /// Centralized numerical thresholds (shared with presolve and the
-  /// certification layer; see tolerances.h).
-  Tolerances tols;
 };
 
 }  // namespace agora::lp

@@ -14,77 +14,34 @@ namespace agora::lp {
 
 namespace {
 
-bool use_sparse(const SolverOptions& opts) { return opts.basis == BasisRep::SparseLu; }
-
 /// Ratio-test pivots below this fraction of ||w||_inf are treated as
 /// possible eta-file drift when the factorization is stale: refactorize and
 /// recompute the column instead of committing the pivot (see run_phase).
 constexpr double kEtaPivotStability = 1e-6;
 
 /// x_B = B^-1 b with the denormal clamp refactorize() has always used,
-/// writing into reused storage. Sparse path: copy b and run it through the
-/// factored basis; dense path: vectorized dot per binv row.
-void compute_xb(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts) {
-  const std::size_t m = sf.rows();
-  if (use_sparse(opts)) {
-    W.xb.assign(sf.b.begin(), sf.b.end());
-    W.slu.ftran(W.xb);
-  } else {
-    W.xb.assign(m, 0.0);
-    for (std::size_t r = 0; r < m; ++r) W.xb[r] = vdot(W.binv.row(r), sf.b);
-  }
+/// writing into reused storage: copy b and run it through the factored basis.
+void compute_xb(const StandardForm& sf, SolveWorkspace& W, const Tolerances& tols) {
+  W.xb.assign(sf.b.begin(), sf.b.end());
+  W.slu.ftran(W.xb);
   for (double& v : W.xb)
-    if (std::fabs(v) < opts.tols.drop) v = 0.0;
+    if (std::fabs(v) < tols.drop) v = 0.0;
 }
 
-/// Rebuild the factored basis (sparse LU, or the explicit dense inverse
-/// under BasisRep::DenseInverse) and xb from the basis. Resets the
-/// cross-solve pivot counter. When `stats` is given, counts the rebuild and
-/// refreshes the cheap condition estimate plus the sparsity telemetry.
-bool refactorize(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts,
+/// Refactorize the basis (fresh sparse LU, empty eta file) and rebuild xb.
+/// Resets the cross-solve pivot counter. When `stats` is given, counts the
+/// rebuild and refreshes the cheap condition estimate plus the sparsity
+/// telemetry.
+bool refactorize(const StandardForm& sf, SolveWorkspace& W, const Tolerances& tols,
                  SolveStats* stats = nullptr) {
-  const std::size_t m = sf.rows();
-  if (use_sparse(opts)) {
-    if (!W.slu.factorize(sf, W.basis)) return false;
-    compute_xb(sf, W, opts);
-    W.pivots_since_factor = 0;
-    if (stats) {
-      ++stats->refactorizations;
-      stats->condition_estimate = W.slu.condition_estimate();
-      stats->basis_nnz = W.slu.basis_nnz();
-      stats->lu_nnz = W.slu.lu_nnz();
-    }
-    return true;
-  }
-  W.bmat.assign(m, m);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t r = 0; r < m; ++r)
-      W.bmat.at_unchecked(r, i) = sf.a.at_unchecked(r, W.basis[i]);
-  LuFactorization lu(W.bmat);
-  if (lu.singular()) return false;
-  W.binv.assign(m, m);
-  std::vector<double> e(m, 0.0);
-  for (std::size_t col = 0; col < m; ++col) {
-    e[col] = 1.0;
-    const std::vector<double> x = lu.solve(e);
-    e[col] = 0.0;
-    for (std::size_t r = 0; r < m; ++r) W.binv.at_unchecked(r, col) = x[r];
-  }
-  compute_xb(sf, W, opts);
+  if (!W.slu.factorize(sf, W.basis)) return false;
+  compute_xb(sf, W, tols);
   W.pivots_since_factor = 0;
   if (stats) {
     ++stats->refactorizations;
-    double bn = 0.0, in = 0.0;
-    for (std::size_t r = 0; r < m; ++r) {
-      double brow = 0.0, irow = 0.0;
-      for (std::size_t k = 0; k < m; ++k) {
-        brow += std::fabs(W.bmat.at_unchecked(r, k));
-        irow += std::fabs(W.binv.at_unchecked(r, k));
-      }
-      bn = std::max(bn, brow);
-      in = std::max(in, irow);
-    }
-    stats->condition_estimate = bn * in;
+    stats->condition_estimate = W.slu.condition_estimate();
+    stats->basis_nnz = W.slu.basis_nnz();
+    stats->lu_nnz = W.slu.lu_nnz();
   }
   return true;
 }
@@ -113,40 +70,32 @@ double xb_residual(const StandardForm& sf, SolveWorkspace& W) {
 }
 
 /// Numerical self-check on the basic solution: record the residual, rebuild
-/// the inverse if it has drifted past tolerance, then apply one step of
+/// the factors if they have drifted past tolerance, then apply one step of
 /// iterative refinement (x_B += B^-1 (b - B x_B)) to squeeze out the
 /// remaining error. On a healthy basis the residual is ~machine epsilon and
 /// this is a cheap no-op-sized correction.
-void refine_xb(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts,
+void refine_xb(const StandardForm& sf, SolveWorkspace& W, const Tolerances& tols,
                SolveStats& stats) {
   double rel = xb_residual(sf, W);
   stats.max_xb_residual = std::max(stats.max_xb_residual, rel);
-  if (rel > opts.tols.refactor_residual) {
+  if (rel > tols.refactor_residual) {
     ++stats.residual_refactorizations;
-    if (!refactorize(sf, W, opts, &stats)) return;
+    if (!refactorize(sf, W, tols, &stats)) return;
     rel = xb_residual(sf, W);
   }
   if (rel == 0.0) return;
   ++stats.refinement_steps;
-  const std::size_t m = sf.rows();
-  if (use_sparse(opts)) {
-    W.rho.assign(W.resid.begin(), W.resid.end());
-    W.slu.ftran(W.rho);
-    for (std::size_t r = 0; r < m; ++r) {
-      W.xb[r] += W.rho[r];
-      if (std::fabs(W.xb[r]) < opts.tols.drop) W.xb[r] = 0.0;
-    }
-    return;
-  }
-  for (std::size_t r = 0; r < m; ++r) {
-    W.xb[r] += vdot(W.binv.row(r), W.resid);
-    if (std::fabs(W.xb[r]) < opts.tols.drop) W.xb[r] = 0.0;
+  W.rho.assign(W.resid.begin(), W.resid.end());
+  W.slu.ftran(W.rho);
+  for (std::size_t r = 0; r < sf.rows(); ++r) {
+    W.xb[r] += W.rho[r];
+    if (std::fabs(W.xb[r]) < tols.drop) W.xb[r] = 0.0;
   }
 }
 
 /// Relative residual ||B w - a_col||_inf / (1 + ||a_col||_inf) of the
-/// tableau column W.w claimed for entering column `col`. The sparse path
-/// verifies every column with this before the ratio test: the rhs-based
+/// tableau column W.w claimed for entering column `col`. Every column is
+/// verified with this before the ratio test: the rhs-based
 /// xb_residual check is structurally blind on heavily degenerate problems
 /// (when every nonzero of x_B sits on a slack column, b - B x_B is exactly
 /// zero no matter how far the eta file has drifted), and an unverified
@@ -209,45 +158,19 @@ double dual_residual(const StandardForm& sf, SolveWorkspace& W) {
   return rnorm / (1.0 + cmax + bmax * ymax);
 }
 
-/// w = B^-1 A_col over the column's nonzeros (CSC). Sparse path: scatter the
-/// column and sweep the LU factors + eta file (work scales with the factor
-/// nonzeros). Dense path iterates binv by rows -- each row is contiguous, so
-/// the gather over the column's row indices stays inside one cache line run
-/// instead of striding the whole inverse.
-void ftran(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts,
-           std::size_t col) {
-  const std::size_t m = sf.rows();
-  const std::size_t start = sf.col_start[col];
-  const std::size_t nnz = sf.col_start[col + 1] - start;
-  const std::size_t* idx = sf.col_row.data() + start;
-  const double* val = sf.col_val.data() + start;
-  if (use_sparse(opts)) {
-    // Scatter the CSC column and run it through the factored basis.
-    W.w.assign(m, 0.0);
-    for (std::size_t t = 0; t < nnz; ++t) W.w[idx[t]] = val[t];
-    W.slu.ftran(W.w);
-    return;
-  }
-  W.w.resize(m);
-  for (std::size_t r = 0; r < m; ++r)
-    W.w[r] = gather_dot(&W.binv.at_unchecked(r, 0), idx, val, nnz);
+/// w = B^-1 A_col: scatter the CSC column and sweep the LU factors + eta
+/// file (work scales with the factor nonzeros).
+void ftran(const StandardForm& sf, SolveWorkspace& W, std::size_t col) {
+  W.w.assign(sf.rows(), 0.0);
+  for (std::size_t t = sf.col_start[col]; t < sf.col_start[col + 1]; ++t)
+    W.w[sf.col_row[t]] = sf.col_val[t];
+  W.slu.ftran(W.w);
 }
 
-/// y' = c_B' B^-1 into W.y (sparse: transpose solve through the factored
-/// basis; dense: vectorized axpy per contributing binv row).
-void btran(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts) {
-  const std::size_t m = sf.rows();
-  if (use_sparse(opts)) {
-    W.y.assign(W.cb.begin(), W.cb.end());
-    W.slu.btran(W.y);
-    return;
-  }
-  W.y.assign(m, 0.0);
-  for (std::size_t r = 0; r < m; ++r) {
-    const double c = W.cb[r];
-    if (c == 0.0) continue;
-    vaxpy(c, W.binv.row(r), std::span<double>(W.y));
-  }
+/// y' = c_B' B^-1 into W.y: transpose solve through the factored basis.
+void btran(SolveWorkspace& W) {
+  W.y.assign(W.cb.begin(), W.cb.end());
+  W.slu.btran(W.y);
 }
 
 /// Reduced cost d_j = c_j - y' A_j over the column's nonzeros.
@@ -259,29 +182,22 @@ double reduced_cost(const StandardForm& sf, const SolveWorkspace& W,
 }
 
 /// Basis update after column `enter` (with tableau column W.w) replaces the
-/// basic variable of row `leave`. Sparse path: W.w *is* the product-form eta
-/// vector, so absorbing the pivot is one sparse copy; dense path: the
-/// historical elementary row update of binv. Both apply the same elementary
-/// update to xb.
-void update(SolveWorkspace& W, std::size_t leave, std::size_t enter,
-            const SolverOptions& opts, SolveStats& stats) {
+/// basic variable of row `leave`. W.w *is* the product-form eta vector, so
+/// absorbing the pivot is one sparse copy; xb takes the same elementary
+/// update.
+void update(SolveWorkspace& W, std::size_t leave, std::size_t enter, const Tolerances& tols,
+            SolveStats& stats) {
   const std::size_t m = W.basis.size();
-  const double pivot = W.w[leave];
-  const double inv = 1.0 / pivot;
-  if (use_sparse(opts)) {
-    W.slu.push_eta(leave, W.w, opts.tols.drop);
-    stats.max_eta_count = std::max<std::uint64_t>(stats.max_eta_count, W.slu.eta_count());
-  } else {
-    for (std::size_t k = 0; k < m; ++k) W.binv.at_unchecked(leave, k) *= inv;
-  }
+  const double inv = 1.0 / W.w[leave];
+  W.slu.push_eta(leave, W.w, tols.drop);
+  stats.max_eta_count = std::max<std::uint64_t>(stats.max_eta_count, W.slu.eta_count());
   W.xb[leave] *= inv;
   for (std::size_t r = 0; r < m; ++r) {
     if (r == leave) continue;
     const double f = W.w[r];
     if (f == 0.0) continue;
-    if (!use_sparse(opts)) vaxpy(-f, W.binv.row(leave), W.binv.row(r));
     W.xb[r] -= f * W.xb[leave];
-    if (std::fabs(W.xb[r]) < opts.tols.drop) W.xb[r] = 0.0;
+    if (std::fabs(W.xb[r]) < tols.drop) W.xb[r] = 0.0;
   }
   W.basis[leave] = enter;
   ++W.pivots_since_factor;
@@ -293,21 +209,20 @@ enum class PhaseOutcome { Optimal, Unbounded, IterationLimit, NumericalFailure }
 /// column whose tableau column (still in W.w) had no blocking row -- the raw
 /// material of the unboundedness ray.
 PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
-                       const std::vector<double>& cost, const SolverOptions& opts,
+                       const std::vector<double>& cost, const Tolerances& tols,
                        std::uint64_t& iterations, SolveStats& stats,
                        std::size_t* unbounded_enter = nullptr) {
   std::uint64_t degenerate_streak = 0;
-  std::uint64_t since_refactor = 0;
   const std::size_t m = sf.rows();
   const std::size_t n = sf.cols();
+  const double tol = tols.simplex;
   W.in_basis.assign(n, false);
   for (std::size_t b : W.basis) W.in_basis[b] = true;
 
-  // Partial pricing (sparse basis only): scan candidate columns in blocks
-  // starting from a rotating cursor and enter the best reduced cost of the
-  // first block that has one; optimality is only declared after a full sweep
-  // of all n columns finds none, so the claim is as strong as full Dantzig
-  // pricing. The dense path keeps block == n, i.e. the historical full scan.
+  // Partial pricing: scan candidate columns in blocks starting from a
+  // rotating cursor and enter the best reduced cost of the first block that
+  // has one; optimality is only declared after a full sweep of all n columns
+  // finds none, so the claim is as strong as full Dantzig pricing.
   //
   // The block doubles after every degenerate pivot and snaps back to the
   // base size on real progress. On heavily degenerate problems a fixed
@@ -315,23 +230,17 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
   // allocation LPs are ring-symmetric, so whole blocks are interchangeable
   // junk), the cursor crawls, and the solver burns its stall budget before
   // ever seeing the distant column a full Dantzig scan would enter first.
-  // Escalating to a full scan under degeneracy buys the dense path's
-  // stall behavior while keeping block pricing where it pays.
-  const std::size_t base_block =
-      use_sparse(opts) ? std::max<std::size_t>(64, n / 8) : n;
+  // Escalating to a full scan under degeneracy buys full pricing's stall
+  // behavior while keeping block pricing where it pays.
+  const std::size_t base_block = std::max<std::size_t>(64, n / 8);
   std::size_t price_block = base_block;
   std::size_t price_cursor = 0;
 
-  for (std::uint64_t it = 0; it < opts.max_iterations; ++it) {
-    const bool bland = degenerate_streak >= opts.stall_threshold;
-    // Periodic refactorization. The sparse path keys on the workspace-global
-    // pivot counter so the eta file stays bounded by kRefactorInterval even
-    // across phase transitions and warm re-entries (the eta file persists
-    // where the phase-local counter restarts); the dense path keeps the
-    // historical phase-local cadence bit-for-bit.
-    const std::uint64_t interval = RevisedSimplexSolver::kRefactorInterval;
-    const std::uint64_t since =
-        use_sparse(opts) ? W.pivots_since_factor : since_refactor;
+  for (std::uint64_t it = 0; it < kMaxIterations; ++it) {
+    const bool bland = degenerate_streak >= kStallThreshold;
+    // Periodic refactorization, keyed on the workspace-global pivot counter
+    // so the eta file stays bounded by kRefactorInterval even across phase
+    // transitions and warm re-entries (the eta file persists across both).
     // Cost-based cadence on top of the pivot count: once the eta file holds
     // more nonzeros than the LU factors themselves, every ftran/btran pays
     // more to replay the update history than to apply the factorization, so
@@ -340,44 +249,41 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // from thrashing early in phase 1, where the slack basis factors to
     // lu_nnz ~ m and a couple of etas already outweigh it even though the
     // file is still trivially cheap to replay.
-    const bool eta_heavy = use_sparse(opts) && W.pivots_since_factor >= 8 &&
-                           W.slu.eta_nnz() > W.slu.lu_nnz();
-    if (since >= interval || eta_heavy) {
-      if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-      since_refactor = 0;
+    const bool eta_heavy =
+        W.pivots_since_factor >= 8 && W.slu.eta_nnz() > W.slu.lu_nnz();
+    if (W.pivots_since_factor >= kRefactorInterval || eta_heavy) {
+      if (!refactorize(sf, W, tols, &stats)) return PhaseOutcome::NumericalFailure;
     } else if (W.pivots_since_factor > 0) {
       // Residual-triggered refactorization: elementary updates accumulate
       // drift between the periodic rebuilds; catch it as soon as the basic
       // solution stops satisfying its own defining system.
       const double rel = xb_residual(sf, W);
       stats.max_xb_residual = std::max(stats.max_xb_residual, rel);
-      if (rel > opts.tols.refactor_residual) {
+      if (rel > tols.refactor_residual) {
         ++stats.residual_refactorizations;
-        if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-        since_refactor = 0;
+        if (!refactorize(sf, W, tols, &stats)) return PhaseOutcome::NumericalFailure;
       }
     }
     // Price: y = c_B' B^-1, then reduced costs d_j = c_j - y' A_j over each
     // candidate column's nonzeros.
     W.cb.assign(m, 0.0);
     for (std::size_t r = 0; r < m; ++r) W.cb[r] = cost[W.basis[r]];
-    btran(sf, W, opts);
-    // While Bland's rule is active the sparse path insists on trustworthy
-    // pricing every iteration, not just at optimality: the anti-cycling
-    // proof assumes exact pivot selection, and eta drift in y (a column
-    // whose true reduced cost is zero showing d < -tol) breaks it. A
-    // backward-stable y -- verified directly, one pass over the basis
-    // columns -- carries the same error level as pricing off fresh factors,
-    // so only a failed check forces the rebuild (refactorizing every Bland
-    // iteration unconditionally costs more than the stall itself).
-    if (use_sparse(opts) && bland && W.pivots_since_factor > 0 &&
-        dual_residual(sf, W) > opts.tols.refactor_residual) {
+    btran(W);
+    // While Bland's rule is active, insist on trustworthy pricing every
+    // iteration, not just at optimality: the anti-cycling proof assumes
+    // exact pivot selection, and eta drift in y (a column whose true reduced
+    // cost is zero showing d < -tol) breaks it. A backward-stable y --
+    // verified directly, one pass over the basis columns -- carries the same
+    // error level as pricing off fresh factors, so only a failed check
+    // forces the rebuild (refactorizing every Bland iteration
+    // unconditionally costs more than the stall itself).
+    if (bland && W.pivots_since_factor > 0 &&
+        dual_residual(sf, W) > tols.refactor_residual) {
       ++stats.residual_refactorizations;
-      if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-      since_refactor = 0;
+      if (!refactorize(sf, W, tols, &stats)) return PhaseOutcome::NumericalFailure;
       W.cb.assign(m, 0.0);
       for (std::size_t r = 0; r < m; ++r) W.cb[r] = cost[W.basis[r]];
-      btran(sf, W, opts);
+      btran(W);
     }
 
     std::size_t enter = n;
@@ -385,13 +291,13 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
       // Bland's rule: lowest-index improving column, scanned in full.
       for (std::size_t j = 0; j < n; ++j) {
         if (!W.allowed[j] || W.in_basis[j]) continue;
-        if (reduced_cost(sf, W, cost, j) < -opts.tol) {
+        if (reduced_cost(sf, W, cost, j) < -tol) {
           enter = j;
           break;
         }
       }
     } else {
-      double best = -opts.tol;
+      double best = -tol;
       std::size_t scanned = 0;
       while (scanned < n && enter == n) {
         const std::size_t limit = std::min(n, scanned + price_block);
@@ -409,24 +315,22 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
       if (enter != n) price_cursor = enter + 1 < n ? enter + 1 : 0;
     }
     if (enter == n) {
-      // Sparse path: only declare optimality against trustworthy pricing --
-      // y came through the eta file, and a drifted y can make an improving
-      // column look priced-out. A backward-stable y (checked directly, one
-      // pass over the basis columns) is as good as fresh factors; only when
-      // the check fails is a rebuild + re-price needed. This keeps the warm
+      // Only declare optimality against trustworthy pricing -- y came
+      // through the eta file, and a drifted y can make an improving column
+      // look priced-out. A backward-stable y (checked directly, one pass
+      // over the basis columns) is as good as fresh factors; only when the
+      // check fails is a rebuild + re-price needed. This keeps the warm
       // consult loop -- whose every solve ends here -- factorization-free.
-      if (use_sparse(opts) && W.pivots_since_factor > 0 &&
-          dual_residual(sf, W) > opts.tols.refactor_residual) {
-        if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-        since_refactor = 0;
+      if (W.pivots_since_factor > 0 && dual_residual(sf, W) > tols.refactor_residual) {
+        if (!refactorize(sf, W, tols, &stats)) return PhaseOutcome::NumericalFailure;
         continue;
       }
       return PhaseOutcome::Optimal;
     }
 
-    ftran(sf, W, opts, enter);
-    // Sparse path: verify the tableau column before the ratio test sees it.
-    // The xb-residual trigger cannot catch eta drift on heavily degenerate
+    ftran(sf, W, enter);
+    // Verify the tableau column before the ratio test sees it. The
+    // xb-residual trigger cannot catch eta drift on heavily degenerate
     // problems (see tableau_column_residual), and a pivot committed from a
     // drifted column can wedge a dependent column into the basis -- after
     // which every refactorization fails. A failed check first gets one step
@@ -434,55 +338,47 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // W.resid, so the correction is a single extra solve) -- that also
     // absorbs Markowitz element growth, which fresh factors inherit -- and
     // only an unrefinable column forces a refactorization.
-    if (use_sparse(opts)) {
-      const auto refined_residual = [&](std::size_t col) {
-        double rel = tableau_column_residual(sf, W, col);
-        if (rel <= opts.tols.refactor_residual) return rel;
-        W.rho.assign(W.resid.begin(), W.resid.end());
-        W.slu.ftran(W.rho);
-        for (std::size_t i = 0; i < m; ++i) W.w[i] += W.rho[i];
-        return tableau_column_residual(sf, W, col);
-      };
-      double rel = refined_residual(enter);
-      if (rel > opts.tols.refactor_residual && W.pivots_since_factor > 0) {
-        ++stats.residual_refactorizations;
-        if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-        since_refactor = 0;
-        ftran(sf, W, opts, enter);
-        rel = refined_residual(enter);
-      }
+    const auto refined_residual = [&](std::size_t col) {
+      double rel = tableau_column_residual(sf, W, col);
+      if (rel <= tols.refactor_residual) return rel;
+      W.rho.assign(W.resid.begin(), W.resid.end());
+      W.slu.ftran(W.rho);
+      for (std::size_t i = 0; i < m; ++i) W.w[i] += W.rho[i];
+      return tableau_column_residual(sf, W, col);
+    };
+    if (refined_residual(enter) > tols.refactor_residual && W.pivots_since_factor > 0) {
+      ++stats.residual_refactorizations;
+      if (!refactorize(sf, W, tols, &stats)) return PhaseOutcome::NumericalFailure;
+      ftran(sf, W, enter);
+      refined_residual(enter);
     }
     std::size_t leave = m;
     double best_ratio = std::numeric_limits<double>::infinity();
     double wmax = 0.0;
     for (std::size_t r = 0; r < m; ++r) wmax = std::max(wmax, std::fabs(W.w[r]));
-    // Eta-file stability floor (sparse path, stale factors): an entry that is
-    // noise-sized relative to the tableau column is as likely to be
-    // accumulated eta drift as a real value -- pivoting on it can wedge a
-    // dependent column into the basis (B becomes singular and the next
-    // refactorization fails). With fresh factors the absolute tolerance
-    // already screens drift (a true-zero entry resolves to ~eps * ||w||), so
-    // the relative floor only applies while the eta file is non-empty -- and
-    // never under Bland's rule, whose termination proof requires that every
+    // Eta-file stability floor (stale factors): an entry that is noise-sized
+    // relative to the tableau column is as likely to be accumulated eta
+    // drift as a real value -- pivoting on it can wedge a dependent column
+    // into the basis (B becomes singular and the next refactorization
+    // fails). With fresh factors the absolute tolerance already screens
+    // drift (a true-zero entry resolves to ~eps * ||w||), so the relative
+    // floor only applies while the eta file is non-empty -- and never under
+    // Bland's rule, whose termination proof requires that every
     // truly-positive entry stay eligible to leave; there the verified (and
     // if needed refined) tableau column is the drift screen instead.
-    const double pivot_floor =
-        use_sparse(opts) && !bland && W.pivots_since_factor > 0
-            ? std::max(opts.tol, kEtaPivotStability * wmax)
-            : opts.tol;
-    // Ratio-test tie-break: the sparse path prefers the largest pivot among
-    // tied ratios (degenerate LPs tie dozens of rows at ratio 0, and a
-    // noise-sized pivot there poisons the product-form eta file); under
-    // Bland's rule the lowest basis index is kept -- its termination proof
-    // needs it. The dense path keeps the historical index tie-break.
-    const bool prefer_magnitude = use_sparse(opts) && !bland;
+    const double pivot_floor = !bland && W.pivots_since_factor > 0
+                                   ? std::max(tol, kEtaPivotStability * wmax)
+                                   : tol;
+    // Ratio-test tie-break: prefer the largest pivot among tied ratios
+    // (degenerate LPs tie dozens of rows at ratio 0, and a noise-sized pivot
+    // there poisons the product-form eta file); under Bland's rule keep the
+    // lowest basis index -- its termination proof needs it.
     for (std::size_t r = 0; r < m; ++r) {
       if (W.w[r] <= pivot_floor) continue;
       const double ratio = W.xb[r] / W.w[r];
-      bool better = ratio < best_ratio - opts.tol;
-      if (!better && ratio < best_ratio + opts.tol && leave < m) {
-        better = prefer_magnitude ? W.w[r] > W.w[leave]
-                                  : W.basis[r] < W.basis[leave];
+      bool better = ratio < best_ratio - tol;
+      if (!better && ratio < best_ratio + tol && leave < m) {
+        better = bland ? W.basis[r] < W.basis[leave] : W.w[r] > W.w[leave];
       }
       if (better) {
         best_ratio = ratio;
@@ -493,16 +389,15 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
       // Unboundedness, like optimality, is only declared against fresh
       // factors: the relative floor may have screened out drift-sized
       // entries, and a drifted column can hide the true blocking row.
-      if (use_sparse(opts) && W.pivots_since_factor > 0) {
-        if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-        since_refactor = 0;
+      if (W.pivots_since_factor > 0) {
+        if (!refactorize(sf, W, tols, &stats)) return PhaseOutcome::NumericalFailure;
         continue;
       }
       if (unbounded_enter) *unbounded_enter = enter;
       return PhaseOutcome::Unbounded;
     }
 
-    if (best_ratio <= opts.tol) {
+    if (best_ratio <= tol) {
       ++degenerate_streak;
       price_block = std::min(n, price_block * 2);
     } else {
@@ -512,9 +407,8 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     if (bland) ++stats.bland_pivots;
     W.in_basis[W.basis[leave]] = false;
     W.in_basis[enter] = true;
-    update(W, leave, enter, opts, stats);
+    update(W, leave, enter, tols, stats);
     ++iterations;
-    ++since_refactor;
   }
   return PhaseOutcome::IterationLimit;
 }
@@ -525,21 +419,22 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
 /// optimality conditions. Returns false on any trouble (iteration bound,
 /// no eligible entering column, numerical failure) -- the caller then falls
 /// back to the cold two-phase start.
-bool warm_repair(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts,
+bool warm_repair(const StandardForm& sf, SolveWorkspace& W, const Tolerances& tols,
                  std::uint64_t& iterations, SolveStats& stats) {
   const std::size_t m = sf.rows();
   const std::size_t n = sf.cols();
+  const double tol = tols.simplex;
   const std::uint64_t limit = 2 * static_cast<std::uint64_t>(m) + 16;
   W.in_basis.assign(n, false);
   for (std::size_t b : W.basis) W.in_basis[b] = true;
 
   for (std::uint64_t it = 0; it < limit; ++it) {
-    if (W.pivots_since_factor >= RevisedSimplexSolver::kRefactorInterval) {
-      if (!refactorize(sf, W, opts, &stats)) return false;
+    if (W.pivots_since_factor >= kRefactorInterval) {
+      if (!refactorize(sf, W, tols, &stats)) return false;
     }
     // Most infeasible row leaves.
     std::size_t leave = m;
-    double worst = -opts.tol;
+    double worst = -tol;
     for (std::size_t r = 0; r < m; ++r) {
       if (W.xb[r] < worst) {
         worst = W.xb[r];
@@ -550,50 +445,45 @@ bool warm_repair(const StandardForm& sf, SolveWorkspace& W, const SolverOptions&
 
     W.cb.assign(m, 0.0);
     for (std::size_t r = 0; r < m; ++r) W.cb[r] = sf.c[W.basis[r]];
-    btran(sf, W, opts);
+    btran(W);
 
     // Dual ratio test over the leaving row alpha_j = (B^-1)_leave . A_j.
-    // The sparse basis has no explicit inverse row; recover it as
+    // The factored basis has no explicit inverse row; recover it as
     // rho = B^-T e_leave through the transpose solve.
-    if (use_sparse(opts)) {
-      W.rho.assign(m, 0.0);
-      W.rho[leave] = 1.0;
-      W.slu.btran(W.rho);
-    }
-    const std::span<const double> rho =
-        use_sparse(opts) ? std::span<const double>(W.rho) : W.binv.row(leave);
+    W.rho.assign(m, 0.0);
+    W.rho[leave] = 1.0;
+    W.slu.btran(W.rho);
     std::size_t enter = n;
     double best_ratio = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < n; ++j) {
       if (W.in_basis[j] || sf.is_artificial[j]) continue;
       double alpha = 0.0;
       for (std::size_t t = sf.col_start[j]; t < sf.col_start[j + 1]; ++t)
-        alpha += rho[sf.col_row[t]] * sf.col_val[t];
-      if (alpha >= -opts.tol) continue;
+        alpha += W.rho[sf.col_row[t]] * sf.col_val[t];
+      if (alpha >= -tol) continue;
       double d = reduced_cost(sf, W, sf.c, j);
       if (d < 0.0) d = 0.0;  // tolerance dust; the basis was optimal
       const double ratio = d / (-alpha);
-      if (ratio < best_ratio - opts.tol ||
-          (ratio < best_ratio + opts.tol && enter < n && j < enter)) {
+      if (ratio < best_ratio - tol || (ratio < best_ratio + tol && enter < n && j < enter)) {
         best_ratio = ratio;
         enter = j;
       }
     }
     if (enter == n) return false;  // row cannot be repaired: let cold path decide
 
-    ftran(sf, W, opts, enter);
+    ftran(sf, W, enter);
     // Same column verification as run_phase: never commit a pivot from a
     // drifted product-form solve (see tableau_column_residual).
-    if (use_sparse(opts) && W.pivots_since_factor > 0 &&
-        tableau_column_residual(sf, W, enter) > opts.tols.refactor_residual) {
+    if (W.pivots_since_factor > 0 &&
+        tableau_column_residual(sf, W, enter) > tols.refactor_residual) {
       ++stats.residual_refactorizations;
-      if (!refactorize(sf, W, opts, &stats)) return false;
-      ftran(sf, W, opts, enter);
+      if (!refactorize(sf, W, tols, &stats)) return false;
+      ftran(sf, W, enter);
     }
-    if (std::fabs(W.w[leave]) <= opts.tol) return false;  // numerical mismatch
+    if (std::fabs(W.w[leave]) <= tol) return false;  // numerical mismatch
     W.in_basis[W.basis[leave]] = false;
     W.in_basis[enter] = true;
-    update(W, leave, enter, opts, stats);
+    update(W, leave, enter, tols, stats);
     ++iterations;
   }
   return false;
@@ -602,30 +492,28 @@ bool warm_repair(const StandardForm& sf, SolveWorkspace& W, const SolverOptions&
 /// Re-seat the previous optimal basis against the rebuilt standard form.
 /// Returns true when the workspace is primal feasible and phase 1 can be
 /// skipped entirely.
-bool try_warm_start(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts,
+bool try_warm_start(const StandardForm& sf, SolveWorkspace& W, const Tolerances& tols,
                     std::uint64_t& iterations, SolveStats& stats) {
   const std::size_t m = sf.rows();
   if (W.warm_basis.size() != m) return false;
   W.basis = W.warm_basis;
-  const bool factored =
-      W.warm_factored && (use_sparse(opts) ? (W.slu.factorized() && W.slu.dim() == m)
-                                           : (W.binv.rows() == m && W.binv.cols() == m));
-  if (!factored || W.pivots_since_factor >= RevisedSimplexSolver::kRefactorInterval) {
-    if (!refactorize(sf, W, opts, &stats)) return false;
+  const bool factored = W.warm_factored && W.slu.factorized() && W.slu.dim() == m;
+  if (!factored || W.pivots_since_factor >= kRefactorInterval) {
+    if (!refactorize(sf, W, tols, &stats)) return false;
   } else {
     // The basis matrix is unchanged (same columns of the same A), so the
     // retained factorization is still exact: only x_B = B^-1 b must be
     // recomputed.
-    compute_xb(sf, W, opts);
+    compute_xb(sf, W, tols);
     // Self-heal a drifted (or corrupted) retained factorization: if the
     // basic solution does not satisfy B x_B = b to tolerance, the cached
     // factors are no longer trustworthy -- rebuild them from the basis
     // before pricing a single column against them.
     const double rel = xb_residual(sf, W);
     stats.max_xb_residual = std::max(stats.max_xb_residual, rel);
-    if (rel > opts.tols.refactor_residual) {
+    if (rel > tols.refactor_residual) {
       ++stats.residual_refactorizations;
-      if (!refactorize(sf, W, opts, &stats)) return false;
+      if (!refactorize(sf, W, tols, &stats)) return false;
     }
   }
   double bnorm = 0.0;
@@ -634,25 +522,24 @@ bool try_warm_start(const StandardForm& sf, SolveWorkspace& W, const SolverOptio
   for (std::size_t r = 0; r < m; ++r) {
     // A basic artificial pushed positive means an original row is violated
     // at this basis; that needs phase 1, not repair.
-    if (sf.is_artificial[W.basis[r]] && W.xb[r] > scaled(opts.tols.artificial, bnorm))
+    if (sf.is_artificial[W.basis[r]] && W.xb[r] > scaled(tols.artificial, bnorm))
       return false;
     min_xb = std::min(min_xb, W.xb[r]);
   }
-  if (min_xb >= -opts.tol) return true;
-  return warm_repair(sf, W, opts, iterations, stats);
+  if (min_xb >= -tols.simplex) return true;
+  return warm_repair(sf, W, tols, iterations, stats);
 }
 
 }  // namespace
 
-SolveResult RevisedSimplexSolver::solve(const Problem& p) const { return solve(p, nullptr); }
-
-SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) const {
+SolveResult revised_solve(const Problem& p, const SolveOptions& opts, SolveWorkspace* ws) {
+  const Tolerances& tols = opts.tols;
   SolveResult res;
   if (p.num_variables() == 0) {
     res.status = Status::Optimal;
     for (std::size_t i = 0; i < p.num_constraints(); ++i) {
       const auto& c = p.constraint(i);
-      const double tol = scaled(opts_.tols.drop, std::fabs(c.rhs));
+      const double tol = scaled(tols.drop, std::fabs(c.rhs));
       const bool ok = (c.rel == Relation::LessEqual && 0.0 <= c.rhs + tol) ||
                       (c.rel == Relation::GreaterEqual && 0.0 >= c.rhs - tol) ||
                       (c.rel == Relation::Equal && std::fabs(c.rhs) <= tol);
@@ -681,7 +568,7 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
   bool warmed = false;
   if (ws && W.warm && W.warm_rows == m && W.warm_cols == n &&
       W.warm_fingerprint == sf.fingerprint) {
-    warmed = try_warm_start(sf, W, opts_, res.iterations, res.stats);
+    warmed = try_warm_start(sf, W, tols, res.iterations, res.stats);
   } else if (ws) {
     W.warm = false;
   }
@@ -691,7 +578,7 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
 
   if (!warmed) {
     W.basis = sf.initial_basis;
-    if (!refactorize(sf, W, opts_, &res.stats)) {
+    if (!refactorize(sf, W, tols, &res.stats)) {
       // The initial slack/artificial basis is an identity; failure here would
       // be a construction bug.
       res.status = Status::Infeasible;
@@ -703,7 +590,7 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
       for (std::size_t j = 0; j < n; ++j)
         if (sf.is_artificial[j]) W.cost1[j] = 1.0;
       W.allowed.assign(n, true);
-      const PhaseOutcome out = run_phase(sf, W, W.cost1, opts_, res.iterations, res.stats);
+      const PhaseOutcome out = run_phase(sf, W, W.cost1, tols, res.iterations, res.stats);
       if (out == PhaseOutcome::IterationLimit || out == PhaseOutcome::NumericalFailure) {
         res.status = Status::IterationLimit;
         return res;
@@ -711,14 +598,14 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
       double art_sum = 0.0;
       for (std::size_t r = 0; r < m; ++r)
         if (sf.is_artificial[W.basis[r]]) art_sum += W.xb[r];
-      if (art_sum > scaled(opts_.tols.artificial, bnorm)) {
+      if (art_sum > scaled(tols.artificial, bnorm)) {
         // Phase 1 ended at a positive artificial sum: the problem is
         // infeasible, and the phase-1 duals y = c1_B' B^-1 are a Farkas
         // certificate -- every real column has non-negative phase-1 reduced
         // cost (y'A_j <= 0) while y'b equals the positive artificial sum.
         W.cb.assign(m, 0.0);
         for (std::size_t r = 0; r < m; ++r) W.cb[r] = W.cost1[W.basis[r]];
-        btran(sf, W, opts_);
+        btran(W);
         res.farkas = W.y;
         res.status = Status::Infeasible;
         return res;
@@ -732,7 +619,7 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
 
   std::size_t unbounded_enter = n;
   const PhaseOutcome out =
-      run_phase(sf, W, sf.c, opts_, res.iterations, res.stats, &unbounded_enter);
+      run_phase(sf, W, sf.c, tols, res.iterations, res.stats, &unbounded_enter);
   switch (out) {
     case PhaseOutcome::IterationLimit:
     case PhaseOutcome::NumericalFailure:
@@ -748,7 +635,7 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
       res.ray[unbounded_enter] = 1.0;
       for (std::size_t r = 0; r < m; ++r) {
         double v = -W.w[r];
-        if (std::fabs(v) < opts_.tols.drop) v = 0.0;
+        if (std::fabs(v) < tols.drop) v = 0.0;
         res.ray[W.basis[r]] = v;
       }
       W.ysol.assign(n, 0.0);
@@ -763,7 +650,7 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
 
   // Numerical self-check + one refinement step before the answer leaves the
   // solver (see refine_xb).
-  refine_xb(sf, W, opts_, res.stats);
+  refine_xb(sf, W, tols, res.stats);
 
   W.ysol.assign(n, 0.0);
   for (std::size_t r = 0; r < m; ++r) W.ysol[W.basis[r]] = W.xb[r];
@@ -776,7 +663,7 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
   {
     W.cb.assign(m, 0.0);
     for (std::size_t r = 0; r < m; ++r) W.cb[r] = sf.c[W.basis[r]];
-    btran(sf, W, opts_);
+    btran(W);
     res.duals.assign(p.num_constraints(), 0.0);
     for (std::size_t r = 0; r < m; ++r) {
       const std::size_t origin = sf.row_origin[r];

@@ -1,41 +1,27 @@
-// revised.h -- revised primal simplex with an explicitly maintained basis
-// inverse.
+// revised.h -- revised primal simplex over a sparse-LU factored basis.
 //
-// Identical interface and semantics to SimplexSolver, but iterates on the
-// m x m basis inverse instead of the full tableau: pricing touches original
-// (sparse-ish) columns, so per-iteration work is O(m^2 + nnz) instead of
-// O(m * n). For agora's allocation LPs this wins once the full paper
-// formulation (n^2 + n + 1 variables) is used; the micro_lp bench quantifies
-// the difference.
+// Same semantics as the tableau solver in simplex.h, but iterates on a
+// factorization of the m x m basis (lp/sparse_lu.h: Markowitz LU plus a
+// product-form eta file) instead of the full tableau: pricing touches the
+// original sparse columns and every FTRAN/BTRAN costs in proportion to the
+// factor and eta nonzeros, not to m * n. For agora's allocation LPs this wins
+// once the full paper formulation (n^2 + n + 1 variables) is used; the
+// micro_lp bench quantifies the difference.
 #pragma once
 
 #include "lp/problem.h"
 #include "lp/result.h"
+#include "lp/solve.h"
 #include "lp/workspace.h"
 
 namespace agora::lp {
 
-class RevisedSimplexSolver {
- public:
-  explicit RevisedSimplexSolver(SolverOptions opts = {}) : opts_(opts) {}
-
-  /// One-shot cold solve.
-  SolveResult solve(const Problem& p) const;
-
-  /// Amortized solve: `ws` (when non-null) supplies reusable scratch and the
-  /// previous optimal basis as a warm start. Contract: between calls that
-  /// share a workspace, only the problem's bounds and constraint rhs may
-  /// change -- a changed matrix or objective is detected via the
-  /// standard-form fingerprint and demoted to a cold start. Passing nullptr
-  /// is exactly the historical cold solve.
-  SolveResult solve(const Problem& p, SolveWorkspace* ws) const;
-
-  /// Refactorize the basis inverse from scratch every this many pivots to
-  /// bound numerical drift.
-  static constexpr std::uint64_t kRefactorInterval = 64;
-
- private:
-  SolverOptions opts_;
-};
+/// Solve `p` (Backend::Revised; presolve is lp::solve's business). `ws`
+/// (when non-null) supplies reusable scratch and the previous optimal basis
+/// as a warm start. Contract: between calls that share a workspace, only
+/// the problem's bounds and constraint rhs may change -- a changed matrix or
+/// objective is detected via the standard-form fingerprint and demoted to a
+/// cold start. Passing nullptr is a cold solve.
+SolveResult revised_solve(const Problem& p, const SolveOptions& opts, SolveWorkspace* ws);
 
 }  // namespace agora::lp

@@ -74,24 +74,24 @@ enum class PhaseOutcome { Optimal, Unbounded, IterationLimit };
 /// failure. `allowed` masks which columns may enter (artificials are barred
 /// from re-entering in phase 2). On Unbounded, `*unbounded_enter` receives
 /// the entering column whose tableau column had no blocking row.
-PhaseOutcome run_phase(Tableau& t, const std::vector<bool>& allowed, const SolverOptions& opts,
+PhaseOutcome run_phase(Tableau& t, const std::vector<bool>& allowed, double tol,
                        std::uint64_t& iterations, SolveStats& stats,
                        std::size_t* unbounded_enter = nullptr) {
   std::uint64_t degenerate_streak = 0;
-  for (std::uint64_t it = 0; it < opts.max_iterations; ++it) {
-    const bool bland = degenerate_streak >= opts.stall_threshold;
+  for (std::uint64_t it = 0; it < kMaxIterations; ++it) {
+    const bool bland = degenerate_streak >= kStallThreshold;
 
     // --- Entering variable -------------------------------------------------
     std::size_t enter = t.cols();
     if (bland) {
       for (std::size_t j = 0; j < t.cols(); ++j) {
-        if (allowed[j] && t.cost[j] < -opts.tol) {
+        if (allowed[j] && t.cost[j] < -tol) {
           enter = j;
           break;
         }
       }
     } else {
-      double best = -opts.tol;
+      double best = -tol;
       for (std::size_t j = 0; j < t.cols(); ++j) {
         if (allowed[j] && t.cost[j] < best) {
           best = t.cost[j];
@@ -106,13 +106,13 @@ PhaseOutcome run_phase(Tableau& t, const std::vector<bool>& allowed, const Solve
     double best_ratio = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < t.rows(); ++i) {
       const double aij = t.a.at_unchecked(i, enter);
-      if (aij <= opts.tol) continue;
+      if (aij <= tol) continue;
       const double ratio = t.rhs[i] / aij;
       const bool better =
-          ratio < best_ratio - opts.tol ||
+          ratio < best_ratio - tol ||
           // Tie-break on smallest basic index: Bland's rule when stalling,
           // and a deterministic choice otherwise.
-          (ratio < best_ratio + opts.tol && leave_row < t.rows() &&
+          (ratio < best_ratio + tol && leave_row < t.rows() &&
            t.basis[i] < t.basis[leave_row]);
       if (better) {
         best_ratio = ratio;
@@ -124,7 +124,7 @@ PhaseOutcome run_phase(Tableau& t, const std::vector<bool>& allowed, const Solve
       return PhaseOutcome::Unbounded;
     }
 
-    degenerate_streak = best_ratio <= opts.tol ? degenerate_streak + 1 : 0;
+    degenerate_streak = best_ratio <= tol ? degenerate_streak + 1 : 0;
     if (bland) ++stats.bland_pivots;
     t.pivot(leave_row, enter);
     ++iterations;
@@ -134,7 +134,7 @@ PhaseOutcome run_phase(Tableau& t, const std::vector<bool>& allowed, const Solve
 
 }  // namespace
 
-SolveResult SimplexSolver::solve(const Problem& p) const {
+SolveResult tableau_solve(const Problem& p, const SolveOptions& opts) {
   SolveResult res;
   if (p.num_variables() == 0) {
     // Degenerate but legal: feasibility depends only on constant constraints.
@@ -142,7 +142,7 @@ SolveResult SimplexSolver::solve(const Problem& p) const {
     res.objective = 0.0;
     for (std::size_t i = 0; i < p.num_constraints(); ++i) {
       const auto& c = p.constraint(i);
-      const double tol = scaled(opts_.tols.drop, std::fabs(c.rhs));
+      const double tol = scaled(opts.tols.drop, std::fabs(c.rhs));
       const bool ok = (c.rel == Relation::LessEqual && 0.0 <= c.rhs + tol) ||
                       (c.rel == Relation::GreaterEqual && 0.0 >= c.rhs - tol) ||
                       (c.rel == Relation::Equal && std::fabs(c.rhs) <= tol);
@@ -160,7 +160,7 @@ SolveResult SimplexSolver::solve(const Problem& p) const {
   t.rhs = sf.b;
   t.basis = sf.initial_basis;
   t.cost.assign(n, 0.0);
-  t.drop = opts_.tols.drop;
+  t.drop = opts.tols.drop;
 
   double bnorm = 0.0;
   for (double b : sf.b) bnorm = std::max(bnorm, std::fabs(b));
@@ -174,14 +174,15 @@ SolveResult SimplexSolver::solve(const Problem& p) const {
       if (sf.is_artificial[j]) phase1_cost[j] = 1.0;
     t.load_objective(phase1_cost);
 
-    const PhaseOutcome out = run_phase(t, allow_all, opts_, res.iterations, res.stats);
+    const PhaseOutcome out =
+        run_phase(t, allow_all, opts.tols.simplex, res.iterations, res.stats);
     if (out == PhaseOutcome::IterationLimit) {
       res.status = Status::IterationLimit;
       return res;
     }
     AGORA_INVARIANT(out != PhaseOutcome::Unbounded, "phase-1 objective is bounded below by 0");
     const double art_sum = -t.cost_rhs;  // cost_rhs holds -objective
-    if (art_sum > scaled(opts_.tols.artificial, bnorm)) {
+    if (art_sum > scaled(opts.tols.artificial, bnorm)) {
       // Farkas certificate from the phase-1 duals: the final reduced cost of
       // row i's initial basic column (coefficient +e_i) is c1_j - y_i, so
       // y_i = c1[init_i] - cost[init_i]. At phase-1 optimality y'A_j <= 0
@@ -200,7 +201,7 @@ SolveResult SimplexSolver::solve(const Problem& p) const {
       if (!sf.is_artificial[t.basis[i]]) continue;
       for (std::size_t j = 0; j < n; ++j) {
         if (sf.is_artificial[j]) continue;
-        if (std::fabs(t.a.at_unchecked(i, j)) > opts_.tols.pivot_out) {
+        if (std::fabs(t.a.at_unchecked(i, j)) > opts.tols.pivot_out) {
           t.pivot(i, j);
           break;
         }
@@ -215,7 +216,7 @@ SolveResult SimplexSolver::solve(const Problem& p) const {
   t.load_objective(sf.c);
 
   std::size_t unbounded_enter = n;
-  const PhaseOutcome out = run_phase(t, allowed, opts_, res.iterations, res.stats,
+  const PhaseOutcome out = run_phase(t, allowed, opts.tols.simplex, res.iterations, res.stats,
                                      &unbounded_enter);
   switch (out) {
     case PhaseOutcome::IterationLimit:
@@ -230,7 +231,7 @@ SolveResult SimplexSolver::solve(const Problem& p) const {
       res.ray[unbounded_enter] = 1.0;
       for (std::size_t i = 0; i < m; ++i) {
         double v = -t.a.at_unchecked(i, unbounded_enter);
-        if (std::fabs(v) < opts_.tols.drop) v = 0.0;
+        if (std::fabs(v) < opts.tols.drop) v = 0.0;
         res.ray[t.basis[i]] = v;
       }
       std::vector<double> ypoint(n, 0.0);

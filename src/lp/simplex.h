@@ -8,19 +8,13 @@
 
 #include "lp/problem.h"
 #include "lp/result.h"
+#include "lp/solve.h"
 
 namespace agora::lp {
 
-class SimplexSolver {
- public:
-  explicit SimplexSolver(SolverOptions opts = {}) : opts_(opts) {}
-
-  /// Solve a natural-form problem. Never throws for infeasible/unbounded
-  /// inputs -- those are reported in the result status.
-  SolveResult solve(const Problem& p) const;
-
- private:
-  SolverOptions opts_;
-};
+/// Solve a natural-form problem (Backend::Tableau; presolve is lp::solve's
+/// business). Never throws for infeasible/unbounded inputs -- those are
+/// reported in the result status.
+SolveResult tableau_solve(const Problem& p, const SolveOptions& opts);
 
 }  // namespace agora::lp

@@ -12,13 +12,13 @@ namespace {
 SolveResult solve_direct(const Problem& p, const SolveOptions& opts, SolveWorkspace* ws) {
   switch (opts.backend) {
     case Backend::Revised:
-      return RevisedSimplexSolver(opts.solver_options()).solve(p, ws);
+      return revised_solve(p, opts, ws);
     case Backend::Tableau:
-      return SimplexSolver(opts.solver_options()).solve(p);
+      return tableau_solve(p, opts);
     case Backend::BruteForce: {
       BruteForceOptions bf;
-      bf.max_bases = opts.brute_force_max_bases;
-      bf.tol = opts.tol;
+      bf.max_bases = kBruteForceMaxBases;
+      bf.tol = opts.tols.simplex;
       return brute_force_solve(p, bf);
     }
   }

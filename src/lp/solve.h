@@ -4,10 +4,10 @@
 //   SolveResult r = lp::solve(problem, opts);                 // tuned
 //   SolveResult r = lp::solve(problem, opts, &workspace);     // amortized
 //
-// Callers pick a Backend instead of instantiating a concrete solver class;
-// the concrete implementations (SimplexSolver, RevisedSimplexSolver,
-// brute_force_solve) are an internal detail of src/lp and their headers are
-// not installed. SolveOptions also owns the presolve switch: by default a
+// Callers pick a Backend instead of calling a concrete solver; the
+// implementations (revised_solve, tableau_solve, brute_force_solve) are an
+// internal detail of src/lp and their headers are not installed.
+// SolveOptions also owns the presolve switch: by default a
 // workspace-free solve runs presolve -> reduced solve -> postsolve, with the
 // mapped result (primal, duals, objective) valid for -- and certifiable
 // against -- the ORIGINAL problem. Presolve is transparently skipped when it
@@ -39,16 +39,22 @@ namespace agora::lp {
 /// Refactorize the basis every this many pivots to bound numerical drift
 /// (shared by the periodic cadence, warm-start bookkeeping, and tests).
 inline constexpr std::uint64_t kRefactorInterval = 64;
+/// Hard cap on simplex iterations per phase.
+inline constexpr std::uint64_t kMaxIterations = 100000;
+/// Consecutive degenerate pivots before switching to Bland's rule.
+inline constexpr std::uint64_t kStallThreshold = 64;
+/// Basis-enumeration cap for Backend::BruteForce.
+inline constexpr std::uint64_t kBruteForceMaxBases = 200'000;
 
 enum class Backend {
-  /// Revised simplex over a factored basis (sparse LU by default); the only
-  /// backend that accepts a SolveWorkspace for warm starts.
+  /// Revised simplex over a sparse-LU factored basis; the only backend that
+  /// accepts a SolveWorkspace for warm starts.
   Revised,
   /// Dense two-phase tableau simplex: the simple, auditable reference.
   Tableau,
   /// Exhaustive basic-solution enumeration: exact oracle for tiny problems.
   /// Cannot detect unboundedness; throws PreconditionError past
-  /// `brute_force_max_bases`.
+  /// kBruteForceMaxBases.
   BruteForce,
 };
 
@@ -62,37 +68,16 @@ inline const char* to_string(Backend b) {
 }
 
 /// Every knob of an LP solve in one struct: backend choice, presolve switch,
-/// solver tuning, and the centralized numerical tolerances.
+/// and the centralized numerical tolerances.
 struct SolveOptions {
   Backend backend = Backend::Revised;
   /// Run presolve -> solve -> postsolve (see file comment for when it is
   /// transparently skipped). Off reproduces the historical direct solve
   /// bit for bit.
   bool presolve = true;
-  /// Basis representation for the revised backend.
-  BasisRep basis = BasisRep::SparseLu;
-  /// Feasibility / reduced-cost tolerance.
-  double tol = 1e-9;
-  /// Hard cap on simplex iterations per phase.
-  std::uint64_t max_iterations = 100000;
-  /// Consecutive degenerate pivots before switching to Bland's rule.
-  std::uint64_t stall_threshold = 64;
-  /// Basis-enumeration cap for Backend::BruteForce.
-  std::uint64_t brute_force_max_bases = 200'000;
   /// Centralized numerical thresholds (shared with presolve and the
   /// certification layer).
   Tolerances tols;
-
-  /// The solver-level subset, for the concrete implementations.
-  SolverOptions solver_options() const {
-    SolverOptions o;
-    o.tol = tol;
-    o.max_iterations = max_iterations;
-    o.stall_threshold = stall_threshold;
-    o.basis = basis;
-    o.tols = tols;
-    return o;
-  }
 };
 
 /// Solve `p` with the selected backend. `ws` (revised backend only) supplies

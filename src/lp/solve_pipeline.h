@@ -52,15 +52,14 @@ inline const char* to_string(PipelineStage s) {
 }
 
 struct PipelineOptions {
-  /// Every solve knob (backend preference, presolve switch, basis
-  /// representation, tolerances, iteration caps) shared by the stages; the
-  /// Verifier uses `solve.tols` too. `solve.backend` picks the stage order:
-  /// Backend::Revised puts the revised solver first (warm, then cold, then
-  /// tableau); anything else starts at the tableau solver and uses
-  /// cold-revised as the cross-check. Either way every stage's answer must
-  /// certify, and presolve only runs on the first attempt -- fallback
-  /// stages solve the original problem directly so the cross-check is
-  /// independent of the reductions too.
+  /// Every solve knob (backend preference, presolve switch, tolerances)
+  /// shared by the stages; the Verifier uses `solve.tols` too.
+  /// `solve.backend` picks the stage order: Backend::Revised puts the
+  /// revised solver first (warm, then cold, then tableau); anything else
+  /// starts at the tableau solver and uses cold-revised as the cross-check.
+  /// Either way every stage's answer must certify, and presolve only runs
+  /// on the first attempt -- fallback stages solve the original problem
+  /// directly so the cross-check is independent of the reductions too.
   SolveOptions solve;
   /// Telemetry destination. Metric handles are resolved once at pipeline
   /// construction; the solve path itself never touches the registry map.
@@ -108,10 +107,10 @@ class SolvePipeline {
   /// Cold solve (no workspace: the warm stage is skipped).
   PipelineResult solve(const Problem& p);
 
-  /// Warm-capable solve. `ws` follows the RevisedSimplexSolver workspace
-  /// contract; when a warm answer fails certification the workspace is
-  /// invalidated before the cold retry, so a poisoned basis cannot survive
-  /// into later solves.
+  /// Warm-capable solve. `ws` follows the revised solver's workspace
+  /// contract (lp/revised.h); when a warm answer fails certification the
+  /// workspace is invalidated before the cold retry, so a poisoned basis
+  /// cannot survive into later solves.
   PipelineResult solve(const Problem& p, SolveWorkspace* ws);
 
   const PipelineStats& stats() const { return stats_; }

@@ -8,10 +8,9 @@
 //   BTRAN:  solve B' y = c     (pricing multipliers, dual rows, Farkas)
 //   UPDATE: replace one column of B after a pivot
 //
-// The historical implementation kept an explicit dense m x m inverse --
-// O(m^2) memory and O(m^2) work per iteration regardless of sparsity, and
-// O(m^3) per refactorization. This class keeps B = L U in sparse factored
-// form instead:
+// An explicit dense m x m inverse would cost O(m^2) memory and O(m^2) work
+// per iteration regardless of sparsity, and O(m^3) per refactorization.
+// This class keeps B = L U in sparse factored form instead:
 //
 //   * Factorization is right-looking Gaussian elimination with MARKOWITZ
 //     pivoting: each step picks an admissible pivot minimizing the fill
@@ -33,10 +32,10 @@
 //     the ftran result the ratio test already computed, so an update costs
 //     exactly one sparse copy. The classical Forrest-Tomlin refinement
 //     (folding the spike into U to keep the file shorter) is deliberately
-//     not implemented: the refactorization cadence (kRefactorInterval = 64,
-//     plus the section-9 residual triggers in revised.cpp) bounds the eta
-//     file far below where FT starts to win, and product form keeps every
-//     update O(nnz(w)).
+//     not implemented: the refactorization cadence (every kRefactorInterval
+//     pivots, plus the section-9 residual triggers in revised.cpp) bounds
+//     the eta file far below where FT starts to win, and product form keeps
+//     every update O(nnz(w)).
 //
 // The factorization is deterministic: identical input produces an identical
 // pivot order, so solves are reproducible bit for bit across runs (the
@@ -55,8 +54,8 @@ class SparseLu {
  public:
   /// Factorize the basis matrix whose i-th column is column basis[i] of
   /// sf's CSC mirror. Clears the eta file. Returns false when the basis is
-  /// numerically singular (no admissible pivot at some step); the caller
-  /// treats that exactly like a singular dense factorization.
+  /// numerically singular (no admissible pivot at some step); the solve
+  /// then reports a numerical failure.
   bool factorize(const StandardForm& sf, const std::vector<std::size_t>& basis);
 
   /// x := B^-1 x. On entry x is indexed by standard-form row; on exit by
@@ -71,8 +70,8 @@ class SparseLu {
   /// Absorb a pivot: the basic column at position `pos` is replaced by a
   /// column whose current tableau form (B^-1 a_enter, etas included) is `w`.
   /// w[pos] must be the ratio-test pivot (nonzero). Entries with |w_i| <=
-  /// drop are not stored -- they are at the level the dense path's denormal
-  /// clamp already discards.
+  /// drop are not stored -- they are at the level the solver's denormal
+  /// clamp (Tolerances::drop) already discards.
   void push_eta(std::size_t pos, const std::vector<double>& w, double drop);
 
   bool factorized() const { return dim_ > 0; }

@@ -17,6 +17,8 @@ namespace agora::lp {
 
 struct Tolerances {
   // --- Solver-internal thresholds. ----------------------------------------
+  /// Simplex feasibility / reduced-cost / ratio-test pivot tolerance.
+  double simplex = 1e-9;
   /// Basic values with |x| below this are snapped to zero (denormal clamp).
   double drop = 1e-12;
   /// Phase-1 artificial residual above which the problem is declared
@@ -24,7 +26,7 @@ struct Tolerances {
   double artificial = 1e-7;
   /// Minimum |a_ij| for pivoting a zero-level artificial out of the basis.
   double pivot_out = 1e-7;
-  /// Relative ||b - B x_B||_inf above which the basis inverse is rebuilt
+  /// Relative ||b - B x_B||_inf above which the basis is refactorized
   /// (residual-triggered refactorization, on top of the pivot-count cadence).
   double refactor_residual = 1e-8;
 

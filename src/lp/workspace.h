@@ -2,12 +2,12 @@
 //
 // The trace-driven enforcement loop solves thousands of LPs whose *structure*
 // never changes: same constraint matrix A and objective c, with only bounds
-// and rhs moving between solves. A SolveWorkspace passed to
-// RevisedSimplexSolver::solve amortizes every per-solve allocation (the
-// standard-form conversion, the basis inverse, the pricing vectors) across
+// and rhs moving between solves. A SolveWorkspace passed to lp::solve
+// (Backend::Revised) amortizes every per-solve allocation (the
+// standard-form conversion, the basis factors, the pricing vectors) across
 // calls, and carries the previous optimal basis as a warm start: when the
-// matrix fingerprint matches, the solver re-uses the factorized basis
-// inverse, recomputes x_B = B^-1 b for the perturbed rhs, and either goes
+// matrix fingerprint matches, the solver re-uses the factored basis,
+// recomputes x_B = B^-1 b for the perturbed rhs, and either goes
 // straight to phase 2 (basis still primal feasible) or runs a bounded
 // dual-simplex repair (basis stays dual feasible because A and c are
 // unchanged). On any mismatch or repair failure it falls back to the cold
@@ -23,7 +23,6 @@
 
 #include "lp/sparse_lu.h"
 #include "lp/standard_form.h"
-#include "util/matrix.h"
 
 namespace agora::lp {
 
@@ -32,9 +31,7 @@ struct SolveWorkspace {
   // heap blocks persist so steady-state solves allocate nothing. ----------
   StandardForm sf;                  ///< standard-form rebuild target.
   std::vector<std::size_t> basis;   ///< current basis, length m.
-  SparseLu slu;                     ///< factored basis (BasisRep::SparseLu).
-  Matrix binv;                      ///< m x m basis inverse (DenseInverse).
-  Matrix bmat;                      ///< dense refactorization scratch.
+  SparseLu slu;                     ///< factored basis: LU + eta file.
   std::vector<double> rho;          ///< B^-T e_r scratch (dual ratio test).
   std::vector<double> xb;           ///< current basic solution B^-1 b.
   std::vector<double> cb;           ///< basic cost gather.
@@ -52,7 +49,7 @@ struct SolveWorkspace {
   // infeasible rhs, say) keeps that basis: only b moved, so it stays dual
   // feasible for the next rhs. -----------------------------------------------
   bool warm = false;
-  /// True while the retained factorization (slu / binv) is that of
+  /// True while the retained factorization (slu) is that of
   /// warm_basis, i.e. the last solve ended at its optimum; otherwise the
   /// next warm entry refactorizes warm_basis.
   bool warm_factored = false;
@@ -60,7 +57,7 @@ struct SolveWorkspace {
   std::size_t warm_rows = 0;
   std::size_t warm_cols = 0;
   double warm_fingerprint = 0.0;
-  /// Elementary updates applied to binv since its last full refactorization,
+  /// Eta updates applied to slu since its last full refactorization,
   /// accumulated *across* solves so drift stays bounded on long warm runs.
   std::uint64_t pivots_since_factor = 0;
 

@@ -250,6 +250,55 @@ TEST(EngineFederation, ApplyConservesTotalCapacityAndSpendsCredits) {
               1e-6 * (1.0 + st.federation.granted));
 }
 
+// ------------------------------------------------------------- gap probes ---
+
+/// bench/scale_shards' bridged economy: 8 complete-graph islands of 8
+/// (share 0.2, capacities 10..17) joined into one component by 0.05 ring
+/// bridges.
+agree::AgreementSystem bridged_economy() {
+  constexpr std::size_t kIslands = 8, kPerIsland = 8;
+  agree::AgreementSystem sys(kIslands * kPerIsland);
+  for (std::size_t i = 0; i < sys.size(); ++i)
+    sys.capacity[i] = 10.0 + static_cast<double>(i % kPerIsland);
+  for (std::size_t g = 0; g < kIslands; ++g) {
+    for (std::size_t i = g * kPerIsland; i < (g + 1) * kPerIsland; ++i)
+      for (std::size_t j = g * kPerIsland; j < (g + 1) * kPerIsland; ++j)
+        if (i != j) sys.relative(i, j) = 0.2;
+    const std::size_t a = g * kPerIsland + (kPerIsland - 1);
+    const std::size_t b = ((g + 1) % kIslands) * kPerIsland;
+    sys.relative(a, b) = 0.05;
+    sys.relative(b, a) = 0.05;
+  }
+  return sys;
+}
+
+TEST(EngineFederation, SettlementProbesEverySampledDecisionOnTheBridgedEconomy) {
+  // One 64-participant component, so each gap probe's reference LP is the
+  // whole system. The sample rings are sized so no decision is evicted:
+  // every satisfied consult is sampled, and a settlement must probe them
+  // all. A reference solve that stalls or misreports drops its probe.
+  const agree::AgreementSystem sys = bridged_economy();
+  EngineOptions eopts;
+  eopts.threads = 8;
+  eopts.alloc.transitive.max_level = 3;
+  eopts.federation.enabled = true;
+  eopts.federation.gap_probes = sys.size();
+  EnforcementEngine eng(sys, eopts);
+  ASSERT_TRUE(eng.federated());
+
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> amount(0.5, 4.0);
+  std::uint64_t sampled = 0;
+  for (std::size_t a = 0; a < sys.size(); ++a)
+    if (eng.consult(a, amount(rng)).satisfied()) ++sampled;
+  ASSERT_GT(sampled, 0u);
+
+  eng.settle();
+  const EngineStats st = eng.stats();
+  EXPECT_EQ(st.federation.gap_probes, sampled);
+  EXPECT_LE(st.federation.max_gap_rel, kGapRelBound);
+}
+
 // ------------------------------------------------ threads=1 bit-identity ---
 
 TEST(EngineFederation, SingleThreadBitIdenticalToDirectPathFederationOnOrOff) {

@@ -36,9 +36,9 @@ Problem beale() {
 }
 
 // Nondegenerate at the optimum (x = 3, y = 1, all basics positive), which
-// the warm-corruption tests below rely on: uniformly scaling the cached
-// basis inverse keeps x_B positive, so the poisoned warm start is accepted
-// instead of bouncing to phase 1.
+// the warm-corruption tests below rely on: uniformly scaling the inverse the
+// cached factors represent keeps x_B positive, so the poisoned warm start is
+// accepted instead of bouncing to phase 1.
 Problem warm_corpus() {
   Problem p(Sense::Minimize);
   p.add_variable("x", 0.0, kInfinity, 2.0);
@@ -49,13 +49,20 @@ Problem warm_corpus() {
   return p;
 }
 
+/// Poison the retained factorization so it represents `factor` * B^-1: one
+/// eta per basis position whose column is the unit column scaled by
+/// 1/factor (B E with E = I / factor).
 void corrupt_inverse(SolveWorkspace& ws, double factor) {
   ASSERT_TRUE(ws.warm) << "corruption target must hold a warm basis";
-  for (std::size_t r = 0; r < ws.binv.rows(); ++r)
-    for (std::size_t k = 0; k < ws.binv.cols(); ++k)
-      ws.binv.at_unchecked(r, k) *= factor;
-  // Pretend the inverse is freshly factorized so only the residual check --
-  // not the periodic refactorization cadence -- can notice the damage.
+  ASSERT_TRUE(ws.slu.factorized());
+  std::vector<double> w(ws.slu.dim(), 0.0);
+  for (std::size_t r = 0; r < w.size(); ++r) {
+    w[r] = 1.0 / factor;
+    ws.slu.push_eta(r, w, /*drop=*/0.0);
+    w[r] = 0.0;
+  }
+  // Pretend the factors are fresh so only the residual check -- not the
+  // periodic refactorization cadence -- can notice the damage.
   ws.pivots_since_factor = 0;
 }
 
@@ -196,13 +203,12 @@ TEST(Adversarial, WarmSequenceRecertifiesAcrossThousandPerturbations) {
 }
 
 TEST(Adversarial, CorruptedInverseSelfHealsViaResidualTrigger) {
-  // Poison the cached basis inverse between warm solves. The residual check
+  // Poison the cached basis factors between warm solves. The residual check
   // in the warm-start path must notice that B x_B != b and refactorize
   // before pricing a single column -- same answer, one extra rebuild, no
   // fallback needed.
   const Problem p = warm_corpus();
-  SolveOptions opts;  // corrupt_inverse targets the dense explicit inverse
-  opts.basis = BasisRep::DenseInverse;
+  const SolveOptions opts;
   SolveWorkspace ws;
   const SolveResult clean = lp::solve(p, opts, &ws);
   ASSERT_EQ(clean.status, Status::Optimal);
@@ -222,7 +228,6 @@ TEST(Adversarial, CorruptedInverseFallsBackWhenHealingDisabled) {
   // reject it and the pipeline must recover a certified answer from the
   // cold stage -- the corpus case where the warm path alone fails.
   PipelineOptions po;
-  po.solve.basis = BasisRep::DenseInverse;      // corrupt_inverse targets binv
   po.solve.tols.refactor_residual = 1e30;  // turn off in-solver self-healing
   SolvePipeline pl(po);
   const Problem p = warm_corpus();

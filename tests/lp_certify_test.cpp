@@ -8,6 +8,9 @@
 #include <cmath>
 #include <vector>
 
+#include "agree/capacity.h"
+#include "alloc/model_cache.h"
+#include "fig_common.h"
 #include "lp/brute_force.h"
 #include "lp/certify.h"
 #include "lp/model_builder.h"
@@ -15,6 +18,7 @@
 #include "lp/solve.h"
 #include "lp/solve_pipeline.h"
 #include "lp/standard_form.h"
+#include "obs/sink.h"
 
 namespace agora::lp {
 namespace {
@@ -327,6 +331,37 @@ TEST(Pipeline, TableauFirstWhenPreferred) {
   const PipelineResult pr = pl.solve(classic_max());
   EXPECT_TRUE(pr.certified());
   EXPECT_EQ(pr.stage, PipelineStage::Tableau);
+}
+
+TEST(Pipeline, TableauFirstChainRecoversFromFalseInfeasible) {
+  // The banded LPSCALE fixture at n = 100 (bench/micro_lp), patched for its
+  // second consult: requester 17 asking for 0.16875 of its availability.
+  // The cold tableau returns Infeasible after ~1500 pivots with a Farkas
+  // certificate the Verifier rejects (y'b <= 0); cold revised certifies the
+  // optimum theta ~ 0.98784694 in ~110 pivots. A tableau-first chain must
+  // hand back that certified optimum. Which stage answers is left open, so
+  // a fix to the tableau keeps this test green.
+  const agree::AgreementSystem sys = figbench::banded_sharing_system(100);
+  const agree::CapacityReport rep = agree::compute_capacities(
+      sys, figbench::sparse_bench_alloc_options().transitive);
+  alloc::AllocationModelCache cache;
+  cache.build(sys, rep);
+  cache.patch(rep, 17, rep.capacity[17] * (0.05 + 0.95 / 8.0));
+  const Problem& p = cache.problem();
+
+  const SolveResult cold = revised_solve(p);
+  ASSERT_EQ(cold.status, Status::Optimal);
+  ASSERT_TRUE(Verifier().certify(p, cold).certified);
+  EXPECT_NEAR(cold.objective, 0.98784694, 1e-7);
+
+  PipelineOptions po;
+  po.solve = backend_opts(Backend::Tableau);
+  po.sink = obs::Sink::none();
+  SolvePipeline pl(po);
+  const PipelineResult pr = pl.solve(p);
+  ASSERT_TRUE(pr.certified()) << (pr.certificate.reject ? pr.certificate.reject : "");
+  EXPECT_EQ(pr.certificate.claim, Certificate::Claim::Optimal);
+  EXPECT_NEAR(pr.result.objective, cold.objective, 1e-7 * (1.0 + std::fabs(cold.objective)));
 }
 
 TEST(Pipeline, CertifiesInfeasibleAndUnboundedClaims) {

@@ -13,9 +13,9 @@
 namespace agora::lp {
 namespace {
 
-// Backend/basis configurations under test: tableau, revised with the dense
-// inverse, revised with the sparse LU basis. Presolve stays off so the duals
-// come from the solver itself, not the postsolve reconstruction.
+// Backend configurations under test: the tableau and the revised solver
+// (sparse LU basis). Presolve stays off so the duals come from the solver
+// itself, not the postsolve reconstruction.
 struct TableauConfig {
   static SolveOptions options() {
     SolveOptions o;
@@ -24,20 +24,10 @@ struct TableauConfig {
     return o;
   }
 };
-struct RevisedDenseConfig {
-  static SolveOptions options() {
-    SolveOptions o;
-    o.backend = Backend::Revised;
-    o.basis = BasisRep::DenseInverse;
-    o.presolve = false;
-    return o;
-  }
-};
 struct RevisedSparseConfig {
   static SolveOptions options() {
     SolveOptions o;
     o.backend = Backend::Revised;
-    o.basis = BasisRep::SparseLu;
     o.presolve = false;
     return o;
   }
@@ -51,8 +41,7 @@ class DualsTest : public ::testing::Test {
   } solver;
 };
 
-using SolverTypes =
-    ::testing::Types<TableauConfig, RevisedDenseConfig, RevisedSparseConfig>;
+using SolverTypes = ::testing::Types<TableauConfig, RevisedSparseConfig>;
 TYPED_TEST_SUITE(DualsTest, SolverTypes);
 
 TYPED_TEST(DualsTest, ClassicShadowPrices) {

@@ -4,10 +4,11 @@
 //   1. SparseLu itself: after a solve, the factored basis (LU + eta file)
 //      must actually solve B x = b and B' y = c_B against the basis columns
 //      it claims to represent.
-//   2. Sparse-vs-dense differential fuzz: over random corpora (well- and
-//      ill-conditioned), the sparse-basis and dense-inverse backends must
-//      agree on status, both certify under lp::Verifier, and match
-//      objectives -- the basis representation is an implementation detail.
+//   2. Differential fuzz against the independent oracles: over random
+//      corpora, the revised solver must agree on status and objective with
+//      the tableau and certify under lp::Verifier (well-conditioned), and
+//      any answer that certifies must match brute-force enumeration
+//      (ill-conditioned).
 //   3. Presolve round trip: solving with presolve on must produce answers
 //      (including reconstructed duals) that certify against the ORIGINAL
 //      problem and match the presolve-off solve.
@@ -36,14 +37,13 @@ namespace {
 SolveOptions sparse_opts() {
   SolveOptions o;
   o.backend = Backend::Revised;
-  o.basis = BasisRep::SparseLu;
   o.presolve = false;
   return o;
 }
 
-SolveOptions dense_opts() {
+SolveOptions tableau_opts() {
   SolveOptions o = sparse_opts();
-  o.basis = BasisRep::DenseInverse;
+  o.backend = Backend::Tableau;
   return o;
 }
 
@@ -136,9 +136,9 @@ TEST(SparseLu, ReportsFillInAndConditionTelemetry) {
   EXPECT_GT(r.stats.refactorizations, 0u);
 }
 
-// --------------------------------------------- sparse vs dense, well-cond ---
+// ------------------------------------------ sparse vs tableau, well-cond ---
 
-TEST(SparseDense, DifferentialFuzzAgreesAndCertifies) {
+TEST(SparseOracle, DifferentialFuzzAgreesAndCertifies) {
   Pcg32 rng(555);
   std::size_t optimal_seen = 0;
   for (int trial = 0; trial < 120; ++trial) {
@@ -146,29 +146,30 @@ TEST(SparseDense, DifferentialFuzzAgreesAndCertifies) {
     const std::size_t m = 1 + rng.uniform_u32(8);
     const Problem p = random_lp(rng, n, m);
     const SolveResult sp = lp::solve(p, sparse_opts());
-    const SolveResult de = lp::solve(p, dense_opts());
-    ASSERT_EQ(sp.status, de.status) << "trial " << trial;
+    const SolveResult tb = lp::solve(p, tableau_opts());
+    ASSERT_EQ(sp.status, tb.status) << "trial " << trial;
     if (sp.status != Status::Optimal) continue;
     ++optimal_seen;
-    EXPECT_NEAR(sp.objective, de.objective, 1e-7 * (1.0 + std::fabs(de.objective)))
+    EXPECT_NEAR(sp.objective, tb.objective, 1e-7 * (1.0 + std::fabs(tb.objective)))
         << "trial " << trial;
     Verifier v;
     const Certificate cs = v.certify(p, sp);
-    const Certificate cd = v.certify(p, de);
+    const Certificate ct = v.certify(p, tb);
     EXPECT_TRUE(cs.certified) << "trial " << trial << " sparse: "
                               << (cs.reject ? cs.reject : "");
-    EXPECT_TRUE(cd.certified) << "trial " << trial << " dense: "
-                              << (cd.reject ? cd.reject : "");
+    EXPECT_TRUE(ct.certified) << "trial " << trial << " tableau: "
+                              << (ct.reject ? ct.reject : "");
   }
   EXPECT_GE(optimal_seen, 20u);  // the corpus must not be degenerate
 }
 
 // ---------------------------------------------- ill-conditioned corpora -----
 
-TEST(SparseDense, IllConditionedCorpusNeverSilentlyWrong) {
-  // Coefficients spanning ~6 orders of magnitude. Sparse and dense may
-  // legitimately disagree near singularity; the contract is weaker but
-  // checkable: any answer that certifies must match exact enumeration.
+TEST(SparseOracle, IllConditionedCorpusNeverSilentlyWrong) {
+  // Coefficients spanning ~6 orders of magnitude. The revised solver and the
+  // tableau may legitimately disagree near singularity; the contract is
+  // weaker but checkable: any answer that certifies must match exact
+  // enumeration.
   Pcg32 rng(31001);
   std::size_t certified = 0;
   for (int trial = 0; trial < 30; ++trial) {
@@ -177,7 +178,7 @@ TEST(SparseDense, IllConditionedCorpusNeverSilentlyWrong) {
     const Problem p = random_lp(rng, n, m, 3.0);
     const SolveResult exact = brute_force_solve(p);
     for (const bool sparse : {true, false}) {
-      const SolveResult r = lp::solve(p, sparse ? sparse_opts() : dense_opts());
+      const SolveResult r = lp::solve(p, sparse ? sparse_opts() : tableau_opts());
       Verifier v;
       const Certificate cert = v.certify(p, r);
       if (!cert.certified) continue;
@@ -186,7 +187,7 @@ TEST(SparseDense, IllConditionedCorpusNeverSilentlyWrong) {
         ASSERT_EQ(exact.status, Status::Optimal) << "trial " << trial;
         EXPECT_NEAR(r.objective, exact.objective,
                     1e-5 * (1.0 + std::fabs(exact.objective)))
-            << "trial " << trial << (sparse ? " sparse" : " dense");
+            << "trial " << trial << (sparse ? " sparse" : " tableau");
       } else if (cert.claim == Certificate::Claim::Infeasible) {
         EXPECT_EQ(exact.status, Status::Infeasible) << "trial " << trial;
       }
@@ -202,7 +203,7 @@ TEST(SparseLu, EtaFileMatchesRefactorizeEveryStep) {
   // carries pivots through the product-form eta file between periodic
   // refactorizations; the forced run (refactor_residual = 0) rebuilds the
   // LU whenever the xb residual is nonzero, i.e. essentially every
-  // refinement checkpoint. Both must land on the same optimum.
+  // refinement checkpoint. Both must land on the tableau's optimum.
   Pcg32 rng(90210);
   const std::size_t n = 70, m = 50;
   Problem p;
@@ -225,18 +226,18 @@ TEST(SparseLu, EtaFileMatchesRefactorizeEveryStep) {
   SolveOptions eager_opts = sparse_opts();
   eager_opts.tols.refactor_residual = 0.0;
   const SolveResult eager = lp::solve(p, eager_opts);
-  const SolveResult dense = lp::solve(p, dense_opts());
+  const SolveResult tableau = lp::solve(p, tableau_opts());
 
   ASSERT_EQ(lazy.status, Status::Optimal);
   ASSERT_EQ(eager.status, Status::Optimal);
-  ASSERT_EQ(dense.status, Status::Optimal);
+  ASSERT_EQ(tableau.status, Status::Optimal);
   EXPECT_GT(lazy.iterations, kRefactorInterval);  // eta file really exercised
   EXPECT_GT(lazy.stats.max_eta_count, 0u);
   EXPECT_LE(lazy.stats.max_eta_count, kRefactorInterval);
   EXPECT_GT(eager.stats.residual_refactorizations, lazy.stats.residual_refactorizations);
-  const double scale = 1.0 + std::fabs(dense.objective);
-  EXPECT_NEAR(lazy.objective, dense.objective, 1e-6 * scale);
-  EXPECT_NEAR(eager.objective, dense.objective, 1e-6 * scale);
+  const double scale = 1.0 + std::fabs(tableau.objective);
+  EXPECT_NEAR(lazy.objective, tableau.objective, 1e-6 * scale);
+  EXPECT_NEAR(eager.objective, tableau.objective, 1e-6 * scale);
   Verifier v;
   EXPECT_TRUE(v.certify(p, lazy).certified);
   EXPECT_TRUE(v.certify(p, eager).certified);

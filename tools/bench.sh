@@ -2,7 +2,7 @@
 # LP solver benchmark harness: builds micro_lp, micro_warmstart and
 # micro_certify in Release, runs them, and merges the results into
 # BENCH_lp.json at the repo root (iterations, ns/solve, allocs/solve, the
-# sparse-vs-dense LPSCALE sweep from micro_lp, the warm-vs-cold iteration
+# revised-vs-tableau LPSCALE sweep from micro_lp, the warm-vs-cold iteration
 # ratio from micro_warmstart's verification pass, and the certification
 # overhead from micro_certify's A/B pass).
 # Usage: tools/bench.sh   (from the repository root)
@@ -18,10 +18,11 @@ cmake -B "${BUILD}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${BUILD}" -j --target micro_lp micro_warmstart micro_certify scale_shards \
   scale_hotpath chaos_failover wire_loopback
 
-# micro_lp runs the LPSCALE scaling sweep (n in {100, 500, 1000}, sparse-LU
-# vs dense-inverse) before its benchmark table and exits non-zero if any
-# configuration fails to solve+certify or the sparse basis misses the >=5x
-# consults/s bound at n = 100 -- set -e makes that the release gate here.
+# micro_lp runs the LPSCALE scaling sweep (warm revised at n in {100, 500,
+# 1000}, the certified tableau-first chain at n = 100) before its benchmark
+# table and exits non-zero if any configuration fails to solve+certify or
+# warm revised misses the >=20x consults/s bound over the tableau chain at
+# n = 100 -- set -e makes that the release gate here.
 "./${BUILD}/bench/micro_lp" \
   --benchmark_out="${OUT}/micro_lp.json" --benchmark_out_format=json \
   | tee "${OUT}/lpscale_summary.txt"

@@ -8,19 +8,19 @@ Usage: bench_lp_json.py <build_dir> <micro_lp.json> <lpscale_summary.txt> \
                         <micro_certify.json> <certify_summary.txt> <out.json>
 
 `build_type` records agora's own CMAKE_BUILD_TYPE, read from
-<build_dir>/CMakeCache.txt; google-benchmark's library build type is kept
-separately as `benchmark_library_build_type`.
+<build_dir>/CMakeCache.txt and lower-cased like google-benchmark's library
+build type, which is kept separately as `benchmark_library_build_type`.
 
 Only the Python standard library is used. For every benchmark we keep the
 iteration count, ns/solve (real time) and -- where the benchmark reports it
 -- allocations and LP pivots per solve. micro_lp's LPSCALE sweep lines
-(one per n x backend configuration, plus the closing speedup_n100 line) are
-parsed into a "scaling" block, the micro_warmstart verification line
-(WARMSTART theta_max_diff=... cold_iters=... warm_iters=...
-iter_ratio=...) into a "warmstart" block, and the micro_certify line
-(CERTIFY overhead_pct=... certified_solves=... fallbacks=...
-uncertified_grants=...) into a "certify" block, so all acceptance metrics
-are recorded alongside the timings.
+(one per n x backend configuration, plus the closing
+revised_vs_tableau_n100 line) are parsed into a "scaling" block, the
+micro_warmstart verification line (WARMSTART theta_max_diff=...
+cold_iters=... warm_iters=... iter_ratio=...) into a "warmstart" block,
+and the micro_certify line (CERTIFY overhead_pct=... certified_solves=...
+fallbacks=... uncertified_grants=...) into a "certify" block, so all
+acceptance metrics are recorded alongside the timings.
 """
 
 import json
@@ -72,10 +72,10 @@ def parse_lpscale(path):
                 "max_eta": int(m.group(10)),
             }
         )
-    speed = re.search(r"LPSCALE speedup_n100=(\S+)", text)
+    speed = re.search(r"LPSCALE revised_vs_tableau_n100=(\S+)", text)
     if not points or not speed:
         raise SystemExit(f"no LPSCALE sweep lines found in {path}")
-    return {"points": points, "speedup_n100": float(speed.group(1))}
+    return {"points": points, "revised_vs_tableau_n100": float(speed.group(1))}
 
 
 def parse_warmstart(path):
@@ -114,14 +114,14 @@ def parse_certify(path):
 
 
 def cmake_build_type(build_dir):
-    """CMAKE_BUILD_TYPE from the build directory's CMakeCache.txt."""
+    """CMAKE_BUILD_TYPE (lower-cased) from the build directory's CMakeCache.txt."""
     path = os.path.join(build_dir, "CMakeCache.txt")
     try:
         with open(path) as f:
             for line in f:
                 m = re.match(r"CMAKE_BUILD_TYPE:\w+=(.*)$", line.strip())
                 if m:
-                    return m.group(1) or "unknown"
+                    return m.group(1).lower() or "unknown"
     except OSError as e:
         raise SystemExit(f"cannot read {path}: {e}")
     return "unknown"

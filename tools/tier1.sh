@@ -21,22 +21,26 @@ cmake --build build -j
 # certification, adversarial and sparse-basis suites (ill-conditioned
 # pivoting, deliberately corrupted workspaces, and the sparse LU's bucketed
 # pivot search / eta-file replay -- index-heavy code where out-of-bounds
-# reads and UB would hide), plus the warm-start and per-component allocator
+# reads and UB would hide), the known-answer and shadow-price suites
+# (lp_test, lp_duals_test: every textbook LP through the sparse factors as
+# well as the tableau), plus the warm-start and per-component allocator
 # suites (workspaces carried across solves, component-local models scattered
-# back into global index space). The sanitizer
-# build compiles with -ffp-contract=off so its floating-point results match
-# the tier-1 build bit for bit.
+# back into global index space). The sanitizer build compiles with
+# -ffp-contract=off so its floating-point results match the tier-1 build bit
+# for bit.
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
 cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
-  rms_failover_test fuzz_test lp_certify_test lp_adversarial_test lp_sparse_test \
-  lp_warmstart_test alloc_components_test engine_cache_test \
-  engine_federation_test credit_conservation_test federation_chaos_test \
-  net_frame_test net_service_test net_soak_test
+  rms_failover_test fuzz_test lp_test lp_duals_test lp_certify_test \
+  lp_adversarial_test lp_sparse_test lp_warmstart_test alloc_components_test \
+  engine_cache_test engine_federation_test credit_conservation_test \
+  federation_chaos_test net_frame_test net_service_test net_soak_test
 ./build-asan/tests/rms_test
 ./build-asan/tests/rms_chaos_test
 ./build-asan/tests/rms_replica_test
 ./build-asan/tests/rms_failover_test
 ./build-asan/tests/fuzz_test
+./build-asan/tests/lp_test
+./build-asan/tests/lp_duals_test
 ./build-asan/tests/lp_certify_test
 ./build-asan/tests/lp_adversarial_test
 ./build-asan/tests/lp_sparse_test
