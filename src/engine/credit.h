@@ -50,7 +50,7 @@ struct Credit {
   double remaining() const { return granted - consumed - revoked; }
 };
 
-/// The worker-visible slice of a credit: what a borrower shard needs to
+/// The shard-visible slice of a credit: what a borrower shard needs to
 /// attribute bank draws back to lenders. Plain data, safe to ship in a
 /// settlement message (see rms::CreditGrant).
 struct CreditSlice {

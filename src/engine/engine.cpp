@@ -121,7 +121,7 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
   }
 
   // Construction-time snapshot (epoch 0), computed before the workers start
-  // so the allocators can be read directly.
+  // so the allocators can be read without their run locks.
   std::vector<double> available(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const Shard& owner = *shards_[part_.shard_of[i]];
@@ -137,132 +137,99 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
 EnforcementEngine::~EnforcementEngine() { shutdown(); }
 
 void EnforcementEngine::shutdown() {
-  // Order matters: the flag goes up first, then the queues close. A worker
-  // that drains after this sees stopping_ and fails its consults fast; a
-  // submit() racing the close either enqueues (and is failed fast by the
-  // worker) or loses to the closed queue (and gets a ready Unavailable
-  // future from submit_unchecked). Either way the future resolves.
+  // Order matters: the flag goes up first, then the queues close. An op run
+  // after this sees stopping_ and fails fast; a submit() racing the close
+  // either enqueues (and is failed fast by whoever runs it) or loses to the
+  // closed queue (and gets a ready Unavailable future).
   stopping_.store(true, std::memory_order_release);
   for (auto& shard : shards_) shard->queue.close();
   for (auto& shard : shards_)
     if (shard->worker.joinable()) shard->worker.join();
+  // A blocking caller may still be running ops it took off a queue: wait
+  // for it under each run lock, so every future submit() handed out is
+  // ready when this returns.
+  drain();
 }
 
 void EnforcementEngine::worker_loop(Shard& shard) {
-  std::vector<Op> batch;
-  while (shard.queue.wait_drain(batch) > 0) {
-    shard.batches.fetch_add(1, std::memory_order_relaxed);
-    obs_batches_->inc();
-    obs_batch_size_->observe(static_cast<double>(batch.size()));
-    std::uint64_t prev = shard.max_batch.load(std::memory_order_relaxed);
-    while (batch.size() > prev &&
-           !shard.max_batch.compare_exchange_weak(prev, batch.size(),
-                                                  std::memory_order_relaxed)) {
-    }
-    if (batch.size() > 1) {
-      // Coalesced work. Serial blocking callers can never trigger this (the
-      // worker drains their single op before they submit the next), which
-      // keeps the threads=1 event stream byte-identical to the direct path.
-      shard.coalesced_batches.fetch_add(1, std::memory_order_relaxed);
-      shard.coalesced_ops.fetch_add(batch.size() - 1, std::memory_order_relaxed);
-      obs_coalesced_batches_->inc();
-      obs_coalesced_ops_->inc(batch.size() - 1);
-      opts_.sink.event(static_cast<double>(shard.ordinal), obs::EventKind::EngineBatch,
-                       static_cast<std::uint32_t>(shard.id), 0,
-                       static_cast<double>(batch.size()));
-    }
-    for (Op& op : batch) {
-      process(shard, op);
-      ++shard.ordinal;
-    }
+  // The run lock is taken before the queue is drained (in run_queued), so a
+  // blocking caller holding it never overtakes an op queued before its own.
+  while (shard.queue.wait_nonempty()) {
+    std::lock_guard<std::mutex> run(shard.run_mu);
+    run_queued(shard, 0);
   }
 }
 
-void EnforcementEngine::process(Shard& shard, Op& op) {
-  switch (op.kind) {
-    case Op::Kind::Consult: {
-      if (stopping_.load(std::memory_order_acquire)) {
-        // Fail-fast on shutdown: the blocked caller gets a Status instead
-        // of waiting for an LP solve nobody can act on anymore. Mutations
-        // and queries below still complete -- their callers hold acks that
-        // must carry real state.
-        op.result.set_value(EngineResult{Status::unavailable("engine is shut down"), {}});
-        return;
-      }
-      shard.consults.fetch_add(1, std::memory_order_relaxed);
-      obs_consults_->inc();
-      EngineResult res;
-      try {
-        alloc::AllocationPlan local = shard.alloc->allocate(op.principal, op.amount);
-        res.plan = fed_ ? federate(shard, std::move(local), op.global)
-                        : globalize(shard, std::move(local));
-        // The decision was made against this shard's post-mutation state,
-        // which is exactly the epoch-muts_applied snapshot (see the field's
-        // comment); stamp it so callers can assert freshness.
-        res.plan.decision_epoch = shard.muts_applied;
-        res.status = res.plan.to_status();
-        if (fed_ && res.plan.satisfied() && opts_.federation.gap_probes > 0)
-          sample_gap(shard, res.plan, op.global, op.amount);
-        // Cache certified outcomes of BOTH polarities: grants for replay,
-        // and Insufficient denials (certified infeasible via the Farkas
-        // witness when the pipeline runs certify-on) so a requester
-        // hammering an impossible amount stops costing an LP solve per
-        // refusal. Denied / SolverFailed are give-ups, never cached.
-        if (pcache_ && res.plan.certified &&
-            (res.plan.status == alloc::PlanStatus::Satisfied ||
-             res.plan.status == alloc::PlanStatus::Insufficient))
-          pcache_->insert(shard.muts_applied, op.global, op.amount, res.plan);
-      } catch (const std::exception& e) {
-        res.plan = {};
-        res.status = to_status(e);
-      }
-      op.result.set_value(std::move(res));
-      return;
-    }
-    case Op::Kind::Apply:
-    case Op::Kind::Release:
-    case Op::Kind::SetCapacities: {
-      // All mutations arrive pre-reduced to "replace this shard's capacity
-      // slice" (mutate() folds draws / give-backs into the global vector
-      // before fan-out), so the shard-level operation is always
-      // set_capacities and replicas in hash mode stay identical. Federated
-      // settlements that move the bank's earmarks additionally carry a
-      // rebuilt local system (agreement matrices are immutable on a live
-      // allocator) and the shard's new credit table.
-      try {
-        if (op.rebuild) {
-          lp::accumulate(shard.carried, *shard.alloc->solver_stats());
-          // atomic_store: stats() may be snapshotting the old allocator's
-          // counters from another thread while we swap it out.
-          std::atomic_store(&shard.alloc,
-                            std::make_shared<alloc::Allocator>(*op.rebuild, opts_.alloc));
-        } else {
-          shard.alloc->set_capacities(std::span<const double>(op.vec));
-        }
-        if (fed_) shard.credits = std::move(op.credits);
-        ++shard.muts_applied;
-        ShardView view;
-        view.capacity.assign(op.vec.begin(), op.vec.end());
-        view.available.resize(shard.members.size());
-        for (std::size_t l = 0; l < shard.members.size(); ++l)
-          view.available[l] = shard.alloc->available_to(l);
-        view.gaps = std::move(shard.gap_samples);
-        shard.gap_samples.clear();
-        shard.gap_next = 0;
-        op.view.set_value(std::move(view));
-      } catch (...) {
-        op.view.set_exception(std::current_exception());
-      }
-      return;
-    }
-    case Op::Kind::Query: {
-      ShardView view;
-      view.pipeline = shard.carried;
-      lp::accumulate(view.pipeline, *shard.alloc->solver_stats());
-      op.view.set_value(std::move(view));
-      return;
+void EnforcementEngine::run_queued(Shard& shard, std::size_t own) const {
+  shard.queue.try_drain(shard.batch);
+  const std::size_t size = shard.batch.size() + own;
+  if (size == 0) return;
+  shard.batches.fetch_add(1, std::memory_order_relaxed);
+  obs_batches_->inc();
+  obs_batch_size_->observe(static_cast<double>(size));
+  std::uint64_t prev = shard.max_batch.load(std::memory_order_relaxed);
+  while (size > prev &&
+         !shard.max_batch.compare_exchange_weak(prev, size, std::memory_order_relaxed)) {
+  }
+  if (size > 1) {
+    // Coalesced work. A serial caller never triggers this (nothing is
+    // queued when its own op runs), which keeps the threads=1 event stream
+    // byte-identical to the direct path.
+    shard.coalesced_batches.fetch_add(1, std::memory_order_relaxed);
+    shard.coalesced_ops.fetch_add(size - 1, std::memory_order_relaxed);
+    obs_coalesced_batches_->inc();
+    obs_coalesced_ops_->inc(size - 1);
+    opts_.sink.event(static_cast<double>(shard.ordinal), obs::EventKind::EngineBatch,
+                     static_cast<std::uint32_t>(shard.id), 0, static_cast<double>(size));
+  }
+  shard.ordinal += size;
+  for (Op& op : shard.batch) run_op(shard, op);
+  shard.batch.clear();
+}
+
+void EnforcementEngine::run_op(Shard& shard, Op& op) const {
+  EngineResult res;
+  if (stopping_.load(std::memory_order_acquire)) {
+    // Fail-fast on shutdown: the waiting caller gets a Status instead of an
+    // LP solve nobody can act on anymore.
+    res.status = Status::unavailable("engine is shut down");
+  } else {
+    try {
+      res.plan = decide(shard, op.participant, op.amount);
+      res.status = res.plan.to_status();
+    } catch (const std::exception& e) {
+      res.plan = {};
+      res.status = to_status(e);
     }
   }
+  op.result.set_value(std::move(res));
+}
+
+alloc::AllocationPlan EnforcementEngine::decide(Shard& shard, std::size_t a,
+                                                double amount) const {
+  shard.consults.fetch_add(1, std::memory_order_relaxed);
+  obs_consults_->inc();
+  alloc::AllocationPlan local = shard.alloc->allocate(shard.local_of[a], amount);
+  alloc::AllocationPlan plan =
+      fed_ ? federate(shard, std::move(local), a) : globalize(shard, std::move(local));
+  // The decision was made against this shard's state after its
+  // muts_applied-th mutation, which is exactly the epoch-muts_applied
+  // snapshot on its members (see the field's comment); stamp it so callers
+  // can assert freshness.
+  const std::uint64_t epoch = shard.muts_applied.load();
+  plan.decision_epoch = epoch;
+  if (fed_ && plan.satisfied() && opts_.federation.gap_probes > 0)
+    sample_gap(shard, plan, a, amount);
+  // Cache certified outcomes of BOTH polarities: grants for replay, and
+  // Insufficient denials (certified infeasible via the Farkas witness when
+  // the pipeline runs certify-on) so a requester hammering an impossible
+  // amount stops costing an LP solve per refusal. Denied / SolverFailed are
+  // give-ups, never cached.
+  if (pcache_ && plan.certified &&
+      (plan.status == alloc::PlanStatus::Satisfied ||
+       plan.status == alloc::PlanStatus::Insufficient))
+    pcache_->insert(epoch, a, amount, plan);
+  return plan;
 }
 
 alloc::AllocationPlan EnforcementEngine::globalize(const Shard& shard,
@@ -357,26 +324,16 @@ void EnforcementEngine::sample_gap(Shard& shard, const alloc::AllocationPlan& pl
 alloc::AllocationPlan EnforcementEngine::consult(std::size_t a, double amount) const {
   AGORA_REQUIRE(a < n_, "unknown principal");
   AGORA_REQUIRE(amount >= 0.0 && std::isfinite(amount), "request must be non-negative");
-  if (pcache_ && !stopping_.load(std::memory_order_acquire)) {
+  if (stopping_.load(std::memory_order_acquire))
+    throw PreconditionError(Status::unavailable("engine is shut down").to_string());
+  if (pcache_) {
     if (std::optional<alloc::AllocationPlan> hit = cached_decision(a, amount))
       return std::move(*hit);
   }
-  EngineResult res = submit_unchecked(a, amount).get();
-  switch (res.status.code()) {
-    case StatusCode::Ok:
-    case StatusCode::Insufficient:
-    case StatusCode::Denied:
-    case StatusCode::SolverFailed:
-      return std::move(res.plan);
-    case StatusCode::InvalidArgument:
-    case StatusCode::Unavailable:
-    case StatusCode::DeadlineExceeded:
-      throw PreconditionError(res.status.to_string());
-    case StatusCode::Internal:
-    case StatusCode::Io:
-      break;
-  }
-  throw InternalError(res.status.to_string());
+  Shard& shard = *shards_[part_.shard_of[a]];
+  std::lock_guard<std::mutex> run(shard.run_mu);
+  run_queued(shard, 1);
+  return decide(shard, a, amount);
 }
 
 std::future<EngineResult> EnforcementEngine::submit(std::size_t a, double amount) const {
@@ -398,7 +355,20 @@ std::future<EngineResult> EnforcementEngine::submit(std::size_t a, double amount
       return p.get_future();
     }
   }
-  return submit_unchecked(a, amount);
+  Shard& shard = *shards_[part_.shard_of[a]];
+  Op op;
+  op.participant = a;
+  op.amount = amount;
+  std::future<EngineResult> fut = op.result.get_future();
+  if (!shard.queue.push(std::move(op))) {
+    // The op (and the promise backing `fut`) was dropped by the closed
+    // queue; hand back a ready future instead of a broken one.
+    std::promise<EngineResult> p;
+    p.set_value(EngineResult{Status::unavailable("engine is shut down"), {}});
+    return p.get_future();
+  }
+  shard.obs_queue_depth->set(static_cast<double>(shard.queue.size_approx()));
+  return fut;
 }
 
 std::optional<alloc::AllocationPlan> EnforcementEngine::cached_decision(
@@ -476,26 +446,6 @@ bool EnforcementEngine::recertify(const PlanCache::Entry& e,
   return true;
 }
 
-std::future<EngineResult> EnforcementEngine::submit_unchecked(std::size_t a,
-                                                              double amount) const {
-  Shard& shard = *shards_[part_.shard_of[a]];
-  Op op;
-  op.kind = Op::Kind::Consult;
-  op.principal = shard.local_of[a];
-  op.global = a;
-  op.amount = amount;
-  std::future<EngineResult> fut = op.result.get_future();
-  if (!shard.queue.push(std::move(op))) {
-    // The op (and the promise backing `fut`) was dropped by the closed
-    // queue; hand back a ready future instead of a broken one.
-    std::promise<EngineResult> p;
-    p.set_value(EngineResult{Status::unavailable("engine is shut down"), {}});
-    return p.get_future();
-  }
-  shard.obs_queue_depth->set(static_cast<double>(shard.queue.size_approx()));
-  return fut;
-}
-
 double EnforcementEngine::available_to(std::size_t a) const {
   AGORA_REQUIRE(a < n_, "unknown principal");
   return cell_.load()->available[a];
@@ -505,18 +455,12 @@ void EnforcementEngine::apply(const alloc::AllocationPlan& plan) {
   AGORA_REQUIRE(plan.satisfied(), "cannot apply an unsatisfied plan");
   AGORA_REQUIRE(plan.draw.size() == n_, "plan size mismatch");
   std::lock_guard<std::mutex> lock(mutate_mu_);
-  // Spend the plan's border credits first: this is the double-spend guard --
-  // a stale federated plan whose loans were already consumed (or revoked by
-  // a later settlement) throws here instead of drawing lender capacity the
-  // ledger no longer backs.
-  if (fed_ && !plan.borrowed.empty())
-    fed_->consume(plan.borrowed, opts_.alloc.solve.tols.feasibility);
   std::vector<double> next = sys_.capacity;
   for (std::size_t i = 0; i < next.size(); ++i) {
     AGORA_REQUIRE(plan.draw[i] <= next[i] + 1e-7, "plan draws more than a principal owns");
     next[i] = std::max(0.0, next[i] - plan.draw[i]);
   }
-  mutate(next, Op::Kind::Apply);
+  mutate(next, plan.borrowed);
 }
 
 void EnforcementEngine::release(const std::vector<double>& give_back) {
@@ -527,58 +471,86 @@ void EnforcementEngine::release(const std::vector<double>& give_back) {
     AGORA_REQUIRE(give_back[i] >= 0.0, "release must be non-negative");
     next[i] += give_back[i];
   }
-  mutate(next, Op::Kind::Release);
+  mutate(next);
 }
 
 void EnforcementEngine::set_capacities(std::span<const double> v) {
   AGORA_REQUIRE(v.size() == n_, "capacity vector size mismatch");
   for (double x : v) AGORA_REQUIRE(x >= 0.0 && std::isfinite(x), "capacities must be >= 0");
   std::lock_guard<std::mutex> lock(mutate_mu_);
-  mutate(std::vector<double>(v.begin(), v.end()), Op::Kind::SetCapacities);
+  mutate(std::vector<double>(v.begin(), v.end()));
 }
 
-void EnforcementEngine::mutate(const std::vector<double>& global, Op::Kind kind) {
-  // Caller holds mutate_mu_. Fan the new capacity vector out to every shard
-  // (each applies its slice in queue order, behind any consults already
-  // submitted), then merge the acknowledged availability slices and publish
-  // the next snapshot epoch. Blocking here is what makes a returned
-  // apply()/release()/set_capacities() visible to every later consult.
-  //
+void EnforcementEngine::mutate(const std::vector<double>& global,
+                               const std::vector<alloc::BorrowedDraw>& spend) {
+  // Caller holds mutate_mu_. Every check comes before the first side
+  // effect: a mutation one shard's allocator would reject must leave every
+  // shard's epoch counter where it was (an infinite capacity from an
+  // apply()/release() is the case that can arise), and the unchanged-slice
+  // skip below compares slices, which needs finite values.
+  for (double x : global) AGORA_REQUIRE(std::isfinite(x), "capacities must be finite");
+  AGORA_INVARIANT(!stopping_.load(std::memory_order_acquire),
+                  "mutation submitted to a shut-down engine");
+  // Spend the plan's border credits first: this is the double-spend guard --
+  // a stale federated plan whose loans were already consumed (or revoked by
+  // a later settlement) throws here instead of drawing lender capacity the
+  // ledger no longer backs.
+  if (fed_ && !spend.empty()) fed_->consume(spend, opts_.alloc.solve.tols.feasibility);
   // Federated engines run a settlement round first: the ledger re-plans
   // every loan toward its policy target at the new capacities, and each
-  // shard's op carries its settled local slice (capacity including the bank
-  // slot, a rebuilt system when earmarks moved, the new credit table)
-  // instead of a bare member slice.
+  // shard gets its settled local slice (capacity including the bank slot, a
+  // rebuilt system when earmarks moved, the new credit table) instead of a
+  // bare member slice.
   std::vector<Federation::ShardUpdate> settled;
   if (fed_) settled = fed_->settle(global);
-  std::vector<std::future<ShardView>> acks;
-  acks.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    Op op;
-    op.kind = kind;
-    if (fed_) {
-      Federation::ShardUpdate& u = settled[shard->id];
-      op.vec = std::move(u.capacity);
-      op.rebuild = std::move(u.rebuild);
-      op.credits = std::move(u.credits);
-    } else {
-      op.vec.resize(shard->members.size());
-      for (std::size_t l = 0; l < shard->members.size(); ++l)
-        op.vec[l] = global[shard->members[l]];
-    }
-    acks.push_back(op.view.get_future());
-    const bool pushed = shard->queue.push(std::move(op));
-    AGORA_INVARIANT(pushed, "mutation submitted to a shut-down engine");
-  }
+  // Only in connectivity mode does a shard's allocator hold exactly its
+  // members' capacities, so only there can an unchanged slice be skipped.
+  const bool skippable = !fed_ && !part_.replicated;
+  const std::shared_ptr<const CapacitySnapshot> published = cell_.load();
   std::vector<double> available(n_, 0.0);
   std::vector<GapSample> gaps;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    ShardView view = acks[s].get();  // rethrows shard-side failures
-    for (std::size_t l = 0; l < shards_[s]->members.size(); ++l) {
-      const std::size_t g = shards_[s]->members[l];
-      if (part_.shard_of[g] == s) available[g] = view.available[l];
+  std::vector<double> slice;
+  for (auto& sp : shards_) {
+    Shard& shard = *sp;
+    if (skippable && std::all_of(shard.members.begin(), shard.members.end(),
+                                 [&](std::size_t g) { return global[g] == sys_.capacity[g]; })) {
+      for (const std::size_t g : shard.members) available[g] = published->available[g];
+      ++shard.muts_applied;
+      continue;
     }
-    gaps.insert(gaps.end(), view.gaps.begin(), view.gaps.end());
+    std::shared_ptr<agree::AgreementSystem> rebuild;
+    if (fed_) {
+      Federation::ShardUpdate& u = settled[shard.id];
+      slice = std::move(u.capacity);
+      rebuild = std::move(u.rebuild);
+    } else {
+      slice.resize(shard.members.size());
+      for (std::size_t l = 0; l < shard.members.size(); ++l) slice[l] = global[shard.members[l]];
+    }
+    // Behind everything already queued on the shard (per-shard FIFO). Every
+    // mutation arrives here reduced to "replace this shard's capacity
+    // slice", so replicas in hash mode stay identical. A settlement that
+    // moved the bank's earmarks also rebuilds the local system (agreement
+    // matrices are immutable on a live allocator).
+    std::lock_guard<std::mutex> run(shard.run_mu);
+    run_queued(shard, 1);
+    if (rebuild) {
+      lp::accumulate(shard.carried, *shard.alloc->solver_stats());
+      // atomic_store: stats() may be snapshotting the old allocator's
+      // counters from another thread while we swap it out.
+      std::atomic_store(&shard.alloc, std::make_shared<alloc::Allocator>(*rebuild, opts_.alloc));
+    } else {
+      shard.alloc->set_capacities(std::span<const double>(slice));
+    }
+    if (fed_) shard.credits = std::move(settled[shard.id].credits);
+    ++shard.muts_applied;
+    for (std::size_t l = 0; l < shard.members.size(); ++l) {
+      const std::size_t g = shard.members[l];
+      if (part_.shard_of[g] == shard.id) available[g] = shard.alloc->available_to(l);
+    }
+    gaps.insert(gaps.end(), shard.gap_samples.begin(), shard.gap_samples.end());
+    shard.gap_samples.clear();
+    shard.gap_next = 0;
   }
   if (exact_) {
     // Measure the optimality gap for the epoch's sampled decisions while
@@ -611,7 +583,7 @@ void EnforcementEngine::mutate(const std::vector<double>& global, Op::Kind kind)
 
 void EnforcementEngine::settle() {
   std::lock_guard<std::mutex> lock(mutate_mu_);
-  mutate(sys_.capacity, Op::Kind::SetCapacities);
+  mutate(sys_.capacity);
 }
 
 void EnforcementEngine::publish(std::vector<double> capacity, std::vector<double> available) {
@@ -622,16 +594,14 @@ void EnforcementEngine::publish(std::vector<double> capacity, std::vector<double
 }
 
 const lp::PipelineStats* EnforcementEngine::solver_stats() const {
-  std::vector<std::future<ShardView>> acks;
-  acks.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    Op op;
-    op.kind = Op::Kind::Query;
-    acks.push_back(op.view.get_future());
-    if (!shard->queue.push(std::move(op))) return nullptr;  // shutting down
-  }
+  if (stopping_.load(std::memory_order_acquire)) return nullptr;
   lp::PipelineStats agg;
-  for (auto& f : acks) lp::accumulate(agg, f.get().pipeline);
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> run(shard->run_mu);
+    run_queued(*shard, 0);
+    lp::accumulate(agg, shard->carried);
+    lp::accumulate(agg, *shard->alloc->solver_stats());
+  }
   std::lock_guard<std::mutex> lock(agg_mu_);
   agg_stats_ = agg;
   return &agg_stats_;
@@ -643,15 +613,10 @@ std::size_t EnforcementEngine::shard_of(std::size_t participant) const {
 }
 
 void EnforcementEngine::drain() const {
-  std::vector<std::future<ShardView>> acks;
-  acks.reserve(shards_.size());
   for (auto& shard : shards_) {
-    Op op;
-    op.kind = Op::Kind::Query;
-    acks.push_back(op.view.get_future());
-    if (!shard->queue.push(std::move(op))) acks.pop_back();  // already drained by close()
+    std::lock_guard<std::mutex> run(shard->run_mu);
+    run_queued(*shard, 0);
   }
-  for (auto& f : acks) f.get();
 }
 
 EngineStats EnforcementEngine::stats() const {
@@ -688,7 +653,7 @@ EngineStats EnforcementEngine::stats() const {
     s.max_batch = shard->max_batch.load(std::memory_order_relaxed);
     s.queue_depth = shard->queue.size();
     out.shard.push_back(s);
-    // atomic_load pairs with the rebuild swap in the worker (federated
+    // atomic_load pairs with the rebuild swap in mutate() (federated
     // settlements replace the allocator when bank earmarks change).
     const std::shared_ptr<alloc::Allocator> a = std::atomic_load(&shard->alloc);
     out.fastpath_granted += a->fastpath_granted();

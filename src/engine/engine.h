@@ -6,15 +6,30 @@
 // and in parallel. EnforcementEngine partitions participants into shards
 // (by agreement-graph connectivity; a single component is either cut
 // federated with border credits or hash-replicated -- see partition.h and
-// federation.h); each
-// shard owns a dedicated worker thread with its *own* warm-started
-// allocator (lp::SolveWorkspace + alloc::AllocationModelCache), extending
-// the single-threaded reuse of the warm-start work to per-shard reuse.
-// Requests enter through per-shard MPSC queues with batch coalescing:
-// everything queued on a shard while its worker was busy is drained in one
-// lock acquisition and solved back-to-back against the still-hot LP basis.
+// federation.h); each shard owns its *own* warm-started allocator
+// (lp::SolveWorkspace + alloc::AllocationModelCache), extending the
+// single-threaded reuse of the warm-start work to per-shard reuse.
+//
+// Who runs a shard's work: whoever holds the shard's run lock (flat
+// combining reduced to a mutex). A blocking consult() or mutation runs on
+// its caller's thread under that lock; before its own operation it runs
+// everything already queued on the shard, in FIFO order, as one batch.
+// submit() queues an op and wakes the shard's worker thread, which takes
+// the run lock *before* it drains the queue, so a caller holding the lock
+// can never overtake an op queued before it. The queue and the worker serve
+// only submit(), whose futures net::AgoraService polls from its loop.
+//
+// Lock order: mutate_mu_ first, then one run lock at a time. No thread ever
+// holds two run locks, or takes mutate_mu_ while holding a run lock.
+//
+// A mutation locks only the shards whose capacities it changes. In
+// connectivity mode (neither federated nor replicated) a shard's allocator
+// holds exactly its members' capacities, so a shard whose member slice is
+// unchanged is skipped: the mutation advances its epoch counter and reuses
+// the published availability of its members.
+//
 // Capacity/valuation reads go through an epoch-versioned immutable snapshot
-// (snapshot.h) and never touch a shard queue or allocator.
+// (snapshot.h) and never touch a shard lock or allocator.
 //
 // Guarantees:
 //   * threads=1 is decision-identical to calling the Allocator directly:
@@ -23,9 +38,10 @@
 //   * Certification is inherited unchanged: the per-shard allocators run
 //     the certified solve chain (AllocatorOptions::certify defaults on),
 //     so no uncertified grant is possible through the engine.
-//   * Per-shard FIFO: operations submitted to one shard take effect in
-//     submission order; mutations ack only after every affected shard
-//     applied them and the new snapshot epoch is published.
+//   * Per-shard FIFO: operations on one shard take effect in the order they
+//     were called, also for a caller mixing submit() with consult() or a
+//     mutation; mutations return only after every shard they change applied
+//     them and the new snapshot epoch is published.
 //
 // EnforcementEngine implements alloc::AllocatorBase, so call sites written
 // against the interface (SchedulerBridge, the GRM) run on the engine or a
@@ -55,17 +71,17 @@
 namespace agora::engine {
 
 struct EngineOptions {
-  /// Worker shard count. 1 (default) = a single shard over the full system,
+  /// Shard count. 1 (default) = a single shard over the full system,
   /// decision-identical to the direct allocator path. Clamped to the
   /// participant count; in connectivity mode also to the component count.
   std::size_t threads = 1;
   /// Per-shard allocator configuration. `certify` stays on by default;
   /// `reuse_context` gives each shard its own warm-start workspace.
   alloc::AllocatorOptions alloc;
-  /// Epoch-keyed decision cache fronting the shard queues (plan_cache.h).
-  /// A repeated (participant, amount) shape within one snapshot epoch is
-  /// answered on the CALLER thread -- no queue, no worker hop, no LP -- after
-  /// a sparse residual re-certification against the current snapshot. Off by
+  /// Epoch-keyed decision cache fronting the shards (plan_cache.h). A
+  /// repeated (participant, amount) shape within one snapshot epoch is
+  /// answered on the caller's thread -- no run lock, no LP -- after a
+  /// sparse residual re-certification against the current snapshot. Off by
   /// default: with the cache on, repeated shapes are answered from the first
   /// decision of that epoch instead of being re-solved, which a test
   /// asserting per-call solver telemetry would notice. Decisions themselves
@@ -90,7 +106,7 @@ struct EngineOptions {
 /// Outcome of a submitted consult: `status` is agora's unified error
 /// currency (DESIGN.md §11.5). For a decided request it mirrors the plan
 /// (Ok / Insufficient / Denied / SolverFailed); transport-level failures
-/// (engine stopped: Unavailable, bad arguments: InvalidArgument, worker
+/// (engine stopped: Unavailable, bad arguments: InvalidArgument, allocator
 /// exception: Internal) leave the plan default-constructed.
 struct EngineResult {
   Status status;
@@ -100,6 +116,9 @@ struct EngineResult {
 struct ShardStats {
   std::size_t participants = 0;
   std::uint64_t consults = 0;
+  /// Runs under the shard's run lock: what was queued plus the holder's own
+  /// op, if any. A blocking op that found the queue empty is a batch of one;
+  /// a mutation that skips the shard is no batch.
   std::uint64_t batches = 0;
   std::uint64_t coalesced_batches = 0;   ///< batches with more than one op
   std::uint64_t coalesced_ops = 0;       ///< ops beyond the first per batch
@@ -148,19 +167,20 @@ class EnforcementEngine : public alloc::AllocatorBase {
 
   /// Stop the engine: reject new submissions, resolve every queued-but-
   /// unprocessed consult with Status::unavailable (fail-fast -- no LP is
-  /// solved for a caller that can no longer use the answer), finish queued
-  /// mutations/queries (their callers block in mutate()/drain() and must
-  /// see real acks), and join the workers. Idempotent; the destructor calls
-  /// it. After shutdown() returns, every future ever handed out by submit()
-  /// is ready -- none is ever abandoned to std::future_error.
+  /// solved for a caller that can no longer use the answer), and join the
+  /// workers. Idempotent; the destructor calls it. After shutdown() returns,
+  /// every future ever handed out by submit() is ready -- none is ever
+  /// abandoned to std::future_error. Later, consult() throws
+  /// PreconditionError without solving, and a mutation throws InternalError
+  /// without touching any shard.
   void shutdown();
 
   EnforcementEngine(const EnforcementEngine&) = delete;
   EnforcementEngine& operator=(const EnforcementEngine&) = delete;
 
   // --- Admission ----------------------------------------------------------
-  /// Blocking decision: route to the owning shard, wait for the plan.
-  /// Precondition violations throw exactly like Allocator::allocate.
+  /// Blocking decision, run on the calling thread under the owning shard's
+  /// run lock. Throws exactly like Allocator::allocate.
   alloc::AllocationPlan consult(std::size_t a, double amount) const;
 
   /// Future-based submission. Never throws: argument violations and
@@ -180,9 +200,9 @@ class EnforcementEngine : public alloc::AllocatorBase {
   void apply(const alloc::AllocationPlan& plan) override;
   void release(const std::vector<double>& give_back) override;
   void set_capacities(std::span<const double> v) override;
-  /// Aggregated certified-solve-chain telemetry across all shards. Enqueues
-  /// a query op per shard (a barrier), so it must not be called from a
-  /// shard worker.
+  /// Aggregated certified-solve-chain telemetry across all shards, read
+  /// under each shard's run lock after what is queued there has run (a
+  /// barrier, like drain()). nullptr after shutdown().
   const lp::PipelineStats* solver_stats() const override;
 
   // --- Snapshot reads (never touch shard state) ---------------------------
@@ -204,65 +224,51 @@ class EnforcementEngine : public alloc::AllocatorBase {
   bool federated() const { return fed_ != nullptr; }
   std::size_t num_components() const { return part_.components; }
   std::size_t shard_of(std::size_t participant) const;
-  /// Barrier: block until every operation submitted before this call has
-  /// been processed by its shard.
+  /// Barrier: when this returns, every operation submitted before the call
+  /// has run. Takes each shard's run lock in turn and runs what is queued.
   void drain() const;
   EngineStats stats() const;
 
  private:
-  /// What a mutation op hands back: the shard's post-mutation capacity and
-  /// availability, in shard-local index order (full-length when
-  /// replicated). Query ops reuse the struct for pipeline stats.
-  struct ShardView {
-    std::vector<double> capacity;
-    std::vector<double> available;
-    lp::PipelineStats pipeline;
-    std::vector<GapSample> gaps;  ///< federated: epoch's gap probes, drained
-  };
-
+  /// A submit() waiting in a shard's queue: the only operation that goes
+  /// through the queue and the worker.
   struct Op {
-    enum class Kind { Consult, Apply, Release, SetCapacities, Query };
-    Kind kind = Kind::Query;
-    std::size_t principal = 0;  ///< shard-local index (Consult)
-    std::size_t global = 0;     ///< global participant id (Consult; cache key)
+    std::size_t participant = 0;  ///< global id
     double amount = 0.0;
-    std::vector<double> vec;    ///< shard-local slice (mutations)
-    /// Federated settlement payload (mutations; see Federation::ShardUpdate):
-    /// a rebuilt local system when the shard's bank earmarks moved, and the
-    /// shard's post-settlement credit table. Shipping both through the op
-    /// keeps the worker's credit view FIFO-consistent with its allocator.
-    std::shared_ptr<agree::AgreementSystem> rebuild;
-    std::vector<CreditSlice> credits;
-    std::promise<EngineResult> result;  ///< Consult
-    std::promise<ShardView> view;       ///< mutations + Query
+    std::promise<EngineResult> result;
   };
 
   struct Shard {
     std::size_t id = 0;
     std::vector<std::size_t> members;     ///< global ids, ascending
     std::vector<std::size_t> local_of;    ///< global id -> local index (or npos)
-    /// Worker-owned allocator. shared_ptr (not unique_ptr) because federated
-    /// settlement ops can REPLACE it mid-run (earmark changes force a
-    /// rebuild) while stats() reads its counters from other threads: the
-    /// swap goes through std::atomic_store and cross-thread readers take a
+    /// Held by whoever runs this shard's work (see the file comment). Guards
+    /// the allocator and every field below marked "run lock".
+    std::mutex run_mu;
+    /// The shard's allocator (run lock). shared_ptr (not unique_ptr) because
+    /// a federated settlement can REPLACE it (earmark changes force a
+    /// rebuild) while stats() reads its counters without the run lock: the
+    /// swap goes through std::atomic_store and those readers take a
     /// std::atomic_load snapshot.
     std::shared_ptr<alloc::Allocator> alloc;
     BlockingQueue<Op> queue;
-    std::thread worker;
-    std::uint64_t ordinal = 0;  ///< ops processed (worker-only; event time)
-    /// Mutations applied on this shard (worker-only). Every mutate() fans one
-    /// op to every shard and publishes epoch+1, so after this worker applies
-    /// its m-th mutation its allocator state equals the global epoch-m
-    /// snapshot restricted to its members -- making this the correct epoch
-    /// key for decisions it computes from here on.
-    std::uint64_t muts_applied = 0;
-    // --- Federated state (worker-only unless noted) ------------------------
+    std::vector<Op> batch;      ///< ops taken off `queue` (run lock)
+    std::uint64_t ordinal = 0;  ///< ops run (run lock; event time)
+    /// Mutations this shard has seen. Every mutate() advances it on every
+    /// shard and then publishes epoch+1, so once the shard's m-th mutation
+    /// has run its allocator state equals the global epoch-m snapshot
+    /// restricted to its members -- the correct epoch key for decisions it
+    /// computes from here on. Written only under mutate_mu_; atomic because
+    /// a mutation that skips the shard advances it without the run lock,
+    /// while a consult may be reading it.
+    std::atomic<std::uint64_t> muts_applied{0};
+    // --- Federated state (run lock unless noted) ---------------------------
     /// Local index of the border bank slot, or npos when the shard has none.
     /// Fixed at construction (read-only afterwards).
     std::size_t bank = static_cast<std::size_t>(-1);
-    /// Inbound credit table, ascending by id: how the worker attributes bank
-    /// draws back to lenders. Replaced only by settlement ops, so it is
-    /// always consistent with the allocator's bank earmarks.
+    /// Inbound credit table, ascending by id: how a consult attributes bank
+    /// draws back to lenders. Replaced only together with the allocator's
+    /// bank earmarks, by a settlement.
     std::vector<CreditSlice> credits;
     /// Ring of the epoch's satisfied federated decisions, drained by the
     /// next settlement for gap probing.
@@ -279,13 +285,24 @@ class EnforcementEngine : public alloc::AllocatorBase {
     std::atomic<std::uint64_t> coalesced_ops{0};
     std::atomic<std::uint64_t> max_batch{0};
     obs::Gauge* obs_queue_depth = nullptr;
+    /// Serves submit() alone; started after every field above is set.
+    std::thread worker;
   };
 
   void worker_loop(Shard& shard);
-  void process(Shard& shard, Op& op);
+  /// Caller holds shard.run_mu: run every op queued on the shard in FIFO
+  /// order, accounting them and the caller's `own` ops (0 or 1) as one batch.
+  void run_queued(Shard& shard, std::size_t own) const;
+  /// Caller holds shard.run_mu: one consult on the shard's allocator,
+  /// stamped with its epoch and offered to the plan cache. Throws like
+  /// Allocator::allocate.
+  alloc::AllocationPlan decide(Shard& shard, std::size_t a, double amount) const;
+  /// Caller holds shard.run_mu: resolve a queued submit(), with the
+  /// allocator's exceptions mapped to a Status.
+  void run_op(Shard& shard, Op& op) const;
   /// Caller-thread cache front end: lookup against the published epoch,
   /// re-certify the stored plan against the snapshot, return a copy on
-  /// success. Nullopt (= go through the shard queue) on miss/stale/reject.
+  /// success. Nullopt (= decide on the shard) on miss/stale/reject.
   std::optional<alloc::AllocationPlan> cached_decision(std::size_t a, double amount) const;
   /// Sparse residual re-certification of a cached plan against `snap`:
   /// draws within current entitlements, demand met, theta covers every
@@ -305,10 +322,11 @@ class EnforcementEngine : public alloc::AllocatorBase {
   /// with its measured global perturbation (max capacity drop under that_).
   void sample_gap(Shard& shard, const alloc::AllocationPlan& plan, std::size_t a,
                   double amount) const;
-  /// Run `make_op` for each selected shard, wait for every ShardView, merge
-  /// the slices into a fresh snapshot and publish it (epoch + 1).
-  void mutate(const std::vector<double>& global, Op::Kind kind);
-  std::future<EngineResult> submit_unchecked(std::size_t a, double amount) const;
+  /// Caller holds mutate_mu_. Check the new capacity vector, spend `spend`'s
+  /// border credits, apply each changed shard's slice under its run lock,
+  /// then merge the slices into a fresh snapshot and publish it (epoch + 1).
+  void mutate(const std::vector<double>& global,
+              const std::vector<alloc::BorrowedDraw>& spend = {});
   void publish(std::vector<double> capacity, std::vector<double> available);
 
   agree::AgreementSystem sys_;
@@ -316,8 +334,8 @@ class EnforcementEngine : public alloc::AllocatorBase {
   /// points (submit/consult argument checks, globalize) must not size
   /// sys_.capacity, whose buffer mutations rewrite under mutate_mu_.
   std::size_t n_ = 0;
-  /// Set by shutdown() before the queues close: workers fail-fast any
-  /// consult still queued instead of solving it.
+  /// Set by shutdown() before the queues close: a consult still queued is
+  /// failed fast instead of solved, and blocking operations are refused.
   mutable std::atomic<bool> stopping_{false};
   EngineOptions opts_;
   Partition part_;
@@ -331,7 +349,7 @@ class EnforcementEngine : public alloc::AllocatorBase {
   Matrix that_;
   /// Border-credit state machine; null unless the partition is federated
   /// AND produced at least one credit. Guarded by mutate_mu_ (settlement,
-  /// consumption); construction happens before the workers start.
+  /// consumption).
   std::unique_ptr<Federation> fed_;
   /// Exact full-system reference allocator for gap probes (warm revised,
   /// certification off: it measures, it never admits). Guarded by

@@ -130,7 +130,7 @@ class Federation {
     /// express); null when `capacity` alone carries the round.
     std::shared_ptr<agree::AgreementSystem> rebuild;
     /// The shard's inbound credit table after the round, ascending by id --
-    /// what the worker uses to attribute bank draws back to lenders.
+    /// what the shard's consults use to attribute bank draws to lenders.
     std::vector<CreditSlice> credits;
   };
 

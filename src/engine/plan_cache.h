@@ -7,7 +7,7 @@
 // Between two capacity mutations the engine's decision function is PURE --
 // the answer to (participant, amount) depends only on the published
 // CapacitySnapshot -- so a decision computed once per epoch can be replayed
-// without touching a shard queue, a worker thread, or the LP.
+// without taking a shard's run lock or solving an LP.
 //
 // The cache is a fixed-size open-addressing table keyed by
 // (participant, canonicalized amount); the snapshot EPOCH is not part of the
@@ -17,12 +17,12 @@
 // overwrites its slot in place -- no flush pass, no generation sweeps.
 //
 // Concurrency: slots hold std::atomic<std::shared_ptr<const Entry>>, so
-// readers (engine front-end, any caller thread) and writers (shard workers
-// inserting fresh decisions) never block each other; a reader that loses a
-// race simply sees the old or the new immutable entry. Eviction is a probe-
-// window LRU clock: each slot carries a reference byte, bumped on hit and
-// decayed as insert scans pass over it; the coldest slot in the window is
-// replaced.
+// readers (engine front-end, any caller thread) and writers (whichever
+// thread just decided a consult under its shard's run lock) never block
+// each other; a reader that loses a race simply sees the old or the new
+// immutable entry. Eviction is a probe-window LRU clock: each slot carries
+// a reference byte, bumped on hit and decayed as insert scans pass over it;
+// the coldest slot in the window is replaced.
 //
 // A cache hit is NEVER granted on the cache's word alone -- the engine
 // re-certifies the stored plan against the current snapshot with a sparse

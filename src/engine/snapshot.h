@@ -2,13 +2,13 @@
 // state.
 //
 // Readers (availability queries, plan globalization, monitoring) must never
-// contend with the shard workers: they read a CapacitySnapshot published by
-// the last completed mutation batch. A snapshot is immutable after publish
-// -- consumers hold a shared_ptr and may keep it as long as they like; the
-// engine swaps in a fresh snapshot (epoch + 1) once every shard has
-// acknowledged a mutation. The swap itself is a pointer exchange behind a
-// dedicated mutex whose critical section is two shared_ptr operations,
-// never the shard queues or allocator state.
+// contend with a shard's work: they read a CapacitySnapshot published by
+// the last completed mutation. A snapshot is immutable after publish --
+// consumers hold a shared_ptr and may keep it as long as they like; the
+// engine swaps in a fresh snapshot (epoch + 1) once every shard has taken a
+// mutation. The swap itself is a pointer exchange behind a dedicated mutex
+// whose critical section is two shared_ptr operations, never a shard's run
+// lock or allocator state.
 #pragma once
 
 #include <cstdint>

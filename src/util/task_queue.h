@@ -2,16 +2,17 @@
 // thread in agora.
 //
 // Historically this machinery lived inline in ThreadPool (whose only client
-// was multi_resource); the sharded enforcement engine needs the same
-// primitive with two extra capabilities, so it is generalized here and
+// was multi_resource); the enforcement engine's submit() path needs the same
+// primitive with one more way to wait, so it is generalized here and
 // ThreadPool is now one of its users:
 //
-//   * wait_pop    -- classic one-item blocking pop (ThreadPool workers),
-//   * wait_drain  -- blocking *batch* pop: take EVERYTHING queued in one
-//                    lock acquisition. This is what batch coalescing in the
-//                    engine is built on: requests that landed on a shard
-//                    while its worker was busy are drained together and
-//                    solved back-to-back against the still-hot LP basis.
+//   * wait_pop      -- classic one-item blocking pop (ThreadPool workers),
+//   * wait_nonempty -- block until there is work, but take nothing. An
+//                      engine shard's worker waits with it, then takes the
+//                      shard's run lock and only then takes the items with
+//                      try_drain(): whoever holds that lock runs the shard's
+//                      work, and draining outside it would let a blocking
+//                      caller overtake items queued before its own op.
 //
 // close() wakes all waiters; pops drain remaining items first and only then
 // report closure, so no submitted work is ever silently lost.
@@ -38,11 +39,9 @@ class BlockingQueue {
   /// closed -- callers that must not lose work check the result.
   ///
   /// Wake-up hygiene: notify_one() is only issued when a consumer is
-  /// actually parked in a wait (waiters_ > 0). When the worker is busy
-  /// solving -- the common case under batch coalescing -- the push is one
-  /// lock acquisition with no condvar syscall; the worker's own wait_drain
-  /// re-check picks the item up. This removes the spurious-notify storm that
-  /// showed up as tail-latency outliers in the scale_shards latency phase.
+  /// actually parked in a wait (waiters_ > 0). When the consumer is busy,
+  /// the push is one lock acquisition with no condvar syscall; the
+  /// consumer's next wait re-checks the queue and picks the item up.
   bool push(T item) {
     bool wake;
     {
@@ -68,21 +67,16 @@ class BlockingQueue {
     return true;
   }
 
-  /// Blocking batch pop: move every queued item into `out` (cleared first).
-  /// Returns the batch size; 0 means closed-and-drained.
-  std::size_t wait_drain(std::vector<T>& out) {
-    out.clear();
+  /// Block until an item is queued or the queue closes, taking nothing.
+  /// Returns false when the queue is closed AND drained.
+  bool wait_nonempty() {
     std::unique_lock<std::mutex> lock(mu_);
     wait_for_work(lock);
-    while (!items_.empty()) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    count_.store(0, std::memory_order_relaxed);
-    return out.size();
+    return !items_.empty();
   }
 
-  /// Non-blocking batch pop (for tests / shutdown sweeps).
+  /// Non-blocking batch pop: move every queued item into `out` (cleared
+  /// first) and return how many.
   std::size_t try_drain(std::vector<T>& out) {
     out.clear();
     std::lock_guard<std::mutex> lock(mu_);

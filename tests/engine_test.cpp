@@ -2,11 +2,13 @@
 // threads=1 decision identity against the direct Allocator path (including
 // byte-identical trace-event streams and same-seed simulator runs),
 // component-exact sharded decisions, the unified Status surface of
-// submit(), snapshot epochs, and certification inheritance.
+// submit(), snapshot epochs and which shards a mutation touches, per-shard
+// FIFO across submit() and blocking calls, and certification inheritance.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <future>
+#include <limits>
 #include <vector>
 
 #include "agree/topology.h"
@@ -345,6 +347,72 @@ TEST(EngineSnapshot, EpochAdvancesOnEveryMutation) {
   EXPECT_EQ(eng.epoch(), 3u);
 }
 
+TEST(EngineSnapshot, RejectedMutationLeavesShardEpochsInStep) {
+  EngineOptions eopts;
+  eopts.sink = obs::Sink::none();
+  eopts.alloc.sink = obs::Sink::none();
+  eopts.threads = 2;
+  eopts.plan_cache = true;
+  EnforcementEngine eng(island_economy(2, 4, 0.25), eopts);
+  ASSERT_NE(eng.shard_of(0), eng.shard_of(4));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  // An infinite give-back at participant 0 would reach a shard allocator
+  // that refuses it; the engine must refuse it before any shard sees it.
+  std::vector<double> back(eng.size(), 0.0);
+  back[0] = kInf;
+  EXPECT_THROW(eng.release(back), PreconditionError);
+  EXPECT_EQ(eng.epoch(), 0u);
+  EXPECT_EQ(eng.consult(0, 1.0).decision_epoch, eng.epoch());
+  EXPECT_EQ(eng.consult(4, 1.0).decision_epoch, eng.epoch());
+
+  // Raising a member of participant 4's island publishes epoch 1; the
+  // epoch-0 decision for (4, 1.0) must not be replayed as current.
+  std::vector<double> caps = eng.snapshot()->capacity;
+  caps[5] += 1.0;
+  eng.set_capacities(std::span<const double>(caps));
+  ASSERT_EQ(eng.epoch(), 1u);
+  const std::uint64_t hits = eng.stats().plan_cache.hits;
+  EXPECT_EQ(eng.consult(4, 1.0).decision_epoch, 1u);
+  EXPECT_EQ(eng.stats().plan_cache.hits, hits);
+
+  // Same for a plan whose draw of -inf would make a capacity infinite.
+  alloc::AllocationPlan plan = eng.consult(1, 1.0);
+  ASSERT_TRUE(plan.satisfied());
+  plan.draw[0] = -kInf;
+  EXPECT_THROW(eng.apply(plan), PreconditionError);
+  EXPECT_EQ(eng.epoch(), 1u);
+  EXPECT_EQ(eng.consult(4, 2.0).decision_epoch, eng.epoch());
+}
+
+TEST(EngineSnapshot, MutationDoesNoWorkOnAShardItLeavesUnchanged) {
+  const auto sys = island_economy(2, 4, 0.25);
+  EngineOptions eopts;
+  eopts.sink = obs::Sink::none();
+  eopts.alloc.sink = obs::Sink::none();
+  eopts.threads = 2;
+  EnforcementEngine eng(sys, eopts);
+  alloc::Allocator direct(sys);
+  const std::size_t other = eng.shard_of(4);
+  ASSERT_NE(eng.shard_of(0), other);
+
+  const alloc::AllocationPlan plan = eng.consult(0, 3.0);
+  ASSERT_TRUE(plan.satisfied());
+  const ShardStats before = eng.stats().shard[other];
+  eng.apply(plan);
+  const ShardStats after = eng.stats().shard[other];
+  EXPECT_EQ(after.batches, before.batches);
+  EXPECT_EQ(after.consults, before.consults);
+  EXPECT_EQ(eng.epoch(), 1u);
+
+  // The skipped shard still moves to the new epoch, and the published
+  // availability matches a direct allocator that applied the same plan.
+  direct.apply(plan);
+  for (std::size_t i = 0; i < sys.size(); ++i)
+    EXPECT_NEAR(eng.available_to(i), direct.available_to(i), 1e-9) << "participant " << i;
+  EXPECT_EQ(eng.consult(4, 1.0).decision_epoch, eng.epoch());
+}
+
 TEST(EngineSnapshot, StatsReportShardLayout) {
   EngineOptions eopts;
   eopts.sink = obs::Sink::none();
@@ -367,6 +435,30 @@ TEST(EngineSnapshot, StatsReportShardLayout) {
   EXPECT_EQ(consults, 2u);
   EXPECT_EQ(participants, 6u);
   EXPECT_EQ(eng.shard_of(0), eng.shard_of(2));
+}
+
+// -------------------------------------------------------------------- FIFO ---
+
+TEST(EngineFifo, BlockingCallsRunBehindQueuedSubmits) {
+  EngineOptions eopts;
+  eopts.sink = obs::Sink::none();
+  eopts.alloc.sink = obs::Sink::none();
+  eopts.threads = 2;
+  EnforcementEngine eng(island_economy(2, 4, 0.25), eopts);
+
+  // Everything below lands on participant 0's island, one shard.
+  const alloc::AllocationPlan plan = eng.consult(0, 3.0);
+  ASSERT_TRUE(plan.satisfied());
+  std::vector<std::future<EngineResult>> flood;
+  for (int i = 0; i < 200; ++i) flood.push_back(eng.submit(static_cast<std::size_t>(i % 4), 0.5));
+  eng.apply(plan);
+  const alloc::AllocationPlan last = eng.consult(1, 0.5);
+  for (auto& f : flood) {
+    const EngineResult r = f.get();
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.plan.decision_epoch, 0u);
+  }
+  EXPECT_EQ(last.decision_epoch, 1u);
 }
 
 // ------------------------------------------------------------ certification ---
@@ -442,7 +534,11 @@ TEST(EngineShutdown, IsIdempotentAndRejectsLateTraffic) {
   EngineResult late = eng.submit(0, 1.0).get();
   EXPECT_EQ(late.status.code(), StatusCode::Unavailable);
   EXPECT_THROW(eng.consult(0, 1.0), PreconditionError);
+  EXPECT_EQ(eng.stats().shard[0].consults, 1u);  // refused without solving
   EXPECT_EQ(eng.solver_stats(), nullptr);
+  // A mutation after shutdown is a caller bug and touches no shard.
+  EXPECT_THROW(eng.set_capacities(std::vector<double>(eng.size(), 3.0)), InternalError);
+  EXPECT_EQ(eng.epoch(), 0u);
   // Snapshot reads still work: the published state outlives the workers.
   EXPECT_EQ(eng.snapshot()->capacity.size(), 4u);
 }

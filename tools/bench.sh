@@ -45,18 +45,19 @@ python3 tools/bench_lp_json.py "${BUILD}" \
 
 echo "bench: BENCH_lp.json written"
 
-# Enforcement-engine sweeps: the shard-count sweep (1/2/4/8 worker shards,
+# Enforcement-engine sweeps: the shard-count sweep (1/2/4/8 shards,
 # consults/sec + p50/p99 consult latency with a recorded p99 regression
 # bound), its single-component federation sweep (federated off/on x 1/2/4/8
 # shards over the ring-bridged economy, measured optimality gap per point),
-# and the admission hot-path sweep (baseline vs plan-cache vs cache+fastpath
-# on a Zipf s=1.1 request mix; cache hit-rate, fast-path share,
+# and the admission hot-path sweep (baseline vs fast path vs plan cache on a
+# Zipf s=1.1 request mix; cache hit-rate, fast-path share,
 # 100%-certified-grants gate). The merge script nests the fragments under
-# the schema-versioned BENCH_engine.json and enforces the >=10x
-# cache-speedup and >=3x federated-shard-speedup acceptance bounds.
+# the schema-versioned BENCH_engine.json with a host block read from the
+# build directory, and enforces the >=10x cache-speedup and >=3x
+# federated-shard-speedup acceptance bounds.
 "./${BUILD}/bench/scale_shards" "${OUT}/scale_shards.json"
 "./${BUILD}/bench/scale_hotpath" "${OUT}/scale_hotpath.json"
-python3 tools/bench_engine_json.py \
+python3 tools/bench_engine_json.py "${BUILD}" \
   "${OUT}/scale_shards.json" "${OUT}/scale_hotpath.json" BENCH_engine.json
 
 echo "bench: BENCH_engine.json written"

@@ -25,15 +25,19 @@ cmake --build build -j
 # (lp_test, lp_duals_test: every textbook LP through the sparse factors as
 # well as the tableau), plus the warm-start and per-component allocator
 # suites (workspaces carried across solves, component-local models scattered
-# back into global index space). The sanitizer build compiles with
-# -ffp-contract=off so its floating-point results match the tier-1 build bit
-# for bit.
+# back into global index space), and the engine suites (engine_test,
+# engine_stress_test: blocking consults and mutations run the shard's
+# allocator, credit table and gap ring on the caller's thread, so those
+# objects' lifetimes now span threads the tests drive). The sanitizer build
+# compiles with -ffp-contract=off so its floating-point results match the
+# tier-1 build bit for bit.
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
 cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   rms_failover_test fuzz_test lp_test lp_duals_test lp_certify_test \
   lp_adversarial_test lp_sparse_test lp_warmstart_test alloc_components_test \
-  engine_cache_test engine_federation_test credit_conservation_test \
-  federation_chaos_test net_frame_test net_service_test net_soak_test
+  engine_test engine_stress_test engine_cache_test engine_federation_test \
+  credit_conservation_test federation_chaos_test net_frame_test net_service_test \
+  net_soak_test
 ./build-asan/tests/rms_test
 ./build-asan/tests/rms_chaos_test
 ./build-asan/tests/rms_replica_test
@@ -46,6 +50,8 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 ./build-asan/tests/lp_sparse_test
 ./build-asan/tests/lp_warmstart_test
 ./build-asan/tests/alloc_components_test
+./build-asan/tests/engine_test
+./build-asan/tests/engine_stress_test
 ./build-asan/tests/engine_cache_test
 # Federation suites under ASan/UBSan: the credit ledger's settle/consume
 # arithmetic, the border-bank allocator rebuilds, and the chaos harness's
@@ -63,8 +69,9 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 
 # ThreadSanitizer pass over the deliberately multithreaded code: the
 # concurrent observability substrate (metrics registry, lock-free EventRing
-# and its multithreaded hammer test), the sharded enforcement engine (shard
-# workers, MPSC queues, snapshot publication -- engine_test pins the serial
+# and its multithreaded hammer test), the sharded enforcement engine (run
+# locks taken by callers and shard workers, the submit() queues, snapshot
+# publication, the unchanged-shard skip -- engine_test pins the serial
 # semantics, engine_stress_test hammers it with producer/mutator threads and
 # runs the GRM-on-engine chaos scenarios), and the rms chaos suite, whose
 # fault-injection paths exercise the bus under the heaviest event/metric
@@ -82,10 +89,10 @@ cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
 ./build-tsan/tests/engine_test
 ./build-tsan/tests/engine_stress_test
 ./build-tsan/tests/engine_cache_test
-# Federated engine under TSan: worker threads consult against border banks
-# while mutators settle credits and swap shard allocators -- exactly the new
-# cross-thread handoff (ops carrying rebuilds/credit tables, gap rings
-# drained through acks) this pass is for.
+# Federated engine under TSan: consults run against border banks while
+# mutators settle credits and swap shard allocators under the run locks --
+# exactly the cross-thread handoff (rebuilds, credit tables, gap rings)
+# this pass is for.
 ./build-tsan/tests/engine_federation_test
 ./build-tsan/tests/federation_chaos_test
 # net_service_test joins the TSan pass: the poll-loop thread's connection
