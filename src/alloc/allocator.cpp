@@ -22,10 +22,7 @@ lp::PipelineOptions pipeline_options(const AllocatorOptions& opts) {
 }  // namespace
 
 Allocator::Allocator(agree::AgreementSystem sys, AllocatorOptions opts)
-    : sys_(std::move(sys)),
-      opts_(opts),
-      pipeline_(pipeline_options(opts)),
-      verifier_(opts.solve.tols) {
+    : sys_(std::move(sys)), opts_(opts), pipeline_(pipeline_options(opts)) {
   sys_.validate(/*allow_overdraft=*/true);
   obs_plan_seconds_ = &opts_.sink.histogram("alloc.plan.seconds");
   obs_cache_hits_ = &opts_.sink.counter("alloc.model_cache.hits");
@@ -36,6 +33,7 @@ Allocator::Allocator(agree::AgreementSystem sys, AllocatorOptions opts)
   obs_plans_insufficient_ = &opts_.sink.counter("alloc.plans.insufficient");
   obs_plans_denied_ = &opts_.sink.counter("alloc.plans.denied");
   obs_plans_failed_ = &opts_.sink.counter("alloc.plans.solver_failed");
+  obs_closed_form_denials_ = &opts_.sink.counter("alloc.plans.closed_form_denials");
   obs_fastpath_granted_ = &opts_.sink.counter("alloc.fastpath.granted");
   obs_fastpath_fallthrough_ = &opts_.sink.counter("alloc.fastpath.fallthrough");
   // The expensive part (simple-path enumeration) depends only on S; do it
@@ -48,41 +46,66 @@ Allocator::Allocator(agree::AgreementSystem sys, AllocatorOptions opts)
     obs_clamp_k_->inc(clamped);
   }
   report_.shares = agree::overdraft_clamp(std::move(t));
-  refresh_availability();
 
+  const std::size_t n = sys_.size();
   components_ = agree::connected_components(sys_);
-  component_of_.resize(sys_.size());
-  local_of_.resize(sys_.size());
+  component_of_.resize(n);
+  local_of_.resize(n);
   for (std::size_t c = 0; c < components_.size(); ++c)
     for (std::size_t l = 0; l < components_[c].size(); ++l) {
       component_of_[components_[c][l]] = c;
       local_of_[components_[c][l]] = l;
     }
   models_.resize(components_.size());
+  verifiers_.assign(components_.size(), lp::Verifier(opts_.solve.tols));
+
+  // U_ki across components is zero (no agreement path joins them) and stays
+  // zero: refreshes touch only the blocks inside a component.
+  report_.entitlement.assign(n, n);
+  report_.capacity.assign(n, 0.0);
+  std::uint64_t u_clamps = 0;
+  for (std::size_t c = 0; c < components_.size(); ++c) u_clamps += refresh_component(c);
+  obs_clamp_u_->inc(u_clamps);
 }
 
-void Allocator::refresh_availability() {
-  const std::size_t n = sys_.size();
+std::uint64_t Allocator::refresh_component(std::size_t c) {
+  const std::vector<std::size_t>& members = components_[c];
   std::uint64_t u_clamps = 0;
-  report_.entitlement.assign(n, n);  // reuses storage on repeated refreshes
-  report_.capacity.assign(n, 0.0);
-  for (std::size_t k = 0; k < n; ++k) {
+  for (const std::size_t k : members) {
     const double vk = sys_.capacity[k];
-    report_.entitlement(k, k) = sys_.retained[k] * vk;
-    for (std::size_t i = 0; i < n; ++i) {
+    const double* share = report_.shares.row(k).data();
+    const double* absolute = sys_.absolute.row(k).data();
+    double* u = report_.entitlement.row(k).data();
+    u[k] = sys_.retained[k] * vk;
+    for (const std::size_t i : members) {
       if (i == k) continue;
-      const double raw = vk * report_.shares(k, i) + sys_.absolute(k, i);
+      const double raw = vk * share[i] + absolute[i];
       if (raw > vk) ++u_clamps;
-      report_.entitlement(k, i) = std::min(raw, vk);
+      u[i] = std::min(raw, vk);
     }
   }
-  obs_clamp_u_->inc(u_clamps);
-  for (std::size_t i = 0; i < n; ++i) {
-    double c = report_.entitlement(i, i);
-    for (std::size_t k = 0; k < n; ++k)
-      if (k != i) c += report_.entitlement(k, i);
-    report_.capacity[i] = c;
+  for (const std::size_t i : members) {
+    double cap = report_.entitlement.at_unchecked(i, i);
+    for (const std::size_t k : members)
+      if (k != i) cap += report_.entitlement.at_unchecked(k, i);
+    report_.capacity[i] = cap;
   }
+  return u_clamps;
+}
+
+void Allocator::commit_capacities(std::span<const double> next) {
+  AGORA_REQUIRE(next.size() == sys_.size(), "capacity vector size mismatch");
+  for (double x : next) AGORA_REQUIRE(x >= 0.0 && std::isfinite(x), "capacities must be >= 0");
+  std::uint64_t u_clamps = 0;
+  for (std::size_t c = 0; c < components_.size(); ++c) {
+    const std::vector<std::size_t>& members = components_[c];
+    if (std::all_of(members.begin(), members.end(),
+                    [&](std::size_t k) { return next[k] == sys_.capacity[k]; }))
+      continue;
+    for (const std::size_t k : members) sys_.capacity[k] = next[k];
+    u_clamps += refresh_component(c);
+  }
+  obs_clamp_u_->inc(u_clamps);
 }
 
 lp::SolveResult Allocator::run_solver(const lp::Problem& p) const {
@@ -178,7 +201,8 @@ bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan
   fast_x_.assign(m + 1, 0.0);
   fast_x_[local_of_[a]] = amount;
   fast_x_[m] = theta;
-  const lp::Certificate cert = verifier_.certify_admission(model.problem(), fast_x_, theta);
+  const lp::Certificate cert =
+      verifiers_[component_of_[a]].certify_admission(model.problem(), fast_x_, theta);
   if (!cert.certified) {
     fastpath_fallthrough_.inc();
     if constexpr (obs::kEnabled) obs_fastpath_fallthrough_->inc();
@@ -202,6 +226,26 @@ bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan
   return true;
 }
 
+bool Allocator::try_closed_form_denial(std::size_t a, double amount,
+                                       AllocationModelCache& model,
+                                       AllocationPlan& plan) const {
+  // C_a is the sum of the draw bounds U_ka over a's component (U_ka is zero
+  // elsewhere), and theta has no upper bound, so the perturbation rows never
+  // decide feasibility: the demand row alone does. Amounts within the band
+  // above C_a go to the LP, which decides them at its own tolerances.
+  const double cap = report_.capacity[a];
+  const double tol = opts_.solve.tols.farkas;
+  if (!(amount - cap > tol * (1.0 + std::max(amount, cap)))) return false;
+  const lp::Certificate cert =
+      verifiers_[component_of_[a]].certify_infeasible(model.problem(), model.demand_farkas());
+  if (!cert.certified) return false;
+  plan.status = PlanStatus::Insufficient;
+  plan.certified = true;
+  plan.lp_iterations = 0;
+  obs_closed_form_denials_->inc();
+  return true;
+}
+
 AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact) const {
   const std::size_t n = sys_.size();
   AllocationPlan plan;
@@ -217,6 +261,7 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
     // Allocator; each request only patches the draw bounds (U_kA) and the
     // demand rhs of its requester's component.
     AllocationModelCache& model = component_model(a, amount);
+    if (try_closed_form_denial(a, amount, model, plan)) return plan;
     members = model.members();
     const bool revised = opts_.solve.backend == lp::Backend::Revised;
     if (opts_.certify) {
@@ -382,48 +427,27 @@ AllocationPlan Allocator::solve_full(std::size_t a, double amount, bool exact) c
 void Allocator::apply(const AllocationPlan& plan) {
   AGORA_REQUIRE(plan.satisfied(), "cannot apply an unsatisfied plan");
   AGORA_REQUIRE(plan.draw.size() == sys_.size(), "plan size mismatch");
-  bool changed = false;
+  next_capacity_.resize(sys_.size());
   for (std::size_t i = 0; i < sys_.size(); ++i) {
     AGORA_REQUIRE(plan.draw[i] <= sys_.capacity[i] + 1e-7,
                   "plan draws more than a principal owns");
-    const double next = std::max(0.0, sys_.capacity[i] - plan.draw[i]);
-    if (next != sys_.capacity[i]) {
-      sys_.capacity[i] = next;
-      changed = true;
-    }
+    next_capacity_[i] = std::max(0.0, sys_.capacity[i] - plan.draw[i]);
   }
-  // Entitlements depend only on capacities here, so a zero-delta plan (e.g.
-  // an amount of 0, common in traces) skips the O(n^2) refresh.
-  if (changed) refresh_availability();
+  commit_capacities(next_capacity_);
 }
 
 void Allocator::release(const std::vector<double>& give_back) {
   AGORA_REQUIRE(give_back.size() == sys_.size(), "release size mismatch");
-  bool changed = false;
+  next_capacity_.resize(sys_.size());
   for (std::size_t i = 0; i < sys_.size(); ++i) {
     AGORA_REQUIRE(give_back[i] >= 0.0, "release must be non-negative");
-    if (give_back[i] > 0.0) {
-      sys_.capacity[i] += give_back[i];
-      changed = true;
-    }
+    next_capacity_[i] = sys_.capacity[i] + give_back[i];
   }
-  if (changed) refresh_availability();
+  commit_capacities(next_capacity_);
 }
 
-void Allocator::set_capacities(std::vector<double> v) {
-  AGORA_REQUIRE(v.size() == sys_.size(), "capacity vector size mismatch");
-  for (double x : v) AGORA_REQUIRE(x >= 0.0 && std::isfinite(x), "capacities must be >= 0");
-  if (v == sys_.capacity) return;  // epoch refresh with unchanged loads
-  sys_.capacity = std::move(v);
-  refresh_availability();
-}
+void Allocator::set_capacities(const std::vector<double>& v) { commit_capacities(v); }
 
-void Allocator::set_capacities(std::span<const double> v) {
-  AGORA_REQUIRE(v.size() == sys_.size(), "capacity vector size mismatch");
-  for (double x : v) AGORA_REQUIRE(x >= 0.0 && std::isfinite(x), "capacities must be >= 0");
-  if (std::equal(v.begin(), v.end(), sys_.capacity.begin())) return;
-  sys_.capacity.assign(v.begin(), v.end());
-  refresh_availability();
-}
+void Allocator::set_capacities(std::span<const double> v) { commit_capacities(v); }
 
 }  // namespace agora::alloc

@@ -19,7 +19,9 @@
 //     rows. This is what the simulator uses. With reuse_context on (the
 //     default) each consult solves it over the requester's connected
 //     agreement component only -- (m+1) variables and rows for a component
-//     of m -- which has the same optimum (see AllocationModelCache).
+//     of m -- which has the same optimum (see AllocationModelCache). On
+//     that path a request above C_A is denied in closed form, without an
+//     LP, and the denial is certified by a Farkas vector.
 //   * FullPaper: the paper's verbatim variable set -- I'_ij, C'_i, V'_i and
 //     theta, i.e. n^2 + n + 1 variables with constraints (1)-(6). Useful
 //     for fidelity and as a stress test for the LP substrate.
@@ -133,18 +135,22 @@ class Allocator : public AllocatorBase {
   /// Largest request principal `a` could have satisfied right now (C_a).
   double available_to(std::size_t a) const override { return report_.capacity.at(a); }
 
-  /// Commit a plan: subtract draws from capacities and recompute the
-  /// availability report.
+  /// Commit a plan: subtract draws from capacities and refresh the
+  /// availability of every component the plan drew on. Throws, leaving the
+  /// allocator untouched, when any draw exceeds its principal's capacity.
   void apply(const AllocationPlan& plan) override;
 
   /// Return capacity to principals (e.g. when borrowed work completes).
+  /// Throws, leaving the allocator untouched, on a negative or non-finite
+  /// entry.
   void release(const std::vector<double>& give_back) override;
 
   /// Replace all capacities (the simulator refreshes V_i each epoch from
-  /// LRM reports) without touching the agreement matrices. A no-op (skipping
-  /// the O(n^2) availability refresh) when the vector is unchanged. The span
-  /// overload copies into existing storage and is allocation-free.
-  void set_capacities(std::vector<double> v);
+  /// LRM reports) without touching the agreement matrices. Only components
+  /// whose capacities moved are refreshed, so an unchanged vector is a
+  /// no-op. Both overloads copy into existing storage and are
+  /// allocation-free.
+  void set_capacities(const std::vector<double>& v);
   void set_capacities(std::span<const double> v) override;
 
   /// Degradation telemetry of the certified solve chain (attempts,
@@ -161,6 +167,14 @@ class Allocator : public AllocatorBase {
   /// Attempt the theta<=1 self-draw grant; true when `plan` was filled with a
   /// certified Satisfied plan, false to fall through to the LP.
   bool try_fast_path(std::size_t a, double amount, AllocationPlan& plan) const;
+  /// Closed-form denial on `model` (a's component, patched for the request):
+  /// the relaxed compact LP is feasible exactly when amount <= C_a =
+  /// sum_k U_ka (DESIGN.md section 3). When the amount exceeds C_a by more
+  /// than the Farkas tolerance and the Verifier certifies the model's
+  /// demand Farkas vector, fills `plan` as a certified Insufficient with no
+  /// LP and returns true; otherwise returns false to fall through to the LP.
+  bool try_closed_form_denial(std::size_t a, double amount, AllocationModelCache& model,
+                              AllocationPlan& plan) const;
   /// The cached model of a's component (built on first use), patched for
   /// request (a, amount).
   AllocationModelCache& component_model(std::size_t a, double amount) const;
@@ -171,16 +185,29 @@ class Allocator : public AllocatorBase {
   /// outcome + fallback depth on the plan.
   lp::SolveResult run_certified(const lp::Problem& p, lp::SolveWorkspace* ws,
                                 AllocationPlan& plan) const;
-  /// Refresh entitlements/capacities from the cached share matrix. The
-  /// transitive closure depends only on S, so capacity updates (which the
-  /// simulator performs every scheduling epoch) stay O(n^2).
-  void refresh_availability();
+  /// The one capacity write behind apply, release and set_capacities:
+  /// validate the whole vector `next` (size, finite, >= 0) before touching
+  /// anything, then store it and refresh every component whose capacities
+  /// moved. The transitive closure depends only on S, so a refresh costs
+  /// O(m^2) for a component of m, and components left unchanged cost one
+  /// comparison per member.
+  void commit_capacities(std::span<const double> next);
+  /// Recompute U_ki for k, i in component c and C_i for its members from
+  /// the current capacities. Sums run in ascending principal order like a
+  /// whole-matrix pass, whose extra terms (U_ki across components) are
+  /// exact zeros, so the report is bitwise that of a full refresh. Returns
+  /// how many entitlements were clamped at V_k.
+  std::uint64_t refresh_component(std::size_t c);
 
   agree::AgreementSystem sys_;
   AllocatorOptions opts_;
   agree::CapacityReport report_;
   /// Cached registry handles (see obs/metrics.h); plan counters mutate
-  /// behind const allocate().
+  /// behind const allocate(). alloc.clamp.entitlement_u counts the U_ki
+  /// clamped at V_k in each component a capacity write refreshes, so a
+  /// commit adds only the clamps of the components it moved.
+  /// alloc.plans.closed_form_denials counts the Insufficient plans decided
+  /// without an LP (a subset of alloc.plans.insufficient).
   obs::LogHistogram* obs_plan_seconds_ = nullptr;
   obs::Counter* obs_cache_hits_ = nullptr;
   obs::Counter* obs_cache_misses_ = nullptr;
@@ -190,6 +217,7 @@ class Allocator : public AllocatorBase {
   obs::Counter* obs_plans_insufficient_ = nullptr;
   obs::Counter* obs_plans_denied_ = nullptr;
   obs::Counter* obs_plans_failed_ = nullptr;
+  obs::Counter* obs_closed_form_denials_ = nullptr;
   obs::Counter* obs_fastpath_granted_ = nullptr;
   obs::Counter* obs_fastpath_fallthrough_ = nullptr;
   /// Connected agreement components (agree::connected_components), fixed at
@@ -203,9 +231,14 @@ class Allocator : public AllocatorBase {
   mutable std::vector<AllocationModelCache> models_;
   /// Certified solve chain (statistics mutate behind const allocate()).
   mutable lp::SolvePipeline pipeline_;
-  /// Admission-certification scratch for the fast path.
-  mutable lp::Verifier verifier_;
+  /// Verifier of the fast path's admissions and the closed-form denials,
+  /// one per component model: a Verifier repatches its standard form only
+  /// while it keeps checking the same Problem, so sharing one across
+  /// components would rebuild it on every switch.
+  mutable std::vector<lp::Verifier> verifiers_;
   mutable std::vector<double> fast_x_;
+  /// Scratch for the capacity vector apply() and release() commit.
+  std::vector<double> next_capacity_;
   mutable RelaxedCounter fastpath_granted_;
   mutable RelaxedCounter fastpath_fallthrough_;
 };

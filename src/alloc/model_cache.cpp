@@ -1,5 +1,6 @@
 #include "alloc/model_cache.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "lp/model_builder.h"
@@ -37,6 +38,9 @@ void AllocationModelCache::build(const agree::AgreementSystem& sys,
 
   mb.minimize(lp::LinExpr(theta));
   problem_ = std::move(mb.problem());
+  farkas_.assign(2 * m + 1, 0.0);
+  farkas_[0] = 1.0;
+  std::fill(farkas_.begin() + static_cast<std::ptrdiff_t>(m + 1), farkas_.end(), -1.0);
   members_ = std::move(members);
   built_ = true;
   ws_.invalidate();

@@ -57,6 +57,16 @@ class AllocationModelCache {
 
   /// Global index of each draw variable, in variable order.
   const std::vector<std::size_t>& members() const { return members_; }
+  /// Standard-form Farkas multipliers (lp::Verifier::certify_infeasible)
+  /// for "the demand exceeds the sum of the draw bounds": +1 on the demand
+  /// row, 0 on each perturbation row, -1 on each draw's bound row. Standard
+  /// form lays out the constraint rows, then one y <= hi - lo row per draw
+  /// in variable order (theta has no finite upper bound, hence no row). So
+  /// y'A is 1 - 1 = 0 on a draw column, 0 on theta and the perturbation
+  /// slacks, -1 on a bound slack, and y'b = amount - sum_k U_kA: a valid
+  /// certificate exactly when the request exceeds the component's C_A.
+  /// Fixed by the structure, so built once with it.
+  const std::vector<double>& demand_farkas() const { return farkas_; }
   lp::Problem& problem() { return problem_; }
   lp::SolveWorkspace& workspace() { return ws_; }
 
@@ -70,6 +80,7 @@ class AllocationModelCache {
  private:
   bool built_ = false;
   std::vector<std::size_t> members_;
+  std::vector<double> farkas_;
   lp::Problem problem_;
   lp::SolveWorkspace ws_;
 };

@@ -221,10 +221,10 @@ alloc::AllocationPlan EnforcementEngine::decide(Shard& shard, std::size_t a,
   if (fed_ && plan.satisfied() && opts_.federation.gap_probes > 0)
     sample_gap(shard, plan, a, amount);
   // Cache certified outcomes of BOTH polarities: grants for replay, and
-  // Insufficient denials (certified infeasible via the Farkas witness when
-  // the pipeline runs certify-on) so a requester hammering an impossible
-  // amount stops costing an LP solve per refusal. Denied / SolverFailed are
-  // give-ups, never cached.
+  // Insufficient denials (certified infeasible by a Farkas vector, mostly
+  // the allocator's closed-form one) so a requester hammering an impossible
+  // amount is refused without reaching the allocator. Denied /
+  // SolverFailed are give-ups, never cached.
   if (pcache_ && plan.certified &&
       (plan.status == alloc::PlanStatus::Satisfied ||
        plan.status == alloc::PlanStatus::Insufficient))

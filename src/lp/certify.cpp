@@ -337,9 +337,10 @@ Certificate Verifier::certify_infeasible(const Problem& p, const std::vector<dou
     return cert;
   }
 
-  // Rebuild the standard form independently from the problem data; the
-  // certificate lives in its row space.
-  rebuild_standard_form(p, sf_);
+  // The certificate lives in the row space of the standard form, which is
+  // derived here independently from the problem data: repatched from its
+  // rhs and bounds when sf_ was built from this problem's structure.
+  if (!repatch_standard_form_rhs(p, sf_)) rebuild_standard_form(p, sf_);
   const std::size_t m = sf_.rows();
   if (farkas.size() != m) {
     cert.reject = "Farkas certificate has the wrong dimension";
@@ -409,7 +410,7 @@ Certificate Verifier::certify_unbounded(const Problem& p, const std::vector<doub
     }
   }
 
-  rebuild_standard_form(p, sf_);
+  if (!repatch_standard_form_rhs(p, sf_)) rebuild_standard_form(p, sf_);
   const std::size_t m = sf_.rows();
   const std::size_t n = sf_.cols();
   if (ray.size() != n) {

@@ -30,7 +30,12 @@
 //
 // A Verifier keeps reusable scratch so steady-state certification of the
 // warm consult loop allocates nothing; like SolveWorkspace it is therefore
-// single-threaded state.
+// single-threaded state. The Farkas and ray checks need the standard form;
+// a Verifier that checks the same Problem again (same instance id and
+// structural revision, only rhs and bound values moved) repatches b in its
+// scratch instead of rebuilding A, so one Verifier per model keeps repeated
+// denials cheap. Either way the form is derived from the problem data
+// alone, never from a solver's workspace.
 #pragma once
 
 #include <cstddef>
@@ -108,7 +113,9 @@ class Verifier {
                                 double objective);
 
   /// Check a Farkas certificate (standard-form row multipliers) for a
-  /// claimed-infeasible problem.
+  /// claimed-infeasible problem. The certificate need not come from a
+  /// solver: the allocator's closed-form denials pass a vector built from
+  /// the model's structure (AllocationModelCache::demand_farkas).
   Certificate certify_infeasible(const Problem& p, const std::vector<double>& farkas);
 
   /// Check a feasible point + standard-form ray for a claimed-unbounded
@@ -118,7 +125,7 @@ class Verifier {
 
  private:
   Tolerances tols_;
-  /// Reused standard-form rebuild target for Farkas/ray checks (optimal
+  /// Standard form of the last problem a Farkas/ray check saw (optimal
   /// claims are checked purely in the original problem space).
   StandardForm sf_;
   std::vector<double> z_;     ///< reduced-cost / row-sum scratch

@@ -230,7 +230,10 @@ GrmStateMachine::Decision GrmStateMachine::decide(const AllocationRequest& req, 
     cmd.amounts = amounts;
     cmd.duration = req.duration;
     out.reserves.emplace_back(s, std::move(cmd));
-    for (std::size_t r = 0; r < allocators_.size(); ++r) known_[r][s] -= amounts[r];
+    // Clamp at 0 like Allocator::apply: round-off in a full draw must not
+    // leave -eps behind for the next decide() to reject.
+    for (std::size_t r = 0; r < allocators_.size(); ++r)
+      known_[r][s] = std::max(0.0, known_[r][s] - amounts[r]);
   }
 
   out.kind = Decision::Kind::Granted;

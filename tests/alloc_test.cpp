@@ -4,13 +4,16 @@
 // hierarchical multi-grid allocator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "agree/topology.h"
 #include "alloc/allocator.h"
 #include "alloc/endpoint.h"
 #include "alloc/hierarchical.h"
 #include "alloc/multi_resource.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace agora::alloc {
@@ -150,6 +153,127 @@ TEST(Allocator, SetCapacitiesRefreshesReport) {
   Allocator alloc(two_node_donor());
   alloc.set_capacities({0.0, 20.0});
   EXPECT_NEAR(alloc.available_to(0), 10.0, 1e-12);
+}
+
+AgreementSystem mutual_pair_and_bystander() {
+  // 0 and 1 share half their capacity with each other; 2 stands alone.
+  AgreementSystem sys(3);
+  sys.capacity = {5.0, 5.0, 5.0};
+  sys.relative(0, 1) = 0.5;
+  sys.relative(1, 0) = 0.5;
+  return sys;
+}
+
+/// A rejected mutation must leave capacities and the availability report
+/// exactly as they were: equal to a fresh allocator over the same system.
+void expect_untouched(const Allocator& alloc) {
+  EXPECT_EQ(alloc.system().capacity, (std::vector<double>{5.0, 5.0, 5.0}));
+  const Allocator fresh(alloc.system());
+  EXPECT_EQ(alloc.capacities().capacity, fresh.capacities().capacity);
+  const auto got = alloc.capacities().entitlement.flat();
+  const auto want = fresh.capacities().entitlement.flat();
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+  EXPECT_EQ(alloc.available_to(0), 7.5);
+}
+
+TEST(Allocator, ApplyThatThrowsLeavesTheAllocatorUntouched) {
+  Allocator alloc(mutual_pair_and_bystander());
+  AllocationPlan plan;
+  plan.status = PlanStatus::Satisfied;
+  plan.draw = {1.0, 0.0, 50.0};  // principal 2 owns only 5
+  EXPECT_THROW(alloc.apply(plan), PreconditionError);
+  expect_untouched(alloc);
+}
+
+TEST(Allocator, ReleaseThatThrowsLeavesTheAllocatorUntouched) {
+  Allocator alloc(mutual_pair_and_bystander());
+  EXPECT_THROW(alloc.release({1.0, -1.0, 0.0}), PreconditionError);
+  expect_untouched(alloc);
+}
+
+TEST(Allocator, ReleaseRejectsNonFiniteAmounts) {
+  Allocator alloc(mutual_pair_and_bystander());
+  EXPECT_THROW(alloc.release({0.0, std::numeric_limits<double>::infinity(), 0.0}),
+               PreconditionError);
+  EXPECT_THROW(alloc.release({0.0, std::nan(""), 0.0}), PreconditionError);
+  expect_untouched(alloc);
+}
+
+// ---------------------------------------------------- closed-form denials ---
+
+AgreementSystem two_islands() {
+  // Islands {0, 1} and {2, 3}; each pair shares half both ways.
+  AgreementSystem sys(4);
+  sys.capacity = {4.0, 6.0, 3.0, 9.0};
+  sys.relative(0, 1) = 0.5;
+  sys.relative(1, 0) = 0.5;
+  sys.relative(2, 3) = 0.5;
+  sys.relative(3, 2) = 0.5;
+  return sys;
+}
+
+TEST(ClosedFormDenial, OverCapacityConsultIsCertifiedWithoutAnLp) {
+  for (const lp::Backend backend : {lp::Backend::Tableau, lp::Backend::Revised}) {
+    obs::MetricsRegistry reg;
+    AllocatorOptions opts;
+    opts.solve.backend = backend;
+    opts.sink = obs::Sink{&reg, nullptr};
+    Allocator alloc(two_islands(), opts);
+    ASSERT_TRUE(alloc.allocate(1, 1.0).satisfied());
+    const std::uint64_t solves = alloc.solver_stats()->solves;
+    // Twice round both islands: the second pass repatches each component's
+    // Verifier instead of rebuilding its standard form.
+    for (int pass = 0; pass < 2; ++pass)
+      for (std::size_t a = 0; a < 4; ++a) {
+        const AllocationPlan denied = alloc.allocate(a, 2.0 * alloc.available_to(a) + 1.0);
+        EXPECT_EQ(denied.status, PlanStatus::Insufficient) << "principal " << a;
+        EXPECT_TRUE(denied.certified) << "principal " << a;
+        EXPECT_EQ(denied.lp_iterations, 0u) << "principal " << a;
+      }
+    EXPECT_EQ(alloc.solver_stats()->solves, solves);
+    if constexpr (obs::kEnabled) {
+      EXPECT_EQ(reg.counter("alloc.plans.closed_form_denials").value(), 8u);
+      EXPECT_EQ(reg.counter("alloc.plans.insufficient").value(), 8u);
+    }
+  }
+}
+
+TEST(ClosedFormDenial, AmountsAtOrJustAboveCapacityGoToTheLp) {
+  obs::MetricsRegistry reg;
+  AllocatorOptions opts;
+  opts.sink = obs::Sink{&reg, nullptr};
+  Allocator alloc(two_islands(), opts);
+  const double cap = alloc.available_to(0);
+  const double band = opts.solve.tols.farkas * (1.0 + cap);
+  std::uint64_t solves = alloc.solver_stats()->solves;
+  for (const double amount : {cap, cap + 0.25 * band, cap + 0.9 * band}) {
+    (void)alloc.allocate(0, amount);
+    EXPECT_EQ(alloc.solver_stats()->solves, ++solves) << "amount " << amount;
+  }
+  EXPECT_TRUE(alloc.allocate(0, cap).satisfied());
+  ++solves;
+  // Past the band the same consult needs no LP.
+  const AllocationPlan denied = alloc.allocate(0, cap + 2.0 * band);
+  EXPECT_EQ(denied.status, PlanStatus::Insufficient);
+  EXPECT_TRUE(denied.certified);
+  EXPECT_EQ(denied.lp_iterations, 0u);
+  EXPECT_EQ(alloc.solver_stats()->solves, solves);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("alloc.plans.closed_form_denials").value(), 1u);
+  }
+}
+
+TEST(ClosedFormDenial, ExactModeAndFullPaperKeepTheLp) {
+  AllocatorOptions exact;
+  exact.equality = EqualityMode::Exact;
+  AllocatorOptions full;
+  full.formulation = Formulation::FullPaper;
+  for (const AllocatorOptions& opts : {exact, full}) {
+    Allocator alloc(two_islands(), opts);
+    const AllocationPlan denied = alloc.allocate(0, 2.0 * alloc.available_to(0));
+    EXPECT_EQ(denied.status, PlanStatus::Insufficient);
+    EXPECT_EQ(alloc.solver_stats()->solves, 1u);
+  }
 }
 
 TEST(Allocator, ExactModeFeasibleWithFullShares) {

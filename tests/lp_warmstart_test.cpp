@@ -173,14 +173,22 @@ TEST(LpWarmstart, InfeasibleAndUnboundedPerturbationsAreDetected) {
   SolveWorkspace ws;
   f.perturb(rng);
   ASSERT_EQ(revised.solve(f.problem, &ws).status, Status::Optimal);
+  ASSERT_TRUE(ws.warm);
+  const std::vector<std::size_t> optimal_basis = ws.warm_basis;
   // Demand beyond the sum of the bounds: infeasible under a warm basis.
   f.problem.set_rhs(0, 1e6);
   EXPECT_EQ(revised.solve(f.problem, &ws).status, Status::Infeasible);
   EXPECT_EQ(revised.solve(f.problem).status, Status::Infeasible);
-  // And recovery back to a feasible rhs keeps working.
+  // Only b moved, so the workspace stays warm on the last optimal basis...
+  EXPECT_TRUE(ws.warm);
+  EXPECT_EQ(ws.warm_basis, optimal_basis);
+  // ...and recovery back to a feasible rhs starts from it: no phase 1, so
+  // fewer pivots than the cold two-phase solve, and the same answer.
   f.problem.set_rhs(0, 0.25);
   const SolveResult back = revised.solve(f.problem, &ws);
-  expect_same_result(revised.solve(f.problem), back, "recovery after infeasible");
+  const SolveResult cold = revised.solve(f.problem);
+  expect_same_result(cold, back, "recovery after infeasible");
+  EXPECT_LT(back.iterations, cold.iterations);
 }
 
 }  // namespace
@@ -252,8 +260,11 @@ TEST(AllocatorWarmstart, LockstepEnginesAgreeOverRequestReleaseSequences) {
   }
 }
 
-/// A denial must not cost the next consult its warm start: the infeasible
-/// solve moved only b, so the last optimal basis stays valid for (A, c).
+/// A denial must not cost the next consult its warm start. An over-capacity
+/// denial is decided in closed form and never touches the workspace; the
+/// LP-level property (an infeasible solve moved only b, so the last optimal
+/// basis stays valid for (A, c)) is pinned by
+/// LpWarmstart.InfeasibleAndUnboundedPerturbationsAreDetected.
 TEST(AllocatorWarmstart, InfeasibleConsultKeepsTheWarmBasis) {
   agree::AgreementSystem sys(5);
   sys.relative = agree::complete_graph(5, 0.1);
@@ -266,11 +277,12 @@ TEST(AllocatorWarmstart, InfeasibleConsultKeepsTheWarmBasis) {
   const AllocationPlan denied = alloc.allocate(1, 2.0 * avail);
   EXPECT_EQ(denied.status, PlanStatus::Insufficient);
   EXPECT_TRUE(denied.certified);
+  EXPECT_EQ(denied.lp_iterations, 0u);  // closed form: no LP
   ASSERT_TRUE(alloc.allocate(1, 0.6 * avail).satisfied());
   const lp::PipelineStats& s = *alloc.solver_stats();
   constexpr int kWarm = static_cast<int>(lp::PipelineStage::WarmRevised);
   constexpr int kCold = static_cast<int>(lp::PipelineStage::ColdRevised);
-  EXPECT_EQ(s.attempts[kWarm], 2u);  // the denial and the consult after it
+  EXPECT_EQ(s.attempts[kWarm], 1u);  // the consult after the denial
   EXPECT_EQ(s.attempts[kCold], 1u);  // only the very first consult
   EXPECT_EQ(s.failures[kWarm], 0u);
 }

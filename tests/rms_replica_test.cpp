@@ -9,6 +9,7 @@
 #include <set>
 
 #include "agree/matrices.h"
+#include "agree/topology.h"
 #include "rms/bus.h"
 #include "rms/client.h"
 #include "rms/grm.h"
@@ -64,6 +65,67 @@ TEST(GrmStateMachineTest, SnapshotRestoreRoundTripsDigest) {
   EXPECT_EQ(da.reply.granted, db.reply.granted);
   EXPECT_EQ(da.reply.draws, db.reply.draws);
   EXPECT_EQ(a.digest(), b.digest());
+}
+
+/// Eight sites on a complete graph of 0.12 shares, capacities 5 + i, every
+/// site registered and none reporting: the economy of the drain and
+/// restore tests below.
+GrmStateMachine eight_site_machine() {
+  agree::AgreementSystem cpu(8);
+  cpu.relative = agree::complete_graph(8, 0.12);
+  for (std::size_t i = 0; i < 8; ++i) cpu.capacity[i] = 5.0 + static_cast<double>(i);
+  GrmStateMachine sm({cpu}, {}, {});
+  for (std::size_t s = 0; s < 8; ++s) sm.register_site(s);
+  return sm;
+}
+
+/// Decision k of the warm-up stream (principal 3k mod 8, amount 1 + 0.1k).
+AllocationRequest warmup_request(std::uint64_t k) {
+  return make_request(1 + k, (3 * k) % 8, 1.0 + 0.1 * static_cast<double>(k));
+}
+
+/// Decision j of the stream that follows it (principal 5j mod 8, amount
+/// 0.8 + 0.05j), which drains sites to exactly zero along the way.
+AllocationRequest drain_request(std::uint64_t j) {
+  return make_request(1000 + j, (5 * j) % 8, 0.8 + 0.05 * static_cast<double>(j));
+}
+
+TEST(GrmStateMachineTest, FullDrawLeavesNoNegativeCapacityBehind) {
+  // A grant that draws a site dry must commit 0, not -eps: the next
+  // decide() hands the known capacities to the allocator, which rejects a
+  // negative one. Unclamped, decision j = 14 below threw on a site left at
+  // -3.5e-18 by an earlier grant.
+  GrmStateMachine sm = eight_site_machine();
+  for (std::uint64_t k = 0; k < 20; ++k) (void)sm.decide(warmup_request(k), 1.0, true);
+  for (std::uint64_t j = 0; j < 40; ++j) {
+    GrmStateMachine::Decision d;
+    ASSERT_NO_THROW(d = sm.decide(drain_request(j), 2.0, true)) << "decision " << j;
+    EXPECT_NE(d.kind, GrmStateMachine::Decision::Kind::Unsatisfied) << "decision " << j;
+  }
+  const GrmSnapshot snap = sm.snapshot();
+  for (double v : snap.known[0]) EXPECT_GE(v, 0.0);
+}
+
+TEST(GrmStateMachineTest, RestoredMachineDecidesInLockstep) {
+  // A replica restored from a snapshot must decide every later request
+  // exactly like the machine it was restored from: its rebuilt allocators
+  // start with no solver history, so this pins that plans depend only on
+  // replicated state.
+  GrmStateMachine a = eight_site_machine();
+  for (std::uint64_t k = 0; k < 20; ++k) (void)a.decide(warmup_request(k), 1.0, true);
+  GrmStateMachine b = eight_site_machine();
+  b.restore(a.snapshot());
+  ASSERT_EQ(a.digest(), b.digest());
+  std::uint64_t granted = 0;
+  for (std::uint64_t j = 0; j < 40; ++j) {
+    const auto da = a.decide(drain_request(j), 2.0, true);
+    const auto db = b.decide(drain_request(j), 2.0, true);
+    ASSERT_EQ(da.kind, db.kind) << "decision " << j;
+    EXPECT_EQ(da.reply.draws, db.reply.draws) << "decision " << j;
+    ASSERT_EQ(a.digest(), b.digest()) << "decision " << j;
+    if (da.kind == GrmStateMachine::Decision::Kind::Granted) ++granted;
+  }
+  EXPECT_GT(granted, 0u);
 }
 
 TEST(GrmStateMachineTest, DecidedCacheEvictsFifoAndCounts) {

@@ -23,10 +23,13 @@ cmake --build build -j
 # pivot search / eta-file replay -- index-heavy code where out-of-bounds
 # reads and UB would hide), the known-answer and shadow-price suites
 # (lp_test, lp_duals_test: every textbook LP through the sparse factors as
-# well as the tableau), plus the warm-start and per-component allocator
-# suites (workspaces carried across solves, component-local models scattered
-# back into global index space), and the engine suites (engine_test,
-# engine_stress_test: blocking consults and mutations run the shard's
+# well as the tableau), plus the warm-start and allocator suites
+# (workspaces carried across solves, component-local models scattered back
+# into global index space; alloc_test and alloc_property_test pin the
+# per-component availability refresh, whose entitlement blocks are indexed
+# by component members, and the closed-form denials, whose Farkas vector
+# addresses the standard form's rows by layout), and the engine suites
+# (engine_test, engine_stress_test: blocking consults and mutations run the shard's
 # allocator, credit table and gap ring on the caller's thread, so those
 # objects' lifetimes now span threads the tests drive). The sanitizer build
 # compiles with -ffp-contract=off so its floating-point results match the
@@ -34,9 +37,9 @@ cmake --build build -j
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
 cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   rms_failover_test fuzz_test lp_test lp_duals_test lp_certify_test \
-  lp_adversarial_test lp_sparse_test lp_warmstart_test alloc_components_test \
-  engine_test engine_stress_test engine_cache_test engine_federation_test \
-  credit_conservation_test federation_chaos_test net_frame_test net_service_test \
+  lp_adversarial_test lp_sparse_test lp_warmstart_test alloc_test alloc_property_test \
+  alloc_components_test engine_test engine_stress_test engine_cache_test \
+  engine_federation_test credit_conservation_test federation_chaos_test net_frame_test net_service_test \
   net_soak_test
 ./build-asan/tests/rms_test
 ./build-asan/tests/rms_chaos_test
@@ -49,6 +52,8 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 ./build-asan/tests/lp_adversarial_test
 ./build-asan/tests/lp_sparse_test
 ./build-asan/tests/lp_warmstart_test
+./build-asan/tests/alloc_test
+./build-asan/tests/alloc_property_test
 ./build-asan/tests/alloc_components_test
 ./build-asan/tests/engine_test
 ./build-asan/tests/engine_stress_test
