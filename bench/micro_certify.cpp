@@ -70,7 +70,6 @@ Scenario make_scenario() {
 
 alloc::AllocatorOptions engine_opts(bool certify) {
   alloc::AllocatorOptions opts;
-  opts.solve.backend = lp::Backend::Revised;
   opts.reuse_context = true;  // the warm path is where overhead would hide
   opts.certify = certify;
   return opts;

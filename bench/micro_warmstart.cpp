@@ -100,7 +100,6 @@ Scenario make_scenario() {
 
 alloc::AllocatorOptions engine_opts(bool reuse) {
   alloc::AllocatorOptions opts;
-  opts.solve.backend = lp::Backend::Revised;
   opts.reuse_context = reuse;
   return opts;
 }

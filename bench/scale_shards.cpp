@@ -15,11 +15,11 @@
 //     recorded p99 regression bound (kP99BoundUs).
 //
 // A second sweep (DESIGN.md §15) runs the same islands joined into ONE
-// component by weak ring bridges, federated off/on x 1/2/4/8 threads.
-// Without federation a single component at threads>1 falls back to full
-// replicas (every shard solves the 65-variable LP); with federation the
-// bridges are cut, each shard solves its 9-variable local+bank LP, and the
-// sweep records the measured optimality gap the engine reports per epoch.
+// component by weak ring bridges, federated at 1/2/4/8 threads. At one
+// thread the component runs on one exact shard (the 65-variable LP); at
+// more, the bridges are cut, each shard solves its 9-variable local+bank
+// LP, and the sweep records the measured optimality gap the engine reports
+// per epoch.
 //
 // Usage: scale_shards [out.json]   (default BENCH_engine.json)
 #include <algorithm>
@@ -136,9 +136,7 @@ SweepPoint measure(const agora::agree::AgreementSystem& sys, std::size_t threads
 // ------------------------------------------------- single-component sweep ---
 
 struct FedPoint {
-  bool fed_requested = false;
   bool federated = false;
-  bool replicated = false;
   std::size_t threads = 0;
   std::size_t shards = 0;
   std::uint64_t consults = 0;
@@ -152,7 +150,7 @@ struct FedPoint {
 };
 
 FedPoint measure_single_component(const agora::agree::AgreementSystem& sys,
-                                  std::size_t threads, bool fed_on) {
+                                  std::size_t threads) {
   agora::engine::EngineOptions opts;
   opts.threads = threads;
   opts.sink = agora::obs::Sink::none();
@@ -160,7 +158,7 @@ FedPoint measure_single_component(const agora::agree::AgreementSystem& sys,
   // One connected 64-node component: bound the transitive DFS the same way
   // the federation test suites do.
   opts.alloc.transitive.max_level = 3;
-  opts.federation.enabled = fed_on;
+  opts.federation.enabled = true;
   opts.federation.gap_probes = 4;
   agora::engine::EnforcementEngine eng(sys, opts);
 
@@ -171,9 +169,7 @@ FedPoint measure_single_component(const agora::agree::AgreementSystem& sys,
   for (std::size_t i = 0; i < n; ++i) (void)eng.consult(i, amounts[i]);
 
   FedPoint pt;
-  pt.fed_requested = fed_on;
   pt.federated = eng.federated();
-  pt.replicated = eng.replicated();
   pt.threads = threads;
   pt.shards = eng.num_shards();
 
@@ -230,27 +226,22 @@ int main(int argc, char** argv) {
   const double speedup = sweep.back().consults_per_sec / sweep.front().consults_per_sec;
   std::printf("speedup 8 vs 1 threads: %.2fx\n", speedup);
 
-  // Single-component sweep: federated off (full-replica fallback) vs on
-  // (edge-scored cut + border credits), threads 1/2/4/8.
+  // Single-component sweep: one exact shard at threads=1, the edge-scored
+  // cut + border credits at 2/4/8.
   const agora::agree::AgreementSystem one = bridged_economy();
   std::vector<FedPoint> fed_sweep;
-  for (const bool fed_on : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      fed_sweep.push_back(measure_single_component(one, threads, fed_on));
-      const FedPoint& pt = fed_sweep.back();
-      std::printf(
-          "one-component fed=%s threads=%zu shards=%zu%s  %10.0f consults/s  "
-          "certified %.1f%%  gap last/max %.4f/%.4f\n",
-          pt.fed_requested ? "on " : "off", pt.threads, pt.shards,
-          pt.replicated ? " (replicated)" : pt.federated ? " (federated)" : "",
-          pt.consults_per_sec, pt.certified_pct, pt.gap_last_rel, pt.gap_max_rel);
-    }
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    fed_sweep.push_back(measure_single_component(one, threads));
+    const FedPoint& pt = fed_sweep.back();
+    std::printf(
+        "one-component threads=%zu shards=%zu%s  %10.0f consults/s  "
+        "certified %.1f%%  gap last/max %.4f/%.4f\n",
+        pt.threads, pt.shards, pt.federated ? " (federated)" : "", pt.consults_per_sec,
+        pt.certified_pct, pt.gap_last_rel, pt.gap_max_rel);
   }
-  // fed_sweep rows: [0..3] = off x threads{1,2,4,8}, [4..7] = on x same.
-  const double speedup_fed = fed_sweep[7].consults_per_sec / fed_sweep[4].consults_per_sec;
-  const double speedup_rep = fed_sweep[3].consults_per_sec / fed_sweep[0].consults_per_sec;
-  std::printf("one-component speedup 8 vs 1 shards: federated %.2fx, replicated %.2fx\n",
-              speedup_fed, speedup_rep);
+  const double speedup_fed = fed_sweep.back().consults_per_sec / fed_sweep.front().consults_per_sec;
+  std::printf("one-component speedup 8 federated shards vs 1 exact shard: %.2fx\n",
+              speedup_fed);
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
@@ -281,14 +272,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < fed_sweep.size(); ++i) {
     const FedPoint& pt = fed_sweep[i];
     std::fprintf(f,
-                 "      {\"federated_requested\": %s, \"federated\": %s, "
-                 "\"replicated\": %s, \"threads\": %zu, \"shards\": %zu, "
+                 "      {\"federated\": %s, \"threads\": %zu, \"shards\": %zu, "
                  "\"consults\": %llu, \"consults_per_sec\": %.1f, "
                  "\"certified_grant_pct\": %.1f, \"gap_last_rel\": %.6f, "
                  "\"gap_max_rel\": %.6f, \"gap_probes\": %llu, \"credits\": %llu, "
                  "\"settlements\": %llu}%s\n",
-                 pt.fed_requested ? "true" : "false", pt.federated ? "true" : "false",
-                 pt.replicated ? "true" : "false", pt.threads, pt.shards,
+                 pt.federated ? "true" : "false", pt.threads, pt.shards,
                  static_cast<unsigned long long>(pt.consults), pt.consults_per_sec,
                  pt.certified_pct, pt.gap_last_rel, pt.gap_max_rel,
                  static_cast<unsigned long long>(pt.gap_probes),
@@ -297,8 +286,7 @@ int main(int argc, char** argv) {
                  i + 1 < fed_sweep.size() ? "," : "");
   }
   std::fprintf(f, "    ],\n");
-  std::fprintf(f, "    \"speedup_fed_8_vs_1\": %.3f,\n", speedup_fed);
-  std::fprintf(f, "    \"speedup_replicated_8_vs_1\": %.3f\n", speedup_rep);
+  std::fprintf(f, "    \"speedup_fed_8_vs_1\": %.3f\n", speedup_fed);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"speedup_8_vs_1\": %.3f\n}\n", speedup);
   std::fclose(f);

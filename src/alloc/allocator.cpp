@@ -263,11 +263,10 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
     AllocationModelCache& model = component_model(a, amount);
     if (try_closed_form_denial(a, amount, model, plan)) return plan;
     members = model.members();
-    const bool revised = opts_.solve.backend == lp::Backend::Revised;
     if (opts_.certify) {
-      r = run_certified(model.problem(), revised ? &model.workspace() : nullptr, plan);
+      r = run_certified(model.problem(), &model.workspace(), plan);
     } else {
-      r = lp::solve(model.problem(), opts_.solve, revised ? &model.workspace() : nullptr);
+      r = lp::solve(model.problem(), opts_.solve, &model.workspace());
     }
   } else {
     all.resize(n);

@@ -71,24 +71,25 @@ struct AllocatorOptions {
   Formulation formulation = Formulation::Compact;
   EqualityMode equality = EqualityMode::Relaxed;
   /// Every LP knob in one struct (see lp/solve.h): backend choice, presolve
-  /// switch, tolerances. The defaults
-  /// here deliberately diverge from lp::SolveOptions' own to preserve the
-  /// allocator's historical behavior: tableau backend, and presolve off --
-  /// the allocator's hot paths patch a cached model whose structure presolve
-  /// would rebuild per request (and the warm-started workspace path skips
-  /// presolve regardless). Presolve pays off for the FullPaper formulation,
-  /// whose flow equalities it can collapse.
+  /// switch, tolerances. The backend is lp::SolveOptions' own, the revised
+  /// simplex. Presolve is off here: the allocator's hot paths patch a cached
+  /// model whose structure presolve would rebuild per request (and the
+  /// warm-started workspace path skips presolve regardless). Presolve pays
+  /// off for the FullPaper formulation, whose flow equalities it can
+  /// collapse.
   lp::SolveOptions solve = [] {
     lp::SolveOptions o;
-    o.backend = lp::Backend::Tableau;
     o.presolve = false;
     return o;
   }();
-  /// Reuse the compact model structure (and, for the Revised engine, the
-  /// previous optimal basis as a warm start) across allocate() calls, one
-  /// model per connected agreement component, each consult solving only its
-  /// requester's. Off, every consult rebuilds the whole-system model. The
-  /// decisions agree either way (same status, same optimal theta); this
+  /// Reuse the compact model structure and the previous optimal basis, as
+  /// a warm start, across allocate() calls, one model per connected
+  /// agreement component, each consult solving only its requester's. Off,
+  /// every consult rebuilds the whole-system model and solves it cold. The
+  /// decisions agree either way in status and in the certified optimal
+  /// theta, but not in their last bits: a warm solve reaches the same
+  /// vertex with different round-off, so with reuse on a plan depends on
+  /// the allocator's past consults too (DESIGN.md section 11.4). This
   /// removes per-request model rebuilding, solver allocations, and the
   /// variables and rows a requester's entitlements cannot touch. The reuse
   /// state is per Allocator and not synchronized: turn this off if one

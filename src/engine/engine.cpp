@@ -88,10 +88,6 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
         alloc::AllocatorOptions xopts = opts_.alloc;
         xopts.certify = false;  // reference measurements, never admissions
         xopts.fast_path = false;
-        // Warm revised, whatever the admission backend: on a single-component
-        // economy the tableau can stall or misreport a reference solve, and
-        // an unsatisfied reference drops its probe.
-        xopts.solve.backend = lp::Backend::Revised;
         exact_ = std::make_unique<alloc::Allocator>(sys_, xopts);
       }
     }
@@ -112,8 +108,8 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
       shard->bank = fed_->bank_index(s);
       shard->credits = std::move(fed_init[s].credits);
     } else {
-      shard->alloc = std::make_shared<alloc::Allocator>(
-          part_.replicated ? sys_ : induce(sys_, shard->members), opts_.alloc);
+      shard->alloc =
+          std::make_shared<alloc::Allocator>(induce(sys_, shard->members), opts_.alloc);
     }
     shard->obs_queue_depth =
         &opts_.sink.gauge("engine.shard." + std::to_string(s) + ".queue_depth");
@@ -234,7 +230,7 @@ alloc::AllocationPlan EnforcementEngine::decide(Shard& shard, std::size_t a,
 
 alloc::AllocationPlan EnforcementEngine::globalize(const Shard& shard,
                                                    alloc::AllocationPlan local) const {
-  if (part_.replicated || shard.members.size() == n_) return local;
+  if (shard.members.size() == n_) return local;
   const auto snap = cell_.load();
   alloc::AllocationPlan plan;
   plan.status = local.status;
@@ -505,7 +501,7 @@ void EnforcementEngine::mutate(const std::vector<double>& global,
   if (fed_) settled = fed_->settle(global);
   // Only in connectivity mode does a shard's allocator hold exactly its
   // members' capacities, so only there can an unchanged slice be skipped.
-  const bool skippable = !fed_ && !part_.replicated;
+  const bool skippable = !fed_;
   const std::shared_ptr<const CapacitySnapshot> published = cell_.load();
   std::vector<double> available(n_, 0.0);
   std::vector<GapSample> gaps;
@@ -529,9 +525,8 @@ void EnforcementEngine::mutate(const std::vector<double>& global,
     }
     // Behind everything already queued on the shard (per-shard FIFO). Every
     // mutation arrives here reduced to "replace this shard's capacity
-    // slice", so replicas in hash mode stay identical. A settlement that
-    // moved the bank's earmarks also rebuilds the local system (agreement
-    // matrices are immutable on a live allocator).
+    // slice". A settlement that moved the bank's earmarks also rebuilds the
+    // local system (agreement matrices are immutable on a live allocator).
     std::lock_guard<std::mutex> run(shard.run_mu);
     run_queued(shard, 1);
     if (rebuild) {
@@ -544,10 +539,8 @@ void EnforcementEngine::mutate(const std::vector<double>& global,
     }
     if (fed_) shard.credits = std::move(settled[shard.id].credits);
     ++shard.muts_applied;
-    for (std::size_t l = 0; l < shard.members.size(); ++l) {
-      const std::size_t g = shard.members[l];
-      if (part_.shard_of[g] == shard.id) available[g] = shard.alloc->available_to(l);
-    }
+    for (std::size_t l = 0; l < shard.members.size(); ++l)
+      available[shard.members[l]] = shard.alloc->available_to(l);
     gaps.insert(gaps.end(), shard.gap_samples.begin(), shard.gap_samples.end());
     shard.gap_samples.clear();
     shard.gap_next = 0;
@@ -622,7 +615,6 @@ void EnforcementEngine::drain() const {
 EngineStats EnforcementEngine::stats() const {
   EngineStats out;
   out.shards = shards_.size();
-  out.replicated = part_.replicated;
   out.federated = fed_ != nullptr;
   out.components = part_.components;
   out.epoch = cell_.load()->epoch;

@@ -4,8 +4,8 @@
 // The paper evaluates enforcement with ten proxies consulting one allocator
 // serially; production traffic needs admission decisions computed locally
 // and in parallel. EnforcementEngine partitions participants into shards
-// (by agreement-graph connectivity; a single component is either cut
-// federated with border credits or hash-replicated -- see partition.h and
+// (by agreement-graph connectivity; a single component runs on one shard
+// unless federation cuts it with border credits -- see partition.h and
 // federation.h); each shard owns its *own* warm-started allocator
 // (lp::SolveWorkspace + alloc::AllocationModelCache), extending the
 // single-threaded reuse of the warm-start work to per-shard reuse.
@@ -23,7 +23,7 @@
 // holds two run locks, or takes mutate_mu_ while holding a run lock.
 //
 // A mutation locks only the shards whose capacities it changes. In
-// connectivity mode (neither federated nor replicated) a shard's allocator
+// connectivity mode (not federated) a shard's allocator
 // holds exactly its members' capacities, so a shard whose member slice is
 // unchanged is skipped: the mutation advances its epoch counter and reuses
 // the published availability of its members.
@@ -73,7 +73,7 @@ namespace agora::engine {
 struct EngineOptions {
   /// Shard count. 1 (default) = a single shard over the full system,
   /// decision-identical to the direct allocator path. Clamped to the
-  /// participant count; in connectivity mode also to the component count.
+  /// participant count; without federation also to the component count.
   std::size_t threads = 1;
   /// Per-shard allocator configuration. `certify` stays on by default;
   /// `reuse_context` gives each shard its own warm-start workspace.
@@ -84,18 +84,19 @@ struct EngineOptions {
   /// sparse residual re-certification against the current snapshot. Off by
   /// default: with the cache on, repeated shapes are answered from the first
   /// decision of that epoch instead of being re-solved, which a test
-  /// asserting per-call solver telemetry would notice. Decisions themselves
-  /// are unchanged (same epoch => same LP answer, by warm-start
-  /// path-independence).
+  /// asserting per-call solver telemetry would notice. A hit is the plan
+  /// the epoch's first decision produced, bit for bit; a warm re-solve of
+  /// the same shape from a later basis agrees with it in status and theta
+  /// but not necessarily in the last bits (DESIGN.md §11.4).
   bool plan_cache = false;
   /// Slot count for the decision cache (rounded up to a power of two).
   std::size_t plan_cache_slots = std::size_t{1} << 13;
   /// Federated cross-shard enforcement (federation.h). When enabled and the
   /// agreement graph has fewer components than requested shards, the engine
   /// cuts components by edge scoring and carries cut entitlements as border
-  /// credits instead of degrading to full replicas. Decisions stay certified
-  /// against the shard-local problem; the optimality gap versus the exact
-  /// global LP is measured per settlement round (see EngineStats).
+  /// credits instead of running each component on one shard. Decisions stay
+  /// certified against the shard-local problem; the optimality gap versus
+  /// the exact global LP is measured per settlement round (see EngineStats).
   FederationOptions federation;
   /// Telemetry: per-shard queue-depth gauges, batch-size histograms,
   /// coalesce counters, EngineBatch trace events (emitted only for
@@ -144,7 +145,6 @@ struct FederationStats {
 
 struct EngineStats {
   std::size_t shards = 0;
-  bool replicated = false;
   /// Federated split in use: shard boundaries cut agreement edges and the
   /// cut entitlements ride border credits (see `federation`).
   bool federated = false;
@@ -220,7 +220,6 @@ class EnforcementEngine : public alloc::AllocatorBase {
 
   // --- Introspection ------------------------------------------------------
   std::size_t num_shards() const { return shards_.size(); }
-  bool replicated() const { return part_.replicated; }
   bool federated() const { return fed_ != nullptr; }
   std::size_t num_components() const { return part_.components; }
   std::size_t shard_of(std::size_t participant) const;

@@ -15,7 +15,6 @@ constexpr std::size_t kNoBank = std::numeric_limits<std::size_t>::max();
 std::vector<BorderEdge> find_border_edges(const agree::AgreementSystem& sys,
                                           const Partition& part) {
   std::vector<BorderEdge> edges;
-  if (part.replicated) return edges;
   const std::size_t n = sys.size();
   for (std::size_t l = 0; l < n; ++l) {
     for (std::size_t b = 0; b < n; ++b) {
@@ -30,7 +29,6 @@ std::vector<BorderEdge> find_border_edges(const agree::AgreementSystem& sys,
 Federation::Federation(const agree::AgreementSystem& sys, const Partition& part,
                        const Matrix& shares, FederationOptions opts)
     : sys_(sys), part_(part), shares_(shares), opts_(opts) {
-  AGORA_REQUIRE(!part.replicated, "federation cannot run over hash replicas");
   AGORA_REQUIRE(shares_.rows() == sys_.size() && shares_.cols() == sys_.size(),
                 "federation share matrix shape mismatch");
   bank_index_.assign(part_.shards, kNoBank);

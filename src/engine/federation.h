@@ -1,10 +1,9 @@
 // federation.h -- federated cross-shard enforcement: loan policy, border
 // banks, and epoch-boundary settlement (DESIGN.md §15).
 //
-// A single-component agreement graph used to force the engine into its
-// full-replica fallback: every shard solved the whole 65-variable LP, and
-// the sharding speedup evaporated exactly on the graph shape a production
-// economy has. Federation kills that fallback. The partition cuts the
+// Without federation a single-component agreement graph runs on one exact
+// shard, so sharding adds no parallelism exactly on the graph shape a
+// production economy has. Federation splits it: the partition cuts the
 // *lightest* agreement edges (partition.h, federated mode); every cut edge
 // (lender -> borrower) becomes a border Credit (credit.h); and each shard's
 // local allocator runs over its members plus one extra slot -- the *border
@@ -57,7 +56,7 @@ namespace agora::engine {
 struct FederationOptions {
   /// Master switch: when true (and threads > 1), single-component graphs
   /// are split by edge-scored partitioning with border credits instead of
-  /// falling back to full replicas.
+  /// running on one exact shard.
   bool enabled = false;
   /// Fraction of a cut edge's global entitlement loaned to the borrower's
   /// bank at each settlement.

@@ -132,16 +132,6 @@ Partition partition_participants(const agree::AgreementSystem& sys,
     return part;
   }
 
-  if (comps.size() == 1 && shards > 1) {
-    // Hash fallback: one giant component, no independent split. Replicate
-    // the full system on every shard and route requests by participant id.
-    part.shards = shards;
-    part.replicated = true;
-    for (std::size_t i = 0; i < n; ++i) part.shard_of[i] = i % shards;
-    part.members.assign(shards, comps[0]);
-    return part;
-  }
-
   part.shards = std::min(shards, comps.size());
   pack_groups(comps, part);
   return part;

@@ -13,19 +13,15 @@
 // alone (alloc::AllocationModelCache), so connectivity sharding adds
 // parallelism rather than a smaller LP.
 //
-// When the economy is a single connected component there is no independent
-// split. Two fallbacks exist:
-//
-//   * hash sharding (legacy): participants are hashed to shards for queue
-//     routing and every shard owns a full-system replica allocator
-//     (mutations are broadcast so replicas stay identical). Decisions stay
-//     exact but every shard pays the full-size LP -- the speedup evaporates.
-//   * federated sharding (PartitionOptions::federated): the component is cut
-//     by min-cut-ish edge scoring -- heavy-edge agglomeration under a size
-//     cap, so the heaviest agreement edges stay inside a shard and only the
-//     lightest are cut. Cut entitlements are carried by border credits (see
-//     federation.h); decisions are certified-feasible but approximate, with
-//     the optimality gap measured per epoch.
+// When there are fewer components than requested shards there is no further
+// independent split: without federation each component gets one shard, so a
+// single-component economy runs on one exact shard. Federated sharding
+// (PartitionOptions::federated) cuts the components themselves by
+// min-cut-ish edge scoring -- heavy-edge agglomeration under a size cap, so
+// the heaviest agreement edges stay inside a shard and only the lightest
+// are cut. Cut entitlements are carried by border credits (see
+// federation.h); decisions are certified-feasible but approximate, with the
+// optimality gap measured per epoch.
 #pragma once
 
 #include <cstddef>
@@ -39,27 +35,23 @@ struct Partition {
   /// Effective shard count (<= requested: never more shards than
   /// components in connectivity mode, never more than participants).
   std::size_t shards = 1;
-  /// True when the hash fallback is in use: every shard owns the full
-  /// participant set and mutations must be broadcast to all shards.
-  bool replicated = false;
   /// True when the edge-scored federated split was used: shard boundaries
   /// may cut agreement edges, so border credits are required for exactness
-  /// of routing-local admission (mutually exclusive with `replicated`).
+  /// of routing-local admission.
   bool federated = false;
   /// Number of connected components in the agreement graph.
   std::size_t components = 0;
   /// Owning shard per participant (routing key).
   std::vector<std::size_t> shard_of;
-  /// Participants owned by each shard, ascending. In replicated mode every
-  /// shard lists all participants.
+  /// Participants owned by each shard, ascending.
   std::vector<std::vector<std::size_t>> members;
 };
 
 struct PartitionOptions {
   std::size_t shards = 1;
   /// Split components by edge-scored agglomeration (with border credits)
-  /// instead of hash-replicating when there are fewer components than
-  /// requested shards.
+  /// when there are fewer components than requested shards, instead of
+  /// running fewer shards.
   bool federated = false;
   /// Federated size balance: no shard exceeds ceil(n / shards) * (1 +
   /// balance_slack) participants. Larger slack lets heavier edges stay
@@ -71,11 +63,9 @@ struct PartitionOptions {
 /// Connectivity first: connected components (agree::connected_components:
 /// the relative and absolute agreement supports, symmetrized) are
 /// bin-packed onto shards, largest first. When there are fewer components
-/// than requested shards:
-/// federated mode cuts components by heavy-edge agglomeration (lightest
-/// total agreement weight crosses shards), otherwise falls back to hash
-/// routing over full replicas (single component) or shrinks the shard
-/// count.
+/// than requested shards, federated mode cuts components by heavy-edge
+/// agglomeration (lightest total agreement weight crosses shards);
+/// otherwise the shard count shrinks to the component count.
 Partition partition_participants(const agree::AgreementSystem& sys,
                                  const PartitionOptions& opts);
 

@@ -25,9 +25,8 @@ inline const char* to_string(Status s) {
   return "unknown";
 }
 
-/// Per-solve numerical health counters, populated by the revised simplex
-/// (the tableau solver fills what applies). Consumed by lp::SolvePipeline's
-/// degradation telemetry.
+/// Per-solve numerical health counters, populated by the revised simplex.
+/// Consumed by lp::SolvePipeline's degradation telemetry.
 struct SolveStats {
   /// Full basis refactorizations (pivot-count and eta-size cadence plus
   /// residual-triggered).
@@ -43,7 +42,7 @@ struct SolveStats {
   double condition_estimate = 0.0;
   /// Worst relative ||b - B x_B||_inf observed during the solve.
   double max_xb_residual = 0.0;
-  /// Sparse-LU basis telemetry (zero for the tableau): nonzeros of the
+  /// Sparse-LU basis telemetry (zero for brute force): nonzeros of the
   /// factored basis columns, of L+U, and the worst product-form eta-file
   /// length, all at/since the last refactorization.
   std::uint64_t basis_nnz = 0;

@@ -373,12 +373,22 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // (degenerate LPs tie dozens of rows at ratio 0, and a noise-sized pivot
     // there poisons the product-form eta file); under Bland's rule keep the
     // lowest basis index -- its termination proof needs it.
+    //
+    // A basic column barred from entering is an artificial left in the
+    // basis at level zero by a degenerate phase 1. Moving it either way
+    // violates its original row, so it blocks at ratio 0 whichever sign its
+    // entry has, and leaves the basis at level zero. Skipping it when
+    // w_r < 0 would let it rise while a draw leaves its bound, and phase 2
+    // would claim an optimum that breaks the row.
     for (std::size_t r = 0; r < m; ++r) {
-      if (W.w[r] <= pivot_floor) continue;
-      const double ratio = W.xb[r] / W.w[r];
+      const bool pinned = !W.allowed[W.basis[r]];
+      const double pivot = pinned ? std::fabs(W.w[r]) : W.w[r];
+      if (pivot <= pivot_floor) continue;
+      const double ratio = pinned ? 0.0 : W.xb[r] / W.w[r];
       bool better = ratio < best_ratio - tol;
       if (!better && ratio < best_ratio + tol && leave < m) {
-        better = bland ? W.basis[r] < W.basis[leave] : W.w[r] > W.w[leave];
+        better = bland ? W.basis[r] < W.basis[leave]
+                       : pivot > std::fabs(W.w[leave]);
       }
       if (better) {
         best_ratio = ratio;

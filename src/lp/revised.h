@@ -1,12 +1,13 @@
-// revised.h -- revised primal simplex over a sparse-LU factored basis.
+// revised.h -- revised primal simplex over a sparse-LU factored basis: the
+// only simplex in agora.
 //
-// Same semantics as the tableau solver in simplex.h, but iterates on a
-// factorization of the m x m basis (lp/sparse_lu.h: Markowitz LU plus a
-// product-form eta file) instead of the full tableau: pricing touches the
-// original sparse columns and every FTRAN/BTRAN costs in proportion to the
-// factor and eta nonzeros, not to m * n. For agora's allocation LPs this wins
-// once the full paper formulation (n^2 + n + 1 variables) is used; the
-// micro_lp bench quantifies the difference.
+// Two-phase primal simplex that iterates on a factorization of the m x m
+// basis (lp/sparse_lu.h: Markowitz LU plus a product-form eta file) instead
+// of a dense tableau: pricing touches the original sparse columns and every
+// FTRAN/BTRAN costs in proportion to the factor and eta nonzeros, not to
+// m * n. A workspace carries the optimal basis of one solve into the next,
+// so a consult whose rhs and bounds moved re-enters at that basis (the
+// micro_lp bench gates warm against cold solves).
 #pragma once
 
 #include "lp/problem.h"

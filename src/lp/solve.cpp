@@ -3,7 +3,6 @@
 #include "lp/brute_force.h"
 #include "lp/presolve.h"
 #include "lp/revised.h"
-#include "lp/simplex.h"
 
 namespace agora::lp {
 
@@ -13,8 +12,6 @@ SolveResult solve_direct(const Problem& p, const SolveOptions& opts, SolveWorksp
   switch (opts.backend) {
     case Backend::Revised:
       return revised_solve(p, opts, ws);
-    case Backend::Tableau:
-      return tableau_solve(p, opts);
     case Backend::BruteForce: {
       BruteForceOptions bf;
       bf.max_bases = kBruteForceMaxBases;

@@ -5,8 +5,9 @@
 //   SolveResult r = lp::solve(problem, opts, &workspace);     // amortized
 //
 // Callers pick a Backend instead of calling a concrete solver; the
-// implementations (revised_solve, tableau_solve, brute_force_solve) are an
-// internal detail of src/lp and their headers are not installed.
+// implementations (revised_solve, brute_force_solve) are an internal detail
+// of src/lp and their headers are not installed. The revised simplex is the
+// one simplex; brute force is an exact oracle for tiny problems.
 // SolveOptions also owns the presolve switch: by default a
 // workspace-free solve runs presolve -> reduced solve -> postsolve, with the
 // mapped result (primal, duals, objective) valid for -- and certifiable
@@ -50,8 +51,6 @@ enum class Backend {
   /// Revised simplex over a sparse-LU factored basis; the only backend that
   /// accepts a SolveWorkspace for warm starts.
   Revised,
-  /// Dense two-phase tableau simplex: the simple, auditable reference.
-  Tableau,
   /// Exhaustive basic-solution enumeration: exact oracle for tiny problems.
   /// Cannot detect unboundedness; throws PreconditionError past
   /// kBruteForceMaxBases.
@@ -61,7 +60,6 @@ enum class Backend {
 inline const char* to_string(Backend b) {
   switch (b) {
     case Backend::Revised: return "revised";
-    case Backend::Tableau: return "tableau";
     case Backend::BruteForce: return "brute-force";
   }
   return "unknown";

@@ -75,23 +75,14 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
   obs::ScopedTimer solve_timer(obs_solve_seconds_);
   PipelineResult out;
 
-  PipelineStage chain[kPipelineStages];
-  std::size_t len = 0;
-  if (opts_.solve.backend == Backend::Revised) {
-    if (ws && ws->warm) chain[len++] = PipelineStage::WarmRevised;
-    chain[len++] = PipelineStage::ColdRevised;
-    chain[len++] = PipelineStage::Tableau;
-  } else {
-    chain[len++] = PipelineStage::Tableau;
-    chain[len++] = PipelineStage::ColdRevised;
-  }
-  chain[len++] = PipelineStage::BruteForce;
-
   bool saw_unbounded_claim = false;
   std::uint64_t attempts_made = 0;
 
-  for (std::size_t s = 0; s < len; ++s) {
-    const PipelineStage stage = chain[s];
+  // The warm stage runs only on a warm workspace.
+  const PipelineStage first =
+      ws && ws->warm ? PipelineStage::WarmRevised : PipelineStage::ColdRevised;
+  for (int idx = static_cast<int>(first); idx < kPipelineStages; ++idx) {
+    const auto stage = static_cast<PipelineStage>(idx);
     SolveResult r;
     const double stage_start = obs::kEnabled ? obs::now_seconds() : 0.0;
     // Presolve only applies to the first attempt: a fallback is a
@@ -109,10 +100,6 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
         stage_opts.backend = Backend::Revised;
         r = lp::solve(p, stage_opts, ws);
         break;
-      case PipelineStage::Tableau:
-        stage_opts.backend = Backend::Tableau;
-        r = lp::solve(p, stage_opts, nullptr);
-        break;
       case PipelineStage::BruteForce: {
         // Enumeration cannot recognize unboundedness: if any earlier stage
         // claimed it, a "best basic solution" would be a lie. Skip.
@@ -129,7 +116,6 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
         continue;
     }
 
-    const int idx = static_cast<int>(stage);
     ++stats_.attempts[idx];
     ++attempts_made;
     accumulate(stats_.solver, r.stats);

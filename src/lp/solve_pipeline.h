@@ -1,18 +1,18 @@
 // solve_pipeline.h -- staged, self-verifying LP solve chain.
 //
-// A single simplex implementation answering alone is a single point of
-// failure: the warm-started revised solver is the fastest path but also the
-// most exposed to accumulated drift, the tableau solver is slower but
-// independent, and brute-force enumeration is exact on tiny problems. The
-// pipeline escalates through them --
+// A simplex answering alone is a single point of failure: the warm-started
+// revised solve is the fastest path but also the most exposed to
+// accumulated drift, a cold revised solve starts from a fresh slack basis
+// and factorization, and brute-force enumeration is exact on tiny problems.
+// The pipeline escalates through them --
 //
-//     warm revised -> cold revised -> two-phase tableau -> brute force
+//     warm revised -> cold revised -> brute force
 //
-// (tableau first when the caller prefers that engine) -- and after EVERY
-// attempt asks lp::Verifier to certify the answer against the original
-// problem. The first certified answer wins; an uncertified answer is never
-// returned as trustworthy. When the whole chain is exhausted the caller gets
-// the last attempt plus its rejection reason, with certified() == false --
+// (brute force only below kBruteForceMaxBases) -- and after EVERY attempt
+// asks lp::Verifier to certify the answer against the original problem. The
+// first certified answer wins; an uncertified answer is never returned as
+// trustworthy. When the whole chain is exhausted the caller gets the last
+// attempt plus its rejection reason, with certified() == false --
 // enforcement layers map that to an explicit conservative denial.
 //
 // Per-stage telemetry (attempts, certification failures, fallback depth,
@@ -34,17 +34,15 @@ namespace agora::lp {
 enum class PipelineStage : int {
   WarmRevised = 0,
   ColdRevised = 1,
-  Tableau = 2,
-  BruteForce = 3,
-  Exhausted = 4,
+  BruteForce = 2,
+  Exhausted = 3,
 };
-inline constexpr int kPipelineStages = 4;
+inline constexpr int kPipelineStages = 3;
 
 inline const char* to_string(PipelineStage s) {
   switch (s) {
     case PipelineStage::WarmRevised: return "warm-revised";
     case PipelineStage::ColdRevised: return "cold-revised";
-    case PipelineStage::Tableau: return "tableau";
     case PipelineStage::BruteForce: return "brute-force";
     case PipelineStage::Exhausted: return "exhausted";
   }
@@ -52,14 +50,11 @@ inline const char* to_string(PipelineStage s) {
 }
 
 struct PipelineOptions {
-  /// Every solve knob (backend preference, presolve switch, tolerances)
-  /// shared by the stages; the Verifier uses `solve.tols` too.
-  /// `solve.backend` picks the stage order: Backend::Revised puts the
-  /// revised solver first (warm, then cold, then tableau); anything else
-  /// starts at the tableau solver and uses cold-revised as the cross-check.
-  /// Either way every stage's answer must certify, and presolve only runs
-  /// on the first attempt -- fallback stages solve the original problem
-  /// directly so the cross-check is independent of the reductions too.
+  /// The presolve switch and tolerances shared by the stages; the Verifier
+  /// uses `solve.tols` too. Each stage sets its own backend. Presolve only
+  /// runs on the first attempt -- fallback stages solve the original
+  /// problem directly so the cross-check is independent of the reductions
+  /// too.
   SolveOptions solve;
   /// Telemetry destination. Metric handles are resolved once at pipeline
   /// construction; the solve path itself never touches the registry map.

@@ -2,7 +2,7 @@
 // substrate uses.
 //
 // Before this file, feasibility and pivot epsilons were scattered as magic
-// literals across simplex.cpp, revised.cpp, presolve.cpp and brute_force.cpp;
+// literals across revised.cpp, presolve.cpp and brute_force.cpp;
 // tightening one without the others produced solvers that disagreed about
 // what "feasible" means. Tolerances centralizes them, and -- where a check
 // compares a residual against a problem-dependent quantity -- the checks are
@@ -24,8 +24,6 @@ struct Tolerances {
   /// Phase-1 artificial residual above which the problem is declared
   /// infeasible; applied relative to (1 + ||b||_inf).
   double artificial = 1e-7;
-  /// Minimum |a_ij| for pivoting a zero-level artificial out of the basis.
-  double pivot_out = 1e-7;
   /// Relative ||b - B x_B||_inf above which the basis is refactorized
   /// (residual-triggered refactorization, on top of the pivot-count cadence).
   double refactor_residual = 1e-8;

@@ -29,6 +29,10 @@ void GrmStateMachine::rebuild_allocators(std::vector<agree::AgreementSystem> sys
 GrmStateMachine::GrmStateMachine(std::vector<agree::AgreementSystem> systems,
                                  alloc::AllocatorOptions opts, StateMachineOptions sm_opts)
     : opts_(opts), sm_opts_(sm_opts) {
+  // Every decision solves cold, so it depends only on replicated state. A
+  // warm-started plan's last bits depend on the allocator's past consults,
+  // which a replica restored from a snapshot does not have.
+  opts_.reuse_context = false;
   AGORA_REQUIRE(!systems.empty(), "GRM needs at least one resource system");
   AGORA_REQUIRE(sm_opts_.staleness_ttl > 0.0, "staleness TTL must be positive");
   const std::size_t n = systems[0].size();

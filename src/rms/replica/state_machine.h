@@ -6,7 +6,10 @@
 // Everything here is a pure function of the applied command sequence and the
 // explicit `now` arguments -- no bus, no clocks, no randomness -- which is
 // what makes N replicas applying the same committed log converge to
-// bit-identical state (checked with digest()). The single-GRM `rms::Grm`
+// bit-identical state (checked with digest()). That includes a replica
+// restored from a snapshot: the allocators run with reuse_context off, so
+// every decision solves cold and carries no solver history (a warm start's
+// last bits depend on the consults before it). The single-GRM `rms::Grm`
 // wraps one instance directly; `replica::RaftNode` applies committed log
 // entries to one.
 //

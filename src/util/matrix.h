@@ -1,7 +1,7 @@
 // matrix.h -- small dense linear-algebra kernels used by the agreement algebra
-// and the LP solvers.
+// and the LP substrate.
 //
-// The matrices in agora are modest (n = number of principals, or LP tableaux
+// The matrices in agora are modest (n = number of principals, or LP bases
 // of a few hundred rows), so a simple contiguous row-major dense
 // representation is the right tool: cache-friendly, trivially copyable,
 // easy to reason about.

@@ -71,7 +71,7 @@ AllocatorOptions options(lp::Backend backend, bool reuse, bool fast) {
 
 TEST(AllocComponents, ConsultIsBitIdenticalToTheIslandAlone) {
   const AgreementSystem sys = island_economy();
-  for (const lp::Backend backend : {lp::Backend::Tableau, lp::Backend::Revised}) {
+  for (const lp::Backend backend : {lp::Backend::Revised}) {
     const AllocatorOptions opts = options(backend, /*reuse=*/true, /*fast=*/false);
     Allocator global(sys, opts);
     for (std::size_t g = 0; g < kIslands; ++g) {
@@ -154,7 +154,7 @@ TEST(AllocComponents, DecomposedConsultsMatchTheWholeSystemModel) {
   std::size_t fast_grants = 0, lp_grants = 0;
   for (const Shape shape : {Shape::Islands, Shape::AbsoluteBridges, Shape::NoAgreements}) {
     for (const std::size_t level : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-      for (const lp::Backend backend : {lp::Backend::Tableau, lp::Backend::Revised}) {
+      for (const lp::Backend backend : {lp::Backend::Revised}) {
         for (const bool fast : {false, true}) {
           const std::uint64_t seed = 1000 * static_cast<std::uint64_t>(shape) + 10 * level +
                                      (backend == lp::Backend::Revised ? 2 : 0) + (fast ? 1 : 0);
@@ -227,7 +227,7 @@ TEST(AllocComponents, DecomposedConsultsMatchTheWholeSystemModel) {
 
 TEST(AllocComponents, PivotsPerConsultScaleWithTheComponent) {
   const AgreementSystem sys = island_economy();
-  for (const lp::Backend backend : {lp::Backend::Tableau, lp::Backend::Revised}) {
+  for (const lp::Backend backend : {lp::Backend::Revised}) {
     Allocator alloc(sys, options(backend, /*reuse=*/true, /*fast=*/false));
     std::uint64_t pivots = 0, consults = 0;
     std::vector<double> held(sys.size(), 0.0);

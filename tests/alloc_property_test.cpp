@@ -282,7 +282,6 @@ TEST(ClosedFormDenial, AgreesWithTheLpAndVerifierOnAFuzzedCorpus) {
     const auto comps = agree::connected_components(sys);
     AllocatorOptions opts;
     opts.sink = obs::Sink::none();
-    if (seed % 2 == 0) opts.solve.backend = lp::Backend::Revised;
     Allocator alloc(sys, opts);
     const double tol = opts.solve.tols.farkas;
     Pcg32 rng(seed ^ 0xfa7ca5);
@@ -316,15 +315,12 @@ TEST(ClosedFormDenial, AgreesWithTheLpAndVerifierOnAFuzzedCorpus) {
         EXPECT_TRUE(plan.certified) << where;
         EXPECT_EQ(plan.lp_iterations, 0u) << where;
       } else if (amount <= cap) {
-        // Within C_a the allocator grants a certified plan. The bare solve
-        // is not checked for a certificate here: at amount == C_a the cold
-        // revised solve can claim an optimum that violates the demand row,
-        // which the Verifier rejects and the allocator's solve chain
-        // recovers from (an open defect, see ROADMAP). Inside the band
-        // above C_a the LP decides at its own tolerances, and either
-        // answer is possible.
+        // Within C_a, C_a itself included, the bare solve certifies and the
+        // allocator grants a certified plan. Inside the band above C_a the
+        // LP decides at its own tolerances, and either answer is possible.
         ++lp_grants;
         EXPECT_EQ(ref.status, lp::Status::Optimal) << where;
+        EXPECT_TRUE(certified) << where;
         EXPECT_TRUE(plan.satisfied()) << where;
         EXPECT_TRUE(plan.certified) << where;
       }

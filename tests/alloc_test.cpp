@@ -213,28 +213,25 @@ AgreementSystem two_islands() {
 }
 
 TEST(ClosedFormDenial, OverCapacityConsultIsCertifiedWithoutAnLp) {
-  for (const lp::Backend backend : {lp::Backend::Tableau, lp::Backend::Revised}) {
-    obs::MetricsRegistry reg;
-    AllocatorOptions opts;
-    opts.solve.backend = backend;
-    opts.sink = obs::Sink{&reg, nullptr};
-    Allocator alloc(two_islands(), opts);
-    ASSERT_TRUE(alloc.allocate(1, 1.0).satisfied());
-    const std::uint64_t solves = alloc.solver_stats()->solves;
-    // Twice round both islands: the second pass repatches each component's
-    // Verifier instead of rebuilding its standard form.
-    for (int pass = 0; pass < 2; ++pass)
-      for (std::size_t a = 0; a < 4; ++a) {
-        const AllocationPlan denied = alloc.allocate(a, 2.0 * alloc.available_to(a) + 1.0);
-        EXPECT_EQ(denied.status, PlanStatus::Insufficient) << "principal " << a;
-        EXPECT_TRUE(denied.certified) << "principal " << a;
-        EXPECT_EQ(denied.lp_iterations, 0u) << "principal " << a;
-      }
-    EXPECT_EQ(alloc.solver_stats()->solves, solves);
-    if constexpr (obs::kEnabled) {
-      EXPECT_EQ(reg.counter("alloc.plans.closed_form_denials").value(), 8u);
-      EXPECT_EQ(reg.counter("alloc.plans.insufficient").value(), 8u);
+  obs::MetricsRegistry reg;
+  AllocatorOptions opts;
+  opts.sink = obs::Sink{&reg, nullptr};
+  Allocator alloc(two_islands(), opts);
+  ASSERT_TRUE(alloc.allocate(1, 1.0).satisfied());
+  const std::uint64_t solves = alloc.solver_stats()->solves;
+  // Twice round both islands: the second pass repatches each component's
+  // Verifier instead of rebuilding its standard form.
+  for (int pass = 0; pass < 2; ++pass)
+    for (std::size_t a = 0; a < 4; ++a) {
+      const AllocationPlan denied = alloc.allocate(a, 2.0 * alloc.available_to(a) + 1.0);
+      EXPECT_EQ(denied.status, PlanStatus::Insufficient) << "principal " << a;
+      EXPECT_TRUE(denied.certified) << "principal " << a;
+      EXPECT_EQ(denied.lp_iterations, 0u) << "principal " << a;
     }
+  EXPECT_EQ(alloc.solver_stats()->solves, solves);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(reg.counter("alloc.plans.closed_form_denials").value(), 8u);
+    EXPECT_EQ(reg.counter("alloc.plans.insufficient").value(), 8u);
   }
 }
 

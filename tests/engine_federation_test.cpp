@@ -95,7 +95,6 @@ TEST(PartitionFederated, CutsSingleComponentUnderSizeCap) {
   popts.federated = true;
   const Partition p = partition_participants(sys, popts);
   EXPECT_TRUE(p.federated);
-  EXPECT_FALSE(p.replicated);
   EXPECT_EQ(p.components, 1u);
   EXPECT_EQ(p.shards, 4u);
   std::size_t total = 0;
@@ -127,7 +126,6 @@ TEST(PartitionFederated, MultiComponentStillConnectivityExact) {
   popts.federated = true;
   const Partition p = partition_participants(sys, popts);
   EXPECT_FALSE(p.federated);
-  EXPECT_FALSE(p.replicated);
   EXPECT_EQ(p.shards, 4u);
   EXPECT_TRUE(find_border_edges(sys, p).empty());
 }
@@ -153,7 +151,6 @@ TEST(EngineFederation, DifferentialFuzzAgainstExactGlobal) {
     eopts.federation.gap_probes = 8;
     EnforcementEngine eng(sys, eopts);
     ASSERT_TRUE(eng.federated()) << "n=" << c.n;
-    EXPECT_FALSE(eng.replicated());
 
     alloc::Allocator exact(sys, aopts);
     const agree::CapacityReport rep = agree::compute_capacities(sys, aopts.transitive);
@@ -202,7 +199,6 @@ TEST(EngineFederation, DifferentialFuzzAgainstExactGlobal) {
     eng.settle();
     const EngineStats st = eng.stats();
     EXPECT_TRUE(st.federated);
-    EXPECT_FALSE(st.replicated);
     EXPECT_GT(st.federation.credits, 0u);
     EXPECT_GT(st.federation.settlements, 0u);
     EXPECT_GT(st.federation.gap_probes, 0u);

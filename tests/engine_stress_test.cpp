@@ -172,9 +172,9 @@ TEST(EngineStress, ManyProducersOnComponentShards) {
     hammer(sys, threads, /*producers=*/4, /*mutators=*/2, /*ops_per_producer=*/40);
 }
 
-TEST(EngineStress, ManyProducersOnReplicatedShards) {
-  // A connected economy forces the hash-fallback replicas; mutations must
-  // keep every replica identical while producers read through them.
+TEST(EngineStress, ManyProducersOnOneComponentShard) {
+  // A connected economy asking for 3 shards runs on one shard that owns
+  // everyone; producers and mutators all contend for its run lock.
   const agree::AgreementSystem sys = connected_economy(6, 0.2);
   hammer(sys, /*threads=*/3, /*producers=*/3, /*mutators=*/2, /*ops_per_producer=*/24);
 }

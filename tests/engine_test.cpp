@@ -68,7 +68,7 @@ TEST(Partition, IslandsBecomeComponents) {
   const Partition p = partition_participants(sys, 4);
   EXPECT_EQ(p.components, 4u);
   EXPECT_EQ(p.shards, 4u);
-  EXPECT_FALSE(p.replicated);
+  EXPECT_FALSE(p.federated);
   // Every island lands on exactly one shard, members ascending.
   for (std::size_t i = 0; i < sys.size(); ++i)
     EXPECT_EQ(p.shard_of[i], p.shard_of[(i / 3) * 3]);
@@ -85,24 +85,25 @@ TEST(Partition, ShardCountClampsToComponents) {
   const Partition p = partition_participants(sys, 8);
   EXPECT_EQ(p.components, 2u);
   EXPECT_EQ(p.shards, 2u);  // cannot split a component
-  EXPECT_FALSE(p.replicated);
+  EXPECT_FALSE(p.federated);
 }
 
-TEST(Partition, ConnectedEconomyFallsBackToReplicas) {
+TEST(Partition, OneComponentWithoutFederationGetsOneShard) {
   const auto sys = connected_economy(6, 0.1);
   const Partition p = partition_participants(sys, 3);
   EXPECT_EQ(p.components, 1u);
-  EXPECT_EQ(p.shards, 3u);
-  EXPECT_TRUE(p.replicated);
-  for (std::size_t i = 0; i < sys.size(); ++i) EXPECT_EQ(p.shard_of[i], i % 3);
-  for (const auto& m : p.members) EXPECT_EQ(m.size(), sys.size());
+  EXPECT_EQ(p.shards, 1u);
+  EXPECT_FALSE(p.federated);
+  ASSERT_EQ(p.members.size(), 1u);
+  EXPECT_EQ(p.members[0].size(), sys.size());
+  for (std::size_t i = 0; i < sys.size(); ++i) EXPECT_EQ(p.shard_of[i], 0u);
 }
 
 TEST(Partition, SingleShardOwnsEverything) {
   const auto sys = island_economy(3, 2, 0.5);
   const Partition p = partition_participants(sys, 1);
   EXPECT_EQ(p.shards, 1u);
-  EXPECT_FALSE(p.replicated);
+  EXPECT_FALSE(p.federated);
   EXPECT_EQ(p.members[0].size(), sys.size());
 }
 
@@ -229,7 +230,7 @@ TEST(EngineSharded, ComponentLocalDecisionsMatchGlobalAllocator) {
   eopts.threads = 4;
   EnforcementEngine eng(sys, eopts);
   EXPECT_EQ(eng.num_shards(), 4u);
-  EXPECT_FALSE(eng.replicated());
+  EXPECT_FALSE(eng.federated());
 
   for (std::size_t a = 0; a < sys.size(); ++a) {
     const double want = 0.7 * direct.available_to(a);
@@ -246,29 +247,6 @@ TEST(EngineSharded, ComponentLocalDecisionsMatchGlobalAllocator) {
       }
     }
     EXPECT_TRUE(ep.certified);
-  }
-}
-
-TEST(EngineSharded, ReplicatedModeStaysExactUnderMutation) {
-  const auto sys = connected_economy(5, 0.2);
-  alloc::Allocator direct(sys);
-  EngineOptions eopts;
-  eopts.sink = obs::Sink::none();
-  eopts.alloc.sink = obs::Sink::none();
-  eopts.threads = 3;
-  EnforcementEngine eng(sys, eopts);
-  EXPECT_TRUE(eng.replicated());
-
-  for (std::size_t a = 0; a < sys.size(); ++a) {
-    const double want = 0.4 * direct.available_to(a);
-    const alloc::AllocationPlan dp = direct.allocate(a, want);
-    const alloc::AllocationPlan ep = eng.consult(a, want);
-    ASSERT_TRUE(dp.satisfied());
-    expect_identical(ep, dp);  // every replica solves the same global model
-    direct.apply(dp);
-    eng.apply(ep);  // broadcast: replicas stay identical
-    for (std::size_t i = 0; i < sys.size(); ++i)
-      EXPECT_EQ(direct.available_to(i), eng.available_to(i));
   }
 }
 
@@ -425,7 +403,7 @@ TEST(EngineSnapshot, StatsReportShardLayout) {
   const EngineStats st = eng.stats();
   EXPECT_EQ(st.shards, 2u);
   EXPECT_EQ(st.components, 2u);
-  EXPECT_FALSE(st.replicated);
+  EXPECT_FALSE(st.federated);
   std::uint64_t consults = 0;
   std::size_t participants = 0;
   for (const auto& s : st.shard) {

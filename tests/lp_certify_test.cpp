@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "agree/capacity.h"
+#include "agree/topology.h"
 #include "alloc/model_cache.h"
 #include "fig_common.h"
 #include "lp/brute_force.h"
@@ -32,8 +33,9 @@ SolveOptions backend_opts(Backend b) {
   o.presolve = false;
   return o;
 }
-SolveResult tableau_solve(const Problem& p) { return solve(p, backend_opts(Backend::Tableau)); }
-SolveResult revised_solve(const Problem& p) { return solve(p, backend_opts(Backend::Revised)); }
+SolveResult revised_solve(const Problem& p, SolveWorkspace* ws = nullptr) {
+  return solve(p, backend_opts(Backend::Revised), ws);
+}
 
 // max 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6,  x, y >= 0.
 // Optimum (4, 0), objective 12, duals (3, 0).
@@ -77,28 +79,19 @@ Problem unbounded_ramp() {
 
 // ------------------------------------------------- correct answers certify --
 
-TEST(Certify, AcceptsTableauOptimalWithDuals) {
-  const Problem p = classic_max();
-  const SolveResult r = tableau_solve(p);
-  ASSERT_EQ(r.status, Status::Optimal);
-  Verifier v;
-  const Certificate cert = v.certify(p, r);
-  EXPECT_TRUE(cert.certified) << (cert.reject ? cert.reject : "");
-  EXPECT_EQ(cert.claim, Certificate::Claim::Optimal);
-  EXPECT_FALSE(cert.primal_only);
-  EXPECT_LT(cert.primal_residual, 1e-9);
-  EXPECT_LT(cert.dual_residual, 1e-9);
-  EXPECT_LT(cert.objective_gap, 1e-9);
-}
-
 TEST(Certify, AcceptsRevisedOptimalWithDuals) {
-  const Problem p = classic_min();
-  const SolveResult r = revised_solve(p);
-  ASSERT_EQ(r.status, Status::Optimal);
-  Verifier v;
-  const Certificate cert = v.certify(p, r);
-  EXPECT_TRUE(cert.certified) << (cert.reject ? cert.reject : "");
-  EXPECT_EQ(cert.claim, Certificate::Claim::Optimal);
+  for (const Problem& p : {classic_min(), classic_max()}) {
+    const SolveResult r = revised_solve(p);
+    ASSERT_EQ(r.status, Status::Optimal);
+    Verifier v;
+    const Certificate cert = v.certify(p, r);
+    EXPECT_TRUE(cert.certified) << (cert.reject ? cert.reject : "");
+    EXPECT_EQ(cert.claim, Certificate::Claim::Optimal);
+    EXPECT_FALSE(cert.primal_only);
+    EXPECT_LT(cert.primal_residual, 1e-9);
+    EXPECT_LT(cert.dual_residual, 1e-9);
+    EXPECT_LT(cert.objective_gap, 1e-9);
+  }
 }
 
 TEST(Certify, AcceptsBruteForcePrimalOnly) {
@@ -113,10 +106,19 @@ TEST(Certify, AcceptsBruteForcePrimalOnly) {
 }
 
 TEST(Certify, AcceptsRealFarkasCertificateFromBothSolvers) {
-  const Problem p = infeasible_box();
+  // A cold solve, and a warm one: its workspace holds the optimal basis of
+  // the feasible rhs x + y >= 0.5, so the warm entry finds a positive
+  // artificial and falls back to phase 1, whose duals are the certificate.
+  Problem p = infeasible_box();
   for (int engine = 0; engine < 2; ++engine) {
-    const SolveResult r =
-        engine == 0 ? tableau_solve(p) : revised_solve(p);
+    SolveWorkspace ws;
+    if (engine == 1) {
+      p.set_rhs(1, 0.5);
+      ASSERT_EQ(revised_solve(p, &ws).status, Status::Optimal);
+      ASSERT_TRUE(ws.warm);
+      p.set_rhs(1, 3.0);
+    }
+    const SolveResult r = revised_solve(p, engine == 1 ? &ws : nullptr);
     ASSERT_EQ(r.status, Status::Infeasible);
     ASSERT_FALSE(r.farkas.empty()) << "solver " << engine << " attached no certificate";
     Verifier v;
@@ -128,10 +130,11 @@ TEST(Certify, AcceptsRealFarkasCertificateFromBothSolvers) {
 }
 
 TEST(Certify, AcceptsRealUnboundednessRayFromBothSolvers) {
+  // Without and with a workspace (the allocator keeps one per model).
   const Problem p = unbounded_ramp();
   for (int engine = 0; engine < 2; ++engine) {
-    const SolveResult r =
-        engine == 0 ? tableau_solve(p) : revised_solve(p);
+    SolveWorkspace ws;
+    const SolveResult r = revised_solve(p, engine == 1 ? &ws : nullptr);
     ASSERT_EQ(r.status, Status::Unbounded);
     ASSERT_FALSE(r.ray.empty()) << "solver " << engine << " attached no ray";
     Verifier v;
@@ -253,7 +256,7 @@ TEST(Certify, RejectsBogusFarkasCertificates) {
   EXPECT_FALSE(v.certify_infeasible(p, {}).certified);
   EXPECT_FALSE(v.certify_infeasible(p, std::vector<double>(sf.rows(), 0.0)).certified);
   EXPECT_FALSE(v.certify_infeasible(p, {1.0}).certified);
-  const SolveResult r = tableau_solve(p);
+  const SolveResult r = revised_solve(p);
   ASSERT_EQ(r.status, Status::Infeasible);
   std::vector<double> flipped = r.farkas;
   for (double& y : flipped) y = -y;  // proves y'b < 0: nothing
@@ -273,7 +276,7 @@ TEST(Certify, RejectsFarkasForFeasibleProblem) {
 
 TEST(Certify, RejectsBogusUnboundednessRays) {
   const Problem p = unbounded_ramp();
-  const SolveResult r = tableau_solve(p);
+  const SolveResult r = revised_solve(p);
   ASSERT_EQ(r.status, Status::Unbounded);
   Verifier v;
   // Missing ray / missing point.
@@ -301,6 +304,30 @@ TEST(Certify, RejectsUnboundedClaimOnBoundedProblem) {
   EXPECT_FALSE(v.certify_unbounded(p, {0.0, 0.0}, ray).certified);
 }
 
+TEST(Certify, ColdRevisedCertifiesARequestOfExactlyTheAvailableCapacity) {
+  // At amount == C_a every draw sits at its bound, so phase 1 ends
+  // degenerate with the demand row's artificial basic at level zero. Phase
+  // 2 must pivot that artificial out before a draw leaves its bound, not
+  // let it rise and claim an optimum with every draw at zero.
+  agree::AgreementSystem sys(6);
+  sys.relative = agree::complete_graph(6, 0.14);
+  for (std::size_t i = 0; i < sys.size(); ++i) sys.capacity[i] = 5.0 + static_cast<double>(i);
+  const agree::CapacityReport rep = agree::compute_capacities(sys);
+  alloc::AllocationModelCache cache;
+  cache.build(sys, rep);
+  for (const std::size_t a : {4u, 5u}) {
+    cache.patch(rep, a, rep.capacity[a]);
+    const SolveResult r = revised_solve(cache.problem());
+    ASSERT_EQ(r.status, Status::Optimal) << "requester " << a;
+    const Certificate cert = Verifier().certify(cache.problem(), r);
+    EXPECT_TRUE(cert.certified) << "requester " << a << ": "
+                                << (cert.reject ? cert.reject : "");
+    double drawn = 0.0;
+    for (std::size_t k = 0; k < sys.size(); ++k) drawn += r.x[k];
+    EXPECT_NEAR(drawn, rep.capacity[a], 1e-7 * (1.0 + rep.capacity[a])) << "requester " << a;
+  }
+}
+
 TEST(Certify, IterationLimitIsNeverCertified) {
   const Problem p = classic_min();
   SolveResult r;
@@ -324,23 +351,12 @@ TEST(Pipeline, HappyPathCertifiesOnFirstStage) {
   EXPECT_EQ(pl.stats().certified, 1u);
 }
 
-TEST(Pipeline, TableauFirstWhenPreferred) {
-  PipelineOptions po;
-  po.solve.backend = Backend::Tableau;
-  SolvePipeline pl(po);
-  const PipelineResult pr = pl.solve(classic_max());
-  EXPECT_TRUE(pr.certified());
-  EXPECT_EQ(pr.stage, PipelineStage::Tableau);
-}
-
-TEST(Pipeline, TableauFirstChainRecoversFromFalseInfeasible) {
+TEST(Pipeline, ColdRevisedCertifiesTheBandedFixtureOptimum) {
   // The banded LPSCALE fixture at n = 100 (bench/micro_lp), patched for its
   // second consult: requester 17 asking for 0.16875 of its availability.
-  // The cold tableau returns Infeasible after ~1500 pivots with a Farkas
-  // certificate the Verifier rejects (y'b <= 0); cold revised certifies the
-  // optimum theta ~ 0.98784694 in ~110 pivots. A tableau-first chain must
-  // hand back that certified optimum. Which stage answers is left open, so
-  // a fix to the tableau keeps this test green.
+  // A dense tableau once returned Infeasible here after ~1500 pivots, with
+  // a Farkas vector the Verifier rejected; cold revised certifies the
+  // optimum theta ~ 0.98784694 in ~110 pivots, on the chain's first stage.
   const agree::AgreementSystem sys = figbench::banded_sharing_system(100);
   const agree::CapacityReport rep = agree::compute_capacities(
       sys, figbench::sparse_bench_alloc_options().transitive);
@@ -355,12 +371,14 @@ TEST(Pipeline, TableauFirstChainRecoversFromFalseInfeasible) {
   EXPECT_NEAR(cold.objective, 0.98784694, 1e-7);
 
   PipelineOptions po;
-  po.solve = backend_opts(Backend::Tableau);
+  po.solve = backend_opts(Backend::Revised);
   po.sink = obs::Sink::none();
   SolvePipeline pl(po);
   const PipelineResult pr = pl.solve(p);
   ASSERT_TRUE(pr.certified()) << (pr.certificate.reject ? pr.certificate.reject : "");
   EXPECT_EQ(pr.certificate.claim, Certificate::Claim::Optimal);
+  EXPECT_EQ(pr.stage, PipelineStage::ColdRevised);
+  EXPECT_EQ(pr.fallbacks, 0u);
   EXPECT_NEAR(pr.result.objective, cold.objective, 1e-7 * (1.0 + std::fabs(cold.objective)));
 }
 

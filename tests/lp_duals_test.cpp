@@ -1,6 +1,7 @@
-// Tests for LP dual values (shadow prices) from both simplex solvers:
-// pinned values on textbook problems, and a convention-free numerical check
-// (perturb a constraint's rhs, re-solve, compare the objective slope).
+// Tests for LP dual values (shadow prices) from the revised simplex: pinned
+// values on textbook problems, a convention-free numerical check (perturb a
+// constraint's rhs, re-solve, compare the objective slope), and agreement
+// between cold and warm-started solves.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,17 +14,9 @@
 namespace agora::lp {
 namespace {
 
-// Backend configurations under test: the tableau and the revised solver
-// (sparse LU basis). Presolve stays off so the duals come from the solver
-// itself, not the postsolve reconstruction.
-struct TableauConfig {
-  static SolveOptions options() {
-    SolveOptions o;
-    o.backend = Backend::Tableau;
-    o.presolve = false;
-    return o;
-  }
-};
+// Backend configuration under test: the revised solver (sparse LU basis).
+// Presolve stays off so the duals come from the solver itself, not the
+// postsolve reconstruction.
 struct RevisedSparseConfig {
   static SolveOptions options() {
     SolveOptions o;
@@ -41,7 +34,7 @@ class DualsTest : public ::testing::Test {
   } solver;
 };
 
-using SolverTypes = ::testing::Types<TableauConfig, RevisedSparseConfig>;
+using SolverTypes = ::testing::Types<RevisedSparseConfig>;
 TYPED_TEST_SUITE(DualsTest, SolverTypes);
 
 TYPED_TEST(DualsTest, ClassicShadowPrices) {
@@ -127,7 +120,9 @@ TEST_P(DualSlope, MatchesNumericalDerivative) {
   }
 
   struct {
-    SolveResult solve(const Problem& q) const { return lp::solve(q, TableauConfig::options()); }
+    SolveResult solve(const Problem& q) const {
+      return lp::solve(q, RevisedSparseConfig::options());
+    }
   } solver;
   const SolveResult base = solver.solve(p);
   ASSERT_EQ(base.status, Status::Optimal);
@@ -175,8 +170,17 @@ TEST(Duals, BothSolversAgree) {
       for (auto& c : coeffs) c = rng.uniform(0.0, 1.0);
       p.add_constraint(std::move(coeffs), Relation::LessEqual, rng.uniform(1.0, 4.0));
     }
-    const SolveResult a = lp::solve(p, TableauConfig::options());
-    const SolveResult b = lp::solve(p, RevisedSparseConfig::options());
+    // Cold, and warm from the optimal basis of the same LP with every rhs
+    // scaled down.
+    const SolveOptions opts = RevisedSparseConfig::options();
+    const SolveResult a = lp::solve(p, opts);
+    Problem scaled = p;
+    for (std::size_t i = 0; i < scaled.num_constraints(); ++i)
+      scaled.set_rhs(i, 0.8 * p.constraint(i).rhs);
+    SolveWorkspace ws;
+    ASSERT_EQ(lp::solve(scaled, opts, &ws).status, Status::Optimal);
+    ASSERT_TRUE(ws.warm);
+    const SolveResult b = lp::solve(p, opts, &ws);
     ASSERT_EQ(a.status, Status::Optimal);
     ASSERT_EQ(b.status, Status::Optimal);
     // Duals can differ between alternative optimal bases; compare only when

@@ -1,12 +1,15 @@
-// Property-based tests for the LP solvers: random small instances are solved
-// by tableau simplex, revised simplex, and the brute-force basis enumerator;
-// all three must agree on status and optimal objective, and optimal points
-// must be feasible.
+// Property-based tests for the LP solver: random small instances are solved
+// by the revised simplex, with and without presolve, and by the brute-force
+// basis enumerator; all must agree on status and optimal objective, optimal
+// points must be feasible, and every revised answer must certify under
+// lp::Verifier. Larger instances, past brute force, rest on the Verifier's
+// certificate alone.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "lp/brute_force.h"
+#include "lp/certify.h"
 #include "lp/problem.h"
 #include "lp/solve.h"
 #include "util/rng.h"
@@ -14,16 +17,8 @@
 namespace agora::lp {
 namespace {
 
-SolveResult tableau_solve(const Problem& p) {
-  SolveOptions o;
-  o.backend = Backend::Tableau;
-  o.presolve = false;
-  return solve(p, o);
-}
-
 SolveResult revised_solve(const Problem& p) {
   SolveOptions o;
-  o.backend = Backend::Revised;
   o.presolve = false;
   return solve(p, o);
 }
@@ -65,28 +60,25 @@ class RandomLpAgreement : public ::testing::TestWithParam<RandomLpSpec> {};
 
 TEST_P(RandomLpAgreement, AllSolversAgree) {
   const Problem p = make_random_lp(GetParam());
-  const SolveResult tab = tableau_solve(p);
   const SolveResult rev = revised_solve(p);
   const SolveResult pre = presolved_solve(p);
   const SolveResult bf = brute_force_solve(p);
 
   // Box bounds make the LP bounded, so only Optimal/Infeasible can occur.
-  ASSERT_NE(tab.status, Status::Unbounded);
-  ASSERT_NE(tab.status, Status::IterationLimit);
-  EXPECT_EQ(tab.status, bf.status) << "tableau vs brute force";
+  ASSERT_NE(rev.status, Status::Unbounded);
+  ASSERT_NE(rev.status, Status::IterationLimit);
   EXPECT_EQ(rev.status, bf.status) << "revised vs brute force";
   EXPECT_EQ(pre.status, bf.status) << "presolved vs brute force";
+  const Certificate cert = Verifier().certify(p, rev);
+  EXPECT_TRUE(cert.certified) << (cert.reject ? cert.reject : "");
 
   if (bf.status == Status::Optimal) {
-    EXPECT_NEAR(tab.objective, bf.objective, 1e-5);
     EXPECT_NEAR(rev.objective, bf.objective, 1e-5);
     EXPECT_NEAR(pre.objective, bf.objective, 1e-5);
-    EXPECT_LE(p.max_violation(tab.x), 1e-6);
     EXPECT_LE(p.max_violation(rev.x), 1e-6);
     EXPECT_LE(p.max_violation(pre.x), 1e-6);
     EXPECT_LE(p.max_violation(bf.x), 1e-6);
     // The reported objective must match the reported point.
-    EXPECT_NEAR(p.objective_value(tab.x), tab.objective, 1e-6);
     EXPECT_NEAR(p.objective_value(rev.x), rev.objective, 1e-6);
     EXPECT_NEAR(p.objective_value(pre.x), pre.objective, 1e-6);
   }
@@ -115,9 +107,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RandomLpAgreement, ::testing::ValuesIn(make_spec
                                   (s.with_equalities ? "_eq" : "_ineq");
                          });
 
-/// Larger random feasible LPs: tableau and revised must agree with each
-/// other (brute force would be too slow here). Feasibility is forced by
-/// constraining around a known interior point.
+/// Larger random feasible LPs, past what brute force can enumerate: the
+/// revised answer must certify optimal under lp::Verifier (a KKT proof, not
+/// a second opinion), and the presolved solve must reach the same optimum.
+/// Feasibility is forced by constraining around a known interior point.
 class LargerLpAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LargerLpAgreement, TableauMatchesRevised) {
@@ -140,12 +133,16 @@ TEST_P(LargerLpAgreement, TableauMatchesRevised) {
     // rhs set so the interior point satisfies the row with slack.
     p.add_constraint(std::move(coeffs), Relation::LessEqual, lhs_at_interior + 0.5);
   }
-  const SolveResult tab = tableau_solve(p);
   const SolveResult rev = revised_solve(p);
-  ASSERT_EQ(tab.status, Status::Optimal);
+  const SolveResult pre = presolved_solve(p);
   ASSERT_EQ(rev.status, Status::Optimal);
-  EXPECT_NEAR(tab.objective, rev.objective, 1e-5);
-  EXPECT_LE(p.max_violation(tab.x), 1e-6);
+  ASSERT_EQ(pre.status, Status::Optimal);
+  const Certificate cert = Verifier().certify(p, rev);
+  EXPECT_TRUE(cert.certified) << (cert.reject ? cert.reject : "");
+  EXPECT_EQ(cert.claim, Certificate::Claim::Optimal);
+  EXPECT_FALSE(cert.primal_only);
+  EXPECT_NEAR(pre.objective, rev.objective, 1e-5);
+  EXPECT_LE(p.max_violation(pre.x), 1e-6);
   EXPECT_LE(p.max_violation(rev.x), 1e-6);
 }
 

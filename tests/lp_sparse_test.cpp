@@ -5,10 +5,10 @@
 //      must actually solve B x = b and B' y = c_B against the basis columns
 //      it claims to represent.
 //   2. Differential fuzz against the independent oracles: over random
-//      corpora, the revised solver must agree on status and objective with
-//      the tableau and certify under lp::Verifier (well-conditioned), and
-//      any answer that certifies must match brute-force enumeration
-//      (ill-conditioned).
+//      corpora, the revised solver must certify under lp::Verifier and agree
+//      on status and objective with brute-force enumeration wherever that
+//      can run (well-conditioned), and any answer that certifies must match
+//      brute-force enumeration (ill-conditioned).
 //   3. Presolve round trip: solving with presolve on must produce answers
 //      (including reconstructed duals) that certify against the ORIGINAL
 //      problem and match the presolve-off solve.
@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "lp/brute_force.h"
@@ -29,6 +30,7 @@
 #include "lp/sparse_lu.h"
 #include "lp/standard_form.h"
 #include "lp/workspace.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace agora::lp {
@@ -41,10 +43,16 @@ SolveOptions sparse_opts() {
   return o;
 }
 
-SolveOptions tableau_opts() {
+/// Brute-force enumeration through lp::solve, or nullopt past
+/// kBruteForceMaxBases.
+std::optional<SolveResult> enumerate(const Problem& p) {
   SolveOptions o = sparse_opts();
-  o.backend = Backend::Tableau;
-  return o;
+  o.backend = Backend::BruteForce;
+  try {
+    return lp::solve(p, o);
+  } catch (const PreconditionError&) {
+    return std::nullopt;
+  }
 }
 
 /// Random box-bounded LP; bounded by construction so brute force can act as
@@ -136,40 +144,37 @@ TEST(SparseLu, ReportsFillInAndConditionTelemetry) {
   EXPECT_GT(r.stats.refactorizations, 0u);
 }
 
-// ------------------------------------------ sparse vs tableau, well-cond ---
+// ----------------------------- sparse vs brute force + Verifier, well-cond ---
 
 TEST(SparseOracle, DifferentialFuzzAgreesAndCertifies) {
   Pcg32 rng(555);
-  std::size_t optimal_seen = 0;
+  std::size_t optimal_seen = 0, enumerated = 0;
   for (int trial = 0; trial < 120; ++trial) {
     const std::size_t n = 2 + rng.uniform_u32(8);
     const std::size_t m = 1 + rng.uniform_u32(8);
     const Problem p = random_lp(rng, n, m);
     const SolveResult sp = lp::solve(p, sparse_opts());
-    const SolveResult tb = lp::solve(p, tableau_opts());
-    ASSERT_EQ(sp.status, tb.status) << "trial " << trial;
+    const Certificate cs = Verifier().certify(p, sp);
+    EXPECT_TRUE(cs.certified) << "trial " << trial << ": " << (cs.reject ? cs.reject : "");
+    if (sp.status == Status::Optimal) ++optimal_seen;
+    const std::optional<SolveResult> exact = enumerate(p);
+    if (!exact) continue;
+    ++enumerated;
+    ASSERT_EQ(sp.status, exact->status) << "trial " << trial;
     if (sp.status != Status::Optimal) continue;
-    ++optimal_seen;
-    EXPECT_NEAR(sp.objective, tb.objective, 1e-7 * (1.0 + std::fabs(tb.objective)))
+    EXPECT_NEAR(sp.objective, exact->objective, 1e-7 * (1.0 + std::fabs(exact->objective)))
         << "trial " << trial;
-    Verifier v;
-    const Certificate cs = v.certify(p, sp);
-    const Certificate ct = v.certify(p, tb);
-    EXPECT_TRUE(cs.certified) << "trial " << trial << " sparse: "
-                              << (cs.reject ? cs.reject : "");
-    EXPECT_TRUE(ct.certified) << "trial " << trial << " tableau: "
-                              << (ct.reject ? ct.reject : "");
   }
   EXPECT_GE(optimal_seen, 20u);  // the corpus must not be degenerate
+  EXPECT_GE(enumerated, 40u);    // ... nor beyond the oracle's reach
 }
 
 // ---------------------------------------------- ill-conditioned corpora -----
 
 TEST(SparseOracle, IllConditionedCorpusNeverSilentlyWrong) {
-  // Coefficients spanning ~6 orders of magnitude. The revised solver and the
-  // tableau may legitimately disagree near singularity; the contract is
-  // weaker but checkable: any answer that certifies must match exact
-  // enumeration.
+  // Coefficients spanning ~6 orders of magnitude. The solver may fail near
+  // singularity, with or without presolve; the contract is weaker but
+  // checkable: any answer that certifies must match exact enumeration.
   Pcg32 rng(31001);
   std::size_t certified = 0;
   for (int trial = 0; trial < 30; ++trial) {
@@ -177,8 +182,10 @@ TEST(SparseOracle, IllConditionedCorpusNeverSilentlyWrong) {
     const std::size_t m = 1 + rng.uniform_u32(3);
     const Problem p = random_lp(rng, n, m, 3.0);
     const SolveResult exact = brute_force_solve(p);
-    for (const bool sparse : {true, false}) {
-      const SolveResult r = lp::solve(p, sparse ? sparse_opts() : tableau_opts());
+    for (const bool presolved : {false, true}) {
+      SolveOptions opts = sparse_opts();
+      opts.presolve = presolved;
+      const SolveResult r = lp::solve(p, opts);
       Verifier v;
       const Certificate cert = v.certify(p, r);
       if (!cert.certified) continue;
@@ -187,7 +194,7 @@ TEST(SparseOracle, IllConditionedCorpusNeverSilentlyWrong) {
         ASSERT_EQ(exact.status, Status::Optimal) << "trial " << trial;
         EXPECT_NEAR(r.objective, exact.objective,
                     1e-5 * (1.0 + std::fabs(exact.objective)))
-            << "trial " << trial << (sparse ? " sparse" : " tableau");
+            << "trial " << trial << (presolved ? " presolved" : " direct");
       } else if (cert.claim == Certificate::Claim::Infeasible) {
         EXPECT_EQ(exact.status, Status::Infeasible) << "trial " << trial;
       }
@@ -203,7 +210,7 @@ TEST(SparseLu, EtaFileMatchesRefactorizeEveryStep) {
   // carries pivots through the product-form eta file between periodic
   // refactorizations; the forced run (refactor_residual = 0) rebuilds the
   // LU whenever the xb residual is nonzero, i.e. essentially every
-  // refinement checkpoint. Both must land on the tableau's optimum.
+  // refinement checkpoint. Both must certify and land on the same optimum.
   Pcg32 rng(90210);
   const std::size_t n = 70, m = 50;
   Problem p;
@@ -226,18 +233,14 @@ TEST(SparseLu, EtaFileMatchesRefactorizeEveryStep) {
   SolveOptions eager_opts = sparse_opts();
   eager_opts.tols.refactor_residual = 0.0;
   const SolveResult eager = lp::solve(p, eager_opts);
-  const SolveResult tableau = lp::solve(p, tableau_opts());
 
   ASSERT_EQ(lazy.status, Status::Optimal);
   ASSERT_EQ(eager.status, Status::Optimal);
-  ASSERT_EQ(tableau.status, Status::Optimal);
   EXPECT_GT(lazy.iterations, kRefactorInterval);  // eta file really exercised
   EXPECT_GT(lazy.stats.max_eta_count, 0u);
   EXPECT_LE(lazy.stats.max_eta_count, kRefactorInterval);
   EXPECT_GT(eager.stats.residual_refactorizations, lazy.stats.residual_refactorizations);
-  const double scale = 1.0 + std::fabs(tableau.objective);
-  EXPECT_NEAR(lazy.objective, tableau.objective, 1e-6 * scale);
-  EXPECT_NEAR(eager.objective, tableau.objective, 1e-6 * scale);
+  EXPECT_NEAR(lazy.objective, eager.objective, 1e-6 * (1.0 + std::fabs(eager.objective)));
   Verifier v;
   EXPECT_TRUE(v.certify(p, lazy).certified);
   EXPECT_TRUE(v.certify(p, eager).certified);

@@ -206,16 +206,9 @@ Problem classic_lp() {
   return p;
 }
 
-// Backend configurations exercised by the typed suite below. Every known-LP
-// test runs against the tableau solver and the revised solver (sparse LU
-// basis), each checked against the known answer.
-struct TableauConfig {
-  static SolveOptions options() {
-    SolveOptions o;
-    o.backend = Backend::Tableau;
-    return o;
-  }
-};
+// Backend configuration of the typed suite below: every known-LP test runs
+// against the revised solver (sparse LU basis) and is checked against the
+// known answer.
 struct RevisedSparseConfig {
   static SolveOptions options() {
     SolveOptions o;
@@ -232,7 +225,7 @@ class SolverTest : public ::testing::Test {
   } solver;
 };
 
-using SolverTypes = ::testing::Types<TableauConfig, RevisedSparseConfig>;
+using SolverTypes = ::testing::Types<RevisedSparseConfig>;
 TYPED_TEST_SUITE(SolverTest, SolverTypes);
 
 TYPED_TEST(SolverTest, ClassicMaximization) {
@@ -350,7 +343,7 @@ TYPED_TEST(SolverTest, SolutionSatisfiesConstraints) {
 TEST(BruteForce, MatchesSimplexOnClassic) {
   const Problem p = classic_lp();
   const SolveResult bf = brute_force_solve(p);
-  const SolveResult sx = lp::solve(p, TableauConfig::options());
+  const SolveResult sx = lp::solve(p, RevisedSparseConfig::options());
   ASSERT_EQ(bf.status, Status::Optimal);
   EXPECT_NEAR(bf.objective, sx.objective, 1e-7);
 }
@@ -443,7 +436,6 @@ TEST(Presolve, DecidesFullyFixedProblems) {
 TEST(Presolve, SolveWithPresolveMatchesDirect) {
   const Problem p = classic_lp();
   SolveOptions direct_opts;
-  direct_opts.backend = Backend::Tableau;
   direct_opts.presolve = false;
   const SolveResult direct = lp::solve(p, direct_opts);
   SolveOptions via_opts = direct_opts;

@@ -5,9 +5,9 @@
 // and, one layer up, AllocatorOptions::reuse_context -- must never change
 // WHAT is computed, only how fast. Over fuzzed sequences of bound/rhs
 // perturbations of a fixed-structure LP, the warm-started solve must agree
-// with the cold revised solve, the tableau solve, and (on tiny instances)
-// brute-force vertex enumeration: same status, same objective, same duals
-// within 1e-7.
+// with the cold revised solve and (on tiny instances) brute-force vertex
+// enumeration -- same status, same objective, same duals within 1e-7 -- and
+// both must certify under lp::Verifier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "agree/topology.h"
 #include "alloc/allocator.h"
 #include "lp/brute_force.h"
+#include "lp/certify.h"
 #include "lp/model_builder.h"
 #include "lp/solve.h"
 #include "util/rng.h"
@@ -33,17 +34,8 @@ constexpr double kTol = 1e-7;
 struct RevisedRunner {
   SolveResult solve(const Problem& p, SolveWorkspace* ws = nullptr) const {
     SolveOptions o;
-    o.backend = Backend::Revised;
     o.presolve = false;
     return lp::solve(p, o, ws);
-  }
-};
-struct TableauRunner {
-  SolveResult solve(const Problem& p) const {
-    SolveOptions o;
-    o.backend = Backend::Tableau;
-    o.presolve = false;
-    return lp::solve(p, o);
   }
 };
 
@@ -110,16 +102,15 @@ TEST(LpWarmstart, FuzzedPerturbationsMatchColdTableauAndBruteForce) {
     const std::size_t n = 2 + seed % 3;  // tiny: brute force stays cheap
     CompactFixture f = CompactFixture::make(n, rng);
     RevisedRunner revised;
-    TableauRunner tableau;
     SolveWorkspace ws;
     for (int step = 0; step < 40; ++step) {
       f.perturb(rng);
       const SolveResult cold = revised.solve(f.problem);
       const SolveResult warm = revised.solve(f.problem, &ws);
-      const SolveResult tab = tableau.solve(f.problem);
       const SolveResult brute = brute_force_solve(f.problem);
       expect_same_result(cold, warm, "warm vs cold");
-      expect_same_result(cold, tab, "tableau vs cold");
+      EXPECT_TRUE(Verifier().certify(f.problem, cold).certified) << "cold, step " << step;
+      EXPECT_TRUE(Verifier().certify(f.problem, warm).certified) << "warm, step " << step;
       ASSERT_EQ(cold.status, brute.status) << "brute vs cold";
       if (cold.status == Status::Optimal) {
         EXPECT_NEAR(cold.objective, brute.objective, kTol) << "brute objective";
@@ -197,17 +188,16 @@ TEST(LpWarmstart, InfeasibleAndUnboundedPerturbationsAreDetected) {
 namespace agora::alloc {
 namespace {
 
-AllocatorOptions engine_opts(lp::Backend backend, bool reuse) {
+AllocatorOptions engine_opts(bool reuse) {
   AllocatorOptions opts;
-  opts.solve.backend = backend;
   opts.reuse_context = reuse;
   return opts;
 }
 
-/// Lockstep fuzz at the allocator level: three allocators over the same
-/// system -- Tableau, Revised cold (reuse off), Revised warm (reuse on) --
-/// driven through random allocate/apply/release/set_capacities sequences
-/// must produce the same plan statuses and thetas.
+/// Lockstep fuzz at the allocator level: two allocators over the same
+/// system -- cold (reuse off) and warm (reuse on) -- driven through random
+/// allocate/apply/release/set_capacities sequences must produce the same
+/// plan statuses and thetas, every one certified by lp::Verifier.
 TEST(AllocatorWarmstart, LockstepEnginesAgreeOverRequestReleaseSequences) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Pcg32 rng(seed * 12345);
@@ -216,9 +206,8 @@ TEST(AllocatorWarmstart, LockstepEnginesAgreeOverRequestReleaseSequences) {
     sys.relative = agree::complete_graph(n, 0.6 / static_cast<double>(n));
     for (std::size_t i = 0; i < n; ++i) sys.capacity[i] = rng.uniform(5.0, 15.0);
 
-    Allocator tableau(sys, engine_opts(lp::Backend::Tableau, true));
-    Allocator cold(sys, engine_opts(lp::Backend::Revised, false));
-    Allocator warm(sys, engine_opts(lp::Backend::Revised, true));
+    Allocator cold(sys, engine_opts(false));
+    Allocator warm(sys, engine_opts(true));
 
     for (int step = 0; step < 60; ++step) {
       const std::size_t a = rng.uniform_u32(static_cast<std::uint32_t>(n));
@@ -226,7 +215,6 @@ TEST(AllocatorWarmstart, LockstepEnginesAgreeOverRequestReleaseSequences) {
       if (action == 0) {
         std::vector<double> caps(n);
         for (double& c : caps) c = rng.uniform(2.0, 15.0);
-        tableau.set_capacities(caps);
         cold.set_capacities(caps);
         warm.set_capacities(caps);
         continue;
@@ -234,27 +222,24 @@ TEST(AllocatorWarmstart, LockstepEnginesAgreeOverRequestReleaseSequences) {
       if (action == 1) {
         std::vector<double> back(n, 0.0);
         for (double& b : back) b = rng.uniform(0.0, 0.5);
-        tableau.release(back);
         cold.release(back);
         warm.release(back);
         continue;
       }
       const double amount =
           std::min(warm.available_to(a) * rng.uniform(0.0, 0.9), rng.uniform(0.0, 8.0));
-      const AllocationPlan pt = tableau.allocate(a, amount);
       const AllocationPlan pc = cold.allocate(a, amount);
       const AllocationPlan pw = warm.allocate(a, amount);
-      ASSERT_EQ(pt.status, pw.status) << "seed " << seed << " step " << step;
       ASSERT_EQ(pc.status, pw.status) << "seed " << seed << " step " << step;
+      EXPECT_TRUE(pc.certified) << "seed " << seed << " step " << step;
+      EXPECT_TRUE(pw.certified) << "seed " << seed << " step " << step;
       if (!pw.satisfied()) continue;
-      EXPECT_NEAR(pt.theta, pw.theta, 1e-7) << "seed " << seed << " step " << step;
       EXPECT_NEAR(pc.theta, pw.theta, 1e-7) << "seed " << seed << " step " << step;
       if (action == 3) {  // sometimes commit, sometimes just consult
-        tableau.apply(pt);
         // Apply the SAME plan everywhere so capacities stay in lockstep even
         // when alternative optima differ in their draw vectors.
-        cold.apply(pt);
-        warm.apply(pt);
+        cold.apply(pc);
+        warm.apply(pc);
       }
     }
   }
@@ -269,7 +254,7 @@ TEST(AllocatorWarmstart, InfeasibleConsultKeepsTheWarmBasis) {
   agree::AgreementSystem sys(5);
   sys.relative = agree::complete_graph(5, 0.1);
   for (std::size_t i = 0; i < 5; ++i) sys.capacity[i] = 10.0;
-  AllocatorOptions opts = engine_opts(lp::Backend::Revised, true);
+  AllocatorOptions opts = engine_opts(true);
   opts.sink = obs::Sink::none();
   Allocator alloc(sys, opts);
   const double avail = alloc.available_to(1);
@@ -287,13 +272,30 @@ TEST(AllocatorWarmstart, InfeasibleConsultKeepsTheWarmBasis) {
   EXPECT_EQ(s.failures[kWarm], 0u);
 }
 
+/// The default allocator warm-starts: its second consult on a component
+/// enters at the first consult's optimal basis.
+TEST(AllocatorWarmstart, DefaultAllocatorWarmStartsTheSecondConsultOnAComponent) {
+  agree::AgreementSystem sys(5);
+  sys.relative = agree::complete_graph(5, 0.1);
+  for (std::size_t i = 0; i < 5; ++i) sys.capacity[i] = 10.0;
+  AllocatorOptions opts;
+  opts.sink = obs::Sink::none();
+  Allocator alloc(sys, opts);
+  ASSERT_TRUE(alloc.allocate(1, 0.5 * alloc.available_to(1)).satisfied());
+  ASSERT_TRUE(alloc.allocate(3, 0.4 * alloc.available_to(3)).satisfied());
+  const lp::PipelineStats& s = *alloc.solver_stats();
+  constexpr int kWarm = static_cast<int>(lp::PipelineStage::WarmRevised);
+  EXPECT_GT(s.attempts[kWarm], 0u);
+  EXPECT_EQ(s.failures[kWarm], 0u);
+}
+
 /// reuse_context must not change results when capacities never move either
 /// (repeated identical requests -- the pure warm-start steady state).
 TEST(AllocatorWarmstart, RepeatedIdenticalRequestsStaySatisfiedAndStable) {
   agree::AgreementSystem sys(6);
   sys.relative = agree::distance_decay(6, {0.25, 0.10});
   for (std::size_t i = 0; i < 6; ++i) sys.capacity[i] = 10.0;
-  Allocator warm(sys, engine_opts(lp::Backend::Revised, true));
+  Allocator warm(sys, engine_opts(true));
   const AllocationPlan first = warm.allocate(2, 4.0);  // cold: builds the cache
   ASSERT_TRUE(first.satisfied());
   const AllocationPlan steady = warm.allocate(2, 4.0);  // first warm solve

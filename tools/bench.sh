@@ -2,7 +2,7 @@
 # LP solver benchmark harness: builds micro_lp, micro_warmstart and
 # micro_certify in Release, runs them, and merges the results into
 # BENCH_lp.json at the repo root (iterations, ns/solve, allocs/solve, the
-# revised-vs-tableau LPSCALE sweep from micro_lp, the warm-vs-cold iteration
+# warm-vs-cold-chain LPSCALE sweep from micro_lp, the warm-vs-cold iteration
 # ratio from micro_warmstart's verification pass, and the certification
 # overhead from micro_certify's A/B pass).
 # Usage: tools/bench.sh   (from the repository root)
@@ -19,10 +19,10 @@ cmake --build "${BUILD}" -j --target micro_lp micro_warmstart micro_certify scal
   scale_hotpath chaos_failover wire_loopback
 
 # micro_lp runs the LPSCALE scaling sweep (warm revised at n in {100, 500,
-# 1000}, the certified tableau-first chain at n = 100) before its benchmark
-# table and exits non-zero if any configuration fails to solve+certify or
-# warm revised misses the >=20x consults/s bound over the tableau chain at
-# n = 100 -- set -e makes that the release gate here.
+# 1000}, the cold certified chain at n = 100) before its benchmark table and
+# exits non-zero if any configuration fails to solve+certify or warm revised
+# misses the >=10x consults/s bound over the cold chain at n = 100 -- set -e
+# makes that the release gate here.
 "./${BUILD}/bench/micro_lp" \
   --benchmark_out="${OUT}/micro_lp.json" --benchmark_out_format=json \
   | tee "${OUT}/lpscale_summary.txt"
@@ -47,8 +47,9 @@ echo "bench: BENCH_lp.json written"
 
 # Enforcement-engine sweeps: the shard-count sweep (1/2/4/8 shards,
 # consults/sec + p50/p99 consult latency with a recorded p99 regression
-# bound), its single-component federation sweep (federated off/on x 1/2/4/8
-# shards over the ring-bridged economy, measured optimality gap per point),
+# bound), its single-component federation sweep (one exact shard, then
+# federated 2/4/8 shards over the ring-bridged economy, measured optimality
+# gap per point),
 # and the admission hot-path sweep (baseline vs fast path vs plan cache on a
 # Zipf s=1.1 request mix; cache hit-rate, fast-path share,
 # 100%-certified-grants gate). The merge script nests the fragments under

@@ -15,7 +15,7 @@ Only the Python standard library is used. For every benchmark we keep the
 iteration count, ns/solve (real time) and -- where the benchmark reports it
 -- allocations and LP pivots per solve. micro_lp's LPSCALE sweep lines
 (one per n x backend configuration, plus the closing
-revised_vs_tableau_n100 line) are parsed into a "scaling" block, the
+revised_vs_cold_chain_n100 line) are parsed into a "scaling" block, the
 micro_warmstart verification line (WARMSTART theta_max_diff=...
 cold_iters=... warm_iters=... iter_ratio=...) into a "warmstart" block,
 and the micro_certify line (CERTIFY overhead_pct=... certified_solves=...
@@ -72,10 +72,10 @@ def parse_lpscale(path):
                 "max_eta": int(m.group(10)),
             }
         )
-    speed = re.search(r"LPSCALE revised_vs_tableau_n100=(\S+)", text)
+    speed = re.search(r"LPSCALE revised_vs_cold_chain_n100=(\S+)", text)
     if not points or not speed:
         raise SystemExit(f"no LPSCALE sweep lines found in {path}")
-    return {"points": points, "revised_vs_tableau_n100": float(speed.group(1))}
+    return {"points": points, "revised_vs_cold_chain_n100": float(speed.group(1))}
 
 
 def parse_warmstart(path):

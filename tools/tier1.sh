@@ -12,6 +12,10 @@ cmake --build build -j
 # tier2-* labels and run selectively (`ctest -L tier2-stress` etc.) or via
 # the sanitizer passes below. Plain `ctest` still runs everything.
 (cd build && ctest --output-on-failure -j -LE '^tier2-')
+# The golden figures (about 1.5 s) replay small Figure 5/9/13 scenarios end
+# to end through the allocator and its solver, so they are the guard on any
+# change of solver behaviour; they run in tier 1 too.
+(cd build && ctest --output-on-failure -L '^tier2-figures$')
 
 # Sanitizer pass over the message-layer tests (the fault-injection code
 # paths -- drops, duplicate frees of envelopes, restart handlers -- are the
@@ -22,8 +26,10 @@ cmake --build build -j
 # pivoting, deliberately corrupted workspaces, and the sparse LU's bucketed
 # pivot search / eta-file replay -- index-heavy code where out-of-bounds
 # reads and UB would hide), the known-answer and shadow-price suites
-# (lp_test, lp_duals_test: every textbook LP through the sparse factors as
-# well as the tableau), plus the warm-start and allocator suites
+# (lp_test, lp_duals_test: every textbook LP through the sparse factors),
+# the random-LP property suite (lp_property_test: the revised simplex, the
+# only simplex, against the brute-force oracle and the Verifier), plus the
+# warm-start and allocator suites
 # (workspaces carried across solves, component-local models scattered back
 # into global index space; alloc_test and alloc_property_test pin the
 # per-component availability refresh, whose entitlement blocks are indexed
@@ -36,7 +42,7 @@ cmake --build build -j
 # tier-1 build bit for bit.
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
 cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
-  rms_failover_test fuzz_test lp_test lp_duals_test lp_certify_test \
+  rms_failover_test fuzz_test lp_test lp_duals_test lp_property_test lp_certify_test \
   lp_adversarial_test lp_sparse_test lp_warmstart_test alloc_test alloc_property_test \
   alloc_components_test engine_test engine_stress_test engine_cache_test \
   engine_federation_test credit_conservation_test federation_chaos_test net_frame_test net_service_test \
@@ -48,6 +54,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 ./build-asan/tests/fuzz_test
 ./build-asan/tests/lp_test
 ./build-asan/tests/lp_duals_test
+./build-asan/tests/lp_property_test
 ./build-asan/tests/lp_certify_test
 ./build-asan/tests/lp_adversarial_test
 ./build-asan/tests/lp_sparse_test
