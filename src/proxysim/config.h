@@ -106,10 +106,10 @@ struct SimConfig {
   /// two). When a run emits more events than this, the oldest are
   /// overwritten (SimMetrics::events_overwritten accounts for them). The
   /// default is deliberately small: at 48 bytes per slot a 4Ki-event ring
-  /// stays L2-resident, keeping the per-request admission event within the
-  /// <= 3% simulation-throughput overhead budget (see EXPERIMENTS.md); a
-  /// 64Ki ring cycles a ~3 MB working set and costs ~10%. Raise it when a
-  /// run's full event stream matters more than throughput.
+  /// stays L2-resident, where a 64Ki ring cycles a ~3 MB working set. The
+  /// observability layer's budget is <= 3% of simulation throughput; with
+  /// this ring it measures 5-24% (EXPERIMENTS.md, micro_sim). Raise it when
+  /// a run's full event stream matters more than throughput.
   std::size_t event_ring_capacity = 1 << 12;
 
   double proxy_power(std::size_t i) const { return power.empty() ? 1.0 : power.at(i); }

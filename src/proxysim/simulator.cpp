@@ -6,6 +6,8 @@
 #include <functional>
 #include <limits>
 #include <queue>
+#include <type_traits>
+#include <utility>
 
 #include "proxysim/scheduler_bridge.h"
 #include "util/error.h"
@@ -46,15 +48,16 @@ struct ProxyState {
   }
 };
 
-enum class EventKind : std::uint8_t { Completion = 0, Arrival = 1, Decision = 2 };
+// Arrivals never enter the event heap (see Simulator::run), so it holds only
+// completions, at most one per proxy, and delayed decisions.
+enum class EventKind : std::uint8_t { Completion = 0, Decision = 1 };
 
 struct Event {
   double time;
-  EventKind kind;
+  std::uint64_t seq;       ///< creation order: tie-break for determinism
   std::uint32_t proxy;
-  std::uint64_t seq;  ///< tie-break for determinism
-  Job job;            ///< valid for Arrival
-  std::vector<double> absorb;  ///< valid for Decision: per-proxy budgets
+  std::uint32_t decision;  ///< Decision: slot of its budgets in the side store
+  EventKind kind;
 
   bool operator>(const Event& o) const {
     if (time != o.time) return time > o.time;
@@ -62,6 +65,7 @@ struct Event {
     return seq > o.seq;
   }
 };
+static_assert(std::is_trivially_copyable_v<Event> && sizeof(Event) == 32);
 
 }  // namespace
 
@@ -93,27 +97,28 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
 
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
   std::uint64_t seq = 0;
+  // Budgets of delayed decisions, n per decision, and the slots of the ones
+  // already applied (reused before the store grows).
+  std::vector<double> budgets;
+  std::vector<std::uint32_t> free_budgets;
 
-  // Seed arrival events, the per-slot request counts, and each proxy's
-  // known demand curve (cumulative arriving work over time, used to report
-  // honest spare capacity to the scheduler).
+  // Validate the traces and derive the per-slot request counts and each
+  // proxy's known demand curve (cumulative arriving work over time, used to
+  // report honest spare capacity to the scheduler).
   const std::size_t num_slots = metrics.requests_by_slot.size();
   std::vector<std::vector<double>> work_prefix(n, std::vector<double>(num_slots + 1, 0.0));
   for (std::size_t p = 0; p < n; ++p) {
-    double prev = -1.0;
+    double prev = 0.0;
     for (const auto& r : traces[p]) {
+      AGORA_REQUIRE(std::isfinite(r.arrival) && r.arrival >= 0.0,
+                    "arrival times must be finite and non-negative");
       AGORA_REQUIRE(r.arrival >= prev, "trace must be sorted by arrival");
       prev = r.arrival;
-      Job j;
-      j.arrival = r.arrival;
-      j.demand = cfg_.cost.demand(r.response_bytes);
-      j.origin = static_cast<std::uint32_t>(p);
-      events.push(Event{r.arrival, EventKind::Arrival, static_cast<std::uint32_t>(p), seq++, j, {}});
       auto slot = static_cast<std::size_t>(r.arrival / cfg_.slot_width);
       if (slot >= num_slots) slot = num_slots - 1;
       ++metrics.requests_by_slot[slot];
       ++metrics.total_requests;
-      work_prefix[p][slot + 1] += j.demand;
+      work_prefix[p][slot + 1] += cfg_.cost.demand(r.response_bytes);
     }
     for (std::size_t s = 0; s < num_slots; ++s) work_prefix[p][s + 1] += work_prefix[p][s];
   }
@@ -155,8 +160,8 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
                now - j.arrival, j.demand);
     st.busy = true;
     st.busy_until = now + j.demand / cfg_.proxy_power(p);
-    events.push(Event{st.busy_until, EventKind::Completion, static_cast<std::uint32_t>(p),
-                      seq++, Job{}, {}});
+    events.push(Event{st.busy_until, seq++, static_cast<std::uint32_t>(p), 0,
+                      EventKind::Completion});
   };
 
   // Spare capacity over the scheduling epoch, in unit-power demand seconds:
@@ -174,60 +179,9 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
     return spare;
   };
 
-  std::function<void(std::size_t, const std::vector<double>&, double)> apply_decision;
-
-  const auto maybe_consult = [&](std::size_t p, double now) {
-    if (scheduler.kind() == SchedulerKind::None) return;
-    ProxyState& st = proxies[p];
-    const double power = cfg_.proxy_power(p);
-    if (st.queued_demand / power <= cfg_.queue_threshold) return;
-    if (now - st.last_consult < cfg_.consult_cooldown) return;
-    st.last_consult = now;
-    ++metrics.scheduler_consults;
-    ++metrics.consults_by_slot[slot_of(now)];
-
-    const double keep = cfg_.keep_local_fraction * cfg_.queue_threshold * power;
-    const double overflow = st.queued_demand - keep;
-    if (overflow <= 0.0) return;
-    sink.event(now, obs::EventKind::ConsultStarted, static_cast<std::uint32_t>(p), 0, overflow);
-
-    // The origin's reported spare must exclude the overflow it is trying to
-    // shed (but keep its expected arrivals), otherwise the LP sees the
-    // origin as saturated and dumps the whole overflow remotely instead of
-    // balancing local vs remote load.
-    std::vector<double> spare = spare_capacity(now);
-    const double busy_left = st.busy ? std::max(0.0, st.busy_until - now) : 0.0;
-    spare[p] = std::max(
-        0.0, cfg_.planning_window * power - keep - busy_left * power -
-                 (cfg_.spare_includes_forecast
-                      ? expected_work(p, now, now + cfg_.planning_window)
-                      : 0.0));
-
-    RedirectDecision dec = scheduler.plan(p, overflow, spare);
-    metrics.lp_iterations += dec.lp_iterations;
-    metrics.solver_fallbacks += dec.solver_fallbacks;
-    if (dec.certified) ++metrics.certified_consults;
-    if (dec.degraded_local) {
-      ++metrics.degraded_consults;
-      ++metrics.degraded_by_slot[slot_of(now)];
-      sink.event(now, obs::EventKind::ConsultDegraded, static_cast<std::uint32_t>(p), 0,
-                 overflow);
-    }
-
-    if (cfg_.decision_latency > 0.0) {
-      // Centralized scheduling has a round trip: the decision was computed
-      // against now-current state but takes effect only after the latency.
-      Event ev{now + cfg_.decision_latency, EventKind::Decision,
-               static_cast<std::uint32_t>(p), seq++, Job{}, std::move(dec.absorb)};
-      events.push(std::move(ev));
-      return;
-    }
-    apply_decision(p, dec.absorb, now);
-  };
-
-  // Defined below as a std::function so maybe_consult (above) and the event
-  // loop can both call it.
-  apply_decision = [&](std::size_t p, const std::vector<double>& absorb, double now) {
+  // Apply a scheduler decision for overloaded proxy p: absorb[k] is the
+  // demand proxy k should take over (n entries).
+  const auto apply_decision = [&](std::size_t p, const double* absorb, double now) {
     ProxyState& st = proxies[p];
     const double power = cfg_.proxy_power(p);
 
@@ -293,16 +247,95 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
     }
   };
 
-  while (!events.empty()) {
+  const auto maybe_consult = [&](std::size_t p, double now) {
+    if (scheduler.kind() == SchedulerKind::None) return;
+    ProxyState& st = proxies[p];
+    const double power = cfg_.proxy_power(p);
+    if (st.queued_demand / power <= cfg_.queue_threshold) return;
+    if (now - st.last_consult < cfg_.consult_cooldown) return;
+    st.last_consult = now;
+    ++metrics.scheduler_consults;
+    ++metrics.consults_by_slot[slot_of(now)];
+
+    const double keep = cfg_.keep_local_fraction * cfg_.queue_threshold * power;
+    const double overflow = st.queued_demand - keep;
+    if (overflow <= 0.0) return;
+    sink.event(now, obs::EventKind::ConsultStarted, static_cast<std::uint32_t>(p), 0, overflow);
+
+    // The origin's reported spare must exclude the overflow it is trying to
+    // shed (but keep its expected arrivals), otherwise the LP sees the
+    // origin as saturated and dumps the whole overflow remotely instead of
+    // balancing local vs remote load.
+    std::vector<double> spare = spare_capacity(now);
+    const double busy_left = st.busy ? std::max(0.0, st.busy_until - now) : 0.0;
+    spare[p] = std::max(
+        0.0, cfg_.planning_window * power - keep - busy_left * power -
+                 (cfg_.spare_includes_forecast
+                      ? expected_work(p, now, now + cfg_.planning_window)
+                      : 0.0));
+
+    RedirectDecision dec = scheduler.plan(p, overflow, spare);
+    metrics.lp_iterations += dec.lp_iterations;
+    metrics.solver_fallbacks += dec.solver_fallbacks;
+    if (dec.certified) ++metrics.certified_consults;
+    if (dec.degraded_local) {
+      ++metrics.degraded_consults;
+      ++metrics.degraded_by_slot[slot_of(now)];
+      sink.event(now, obs::EventKind::ConsultDegraded, static_cast<std::uint32_t>(p), 0,
+                 overflow);
+    }
+
+    if (cfg_.decision_latency > 0.0) {
+      // Centralized scheduling has a round trip: the decision was computed
+      // against now-current state but takes effect only after the latency.
+      std::uint32_t slot;
+      if (free_budgets.empty()) {
+        slot = static_cast<std::uint32_t>(budgets.size() / n);
+        budgets.resize(budgets.size() + n);
+      } else {
+        slot = free_budgets.back();
+        free_budgets.pop_back();
+      }
+      std::copy(dec.absorb.begin(), dec.absorb.end(), budgets.begin() + slot * n);
+      events.push(Event{now + cfg_.decision_latency, seq++, static_cast<std::uint32_t>(p), slot,
+                        EventKind::Decision});
+      return;
+    }
+    apply_decision(p, dec.absorb.data(), now);
+  };
+
+  // Arrivals stream from one cursor per proxy into its sorted trace, taken
+  // by (time, proxy) from a heap of the n cursors, and never enter the event
+  // heap. The merged order is the (time, kind, seq) key of one queue holding
+  // every event, with Completion < Arrival < Decision and arrivals numbered
+  // by (proxy, trace index) ahead of all other events: at equal times an
+  // arrival goes before the event heap's top only when that is a Decision.
+  using Cursor = std::pair<double, std::uint32_t>;  // (next arrival, proxy)
+  std::priority_queue<Cursor, std::vector<Cursor>, std::greater<Cursor>> arrivals;
+  std::vector<std::size_t> cursor(n, 0);
+  for (std::size_t p = 0; p < n; ++p)
+    if (!traces[p].empty())
+      arrivals.push({traces[p].front().arrival, static_cast<std::uint32_t>(p)});
+
+  while (!arrivals.empty() || !events.empty()) {
+    const bool arrival_next =
+        !arrivals.empty() &&
+        (events.empty() || arrivals.top().first < events.top().time ||
+         (arrivals.top().first == events.top().time &&
+          events.top().kind == EventKind::Decision));
+    if (arrival_next) {
+      const auto [now, p] = arrivals.top();
+      arrivals.pop();
+      const trace::TraceRequest& r = traces[p][cursor[p]++];
+      if (cursor[p] < traces[p].size()) arrivals.push({traces[p][cursor[p]].arrival, p});
+      proxies[p].push(Job{now, cfg_.cost.demand(r.response_bytes), p, false});
+      try_start(p, now);
+      maybe_consult(p, now);
+      continue;
+    }
     const Event ev = events.top();
     events.pop();
     switch (ev.kind) {
-      case EventKind::Arrival: {
-        proxies[ev.proxy].push(ev.job);
-        try_start(ev.proxy, ev.time);
-        maybe_consult(ev.proxy, ev.time);
-        break;
-      }
       case EventKind::Completion: {
         proxies[ev.proxy].busy = false;
         try_start(ev.proxy, ev.time);
@@ -312,7 +345,8 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
         break;
       }
       case EventKind::Decision: {
-        apply_decision(ev.proxy, ev.absorb, ev.time);
+        apply_decision(ev.proxy, budgets.data() + std::size_t{ev.decision} * n, ev.time);
+        free_budgets.push_back(ev.decision);
         break;
       }
     }

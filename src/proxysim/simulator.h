@@ -26,8 +26,9 @@ class Simulator {
   explicit Simulator(SimConfig cfg);
 
   /// Run to completion over the given per-proxy request streams (one vector
-  /// of arrival-sorted requests per proxy). The simulation drains all queues
-  /// past the horizon so every request is served exactly once.
+  /// of arrival-sorted requests per proxy, every arrival finite and
+  /// non-negative). The simulation drains all queues past the horizon so
+  /// every request is served exactly once.
   SimMetrics run(const std::vector<std::vector<trace::TraceRequest>>& traces);
 
  private:

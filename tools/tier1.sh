@@ -37,7 +37,11 @@ cmake --build build -j
 # addresses the standard form's rows by layout), and the engine suites
 # (engine_test, engine_stress_test: blocking consults and mutations run the shard's
 # allocator, credit table and gap ring on the caller's thread, so those
-# objects' lifetimes now span threads the tests drive). The sanitizer build
+# objects' lifetimes now span threads the tests drive), and the proxy
+# simulator suites (proxysim_test, proxysim_bridge_test: arrivals stream from
+# per-proxy cursors into the traces and delayed decisions keep their budgets
+# in a flat side store addressed by slot, both index-heavy code where an
+# out-of-bounds read would otherwise go unseen). The sanitizer build
 # compiles with -ffp-contract=off so its floating-point results match the
 # tier-1 build bit for bit.
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
@@ -46,7 +50,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   lp_adversarial_test lp_sparse_test lp_warmstart_test alloc_test alloc_property_test \
   alloc_components_test engine_test engine_stress_test engine_cache_test \
   engine_federation_test credit_conservation_test federation_chaos_test net_frame_test net_service_test \
-  net_soak_test
+  net_soak_test proxysim_test proxysim_bridge_test
 ./build-asan/tests/rms_test
 ./build-asan/tests/rms_chaos_test
 ./build-asan/tests/rms_replica_test
@@ -78,6 +82,8 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 ./build-asan/tests/net_frame_test
 ./build-asan/tests/net_service_test
 ./build-asan/tests/net_soak_test
+./build-asan/tests/proxysim_test
+./build-asan/tests/proxysim_bridge_test
 
 # ThreadSanitizer pass over the deliberately multithreaded code: the
 # concurrent observability substrate (metrics registry, lock-free EventRing
