@@ -74,4 +74,19 @@ std::vector<std::vector<std::size_t>> connected_components(const AgreementSystem
   return comps;
 }
 
+AgreementSystem induced_system(const AgreementSystem& sys,
+                               const std::vector<std::size_t>& members) {
+  const std::size_t m = members.size();
+  AgreementSystem sub(m);
+  for (std::size_t l = 0; l < m; ++l) {
+    sub.capacity[l] = sys.capacity[members[l]];
+    sub.retained[l] = sys.retained[members[l]];
+    for (std::size_t k = 0; k < m; ++k) {
+      sub.relative(l, k) = sys.relative(members[l], members[k]);
+      sub.absolute(l, k) = sys.absolute(members[l], members[k]);
+    }
+  }
+  return sub;
+}
+
 }  // namespace agora::agree

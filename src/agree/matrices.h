@@ -47,4 +47,9 @@ struct AgreementSystem {
 /// are ascending; components are ordered by their smallest member.
 std::vector<std::vector<std::size_t>> connected_components(const AgreementSystem& sys);
 
+/// The system restricted to `members` (global ids; local index l is
+/// members[l]): their capacities and retained fractions and the agreements
+/// among them. Loses no entitlement when `members` is a union of components.
+AgreementSystem induced_system(const AgreementSystem& sys, const std::vector<std::size_t>& members);
+
 }  // namespace agora::agree

@@ -93,9 +93,9 @@ std::uint64_t Allocator::refresh_component(std::size_t c) {
   return u_clamps;
 }
 
-void Allocator::commit_capacities(std::span<const double> next) {
-  AGORA_REQUIRE(next.size() == sys_.size(), "capacity vector size mismatch");
-  for (double x : next) AGORA_REQUIRE(x >= 0.0 && std::isfinite(x), "capacities must be >= 0");
+void Allocator::commit(const CapacityWrite& write) {
+  next_capacities(sys_.capacity, write, next_capacity_);
+  const std::vector<double>& next = next_capacity_;
   std::uint64_t u_clamps = 0;
   for (std::size_t c = 0; c < components_.size(); ++c) {
     const std::vector<std::size_t>& members = components_[c];
@@ -422,31 +422,5 @@ AllocationPlan Allocator::solve_full(std::size_t a, double amount, bool exact) c
   plan.theta = r.x[theta.index];
   return plan;
 }
-
-void Allocator::apply(const AllocationPlan& plan) {
-  AGORA_REQUIRE(plan.satisfied(), "cannot apply an unsatisfied plan");
-  AGORA_REQUIRE(plan.draw.size() == sys_.size(), "plan size mismatch");
-  next_capacity_.resize(sys_.size());
-  for (std::size_t i = 0; i < sys_.size(); ++i) {
-    AGORA_REQUIRE(plan.draw[i] <= sys_.capacity[i] + 1e-7,
-                  "plan draws more than a principal owns");
-    next_capacity_[i] = std::max(0.0, sys_.capacity[i] - plan.draw[i]);
-  }
-  commit_capacities(next_capacity_);
-}
-
-void Allocator::release(const std::vector<double>& give_back) {
-  AGORA_REQUIRE(give_back.size() == sys_.size(), "release size mismatch");
-  next_capacity_.resize(sys_.size());
-  for (std::size_t i = 0; i < sys_.size(); ++i) {
-    AGORA_REQUIRE(give_back[i] >= 0.0, "release must be non-negative");
-    next_capacity_[i] = sys_.capacity[i] + give_back[i];
-  }
-  commit_capacities(next_capacity_);
-}
-
-void Allocator::set_capacities(const std::vector<double>& v) { commit_capacities(v); }
-
-void Allocator::set_capacities(std::span<const double> v) { commit_capacities(v); }
 
 }  // namespace agora::alloc

@@ -136,24 +136,6 @@ class Allocator : public AllocatorBase {
   /// Largest request principal `a` could have satisfied right now (C_a).
   double available_to(std::size_t a) const override { return report_.capacity.at(a); }
 
-  /// Commit a plan: subtract draws from capacities and refresh the
-  /// availability of every component the plan drew on. Throws, leaving the
-  /// allocator untouched, when any draw exceeds its principal's capacity.
-  void apply(const AllocationPlan& plan) override;
-
-  /// Return capacity to principals (e.g. when borrowed work completes).
-  /// Throws, leaving the allocator untouched, on a negative or non-finite
-  /// entry.
-  void release(const std::vector<double>& give_back) override;
-
-  /// Replace all capacities (the simulator refreshes V_i each epoch from
-  /// LRM reports) without touching the agreement matrices. Only components
-  /// whose capacities moved are refreshed, so an unchanged vector is a
-  /// no-op. Both overloads copy into existing storage and are
-  /// allocation-free.
-  void set_capacities(const std::vector<double>& v);
-  void set_capacities(std::span<const double> v) override;
-
   /// Degradation telemetry of the certified solve chain (attempts,
   /// certification failures, fallback depth, solver health counters).
   /// All-zero when `certify` is off.
@@ -163,6 +145,12 @@ class Allocator : public AllocatorBase {
   /// from other threads (the engine aggregates these into EngineStats).
   std::uint64_t fastpath_granted() const { return fastpath_granted_.load(); }
   std::uint64_t fastpath_fallthrough() const { return fastpath_fallthrough_.load(); }
+  /// Continue `retired`'s fast-path counts (an engine shard whose allocator
+  /// is rebuilt keeps its history).
+  void carry_fastpath_counts(const Allocator& retired) {
+    fastpath_granted_ = retired.fastpath_granted_;
+    fastpath_fallthrough_ = retired.fastpath_fallthrough_;
+  }
 
  private:
   /// Attempt the theta<=1 self-draw grant; true when `plan` was filled with a
@@ -186,13 +174,13 @@ class Allocator : public AllocatorBase {
   /// outcome + fallback depth on the plan.
   lp::SolveResult run_certified(const lp::Problem& p, lp::SolveWorkspace* ws,
                                 AllocationPlan& plan) const;
-  /// The one capacity write behind apply, release and set_capacities:
-  /// validate the whole vector `next` (size, finite, >= 0) before touching
-  /// anything, then store it and refresh every component whose capacities
-  /// moved. The transitive closure depends only on S, so a refresh costs
-  /// O(m^2) for a component of m, and components left unchanged cost one
-  /// comparison per member.
-  void commit_capacities(std::span<const double> next);
+  /// The store behind apply, release and set_capacities: run the capacity
+  /// rule on the current capacities, then store the result and refresh
+  /// every component whose capacities moved. The transitive closure depends
+  /// only on S, so a refresh costs O(m^2) for a component of m, and
+  /// components left unchanged cost one comparison per member; an unchanged
+  /// vector is a no-op. Allocation-free once the scratch vector is sized.
+  void commit(const CapacityWrite& write) override;
   /// Recompute U_ki for k, i in component c and C_i for its members from
   /// the current capacities. Sums run in ascending principal order like a
   /// whole-matrix pass, whose extra terms (U_ki across components) are
@@ -238,7 +226,7 @@ class Allocator : public AllocatorBase {
   /// components would rebuild it on every switch.
   mutable std::vector<lp::Verifier> verifiers_;
   mutable std::vector<double> fast_x_;
-  /// Scratch for the capacity vector apply() and release() commit.
+  /// Scratch for the capacity vector commit() stores.
   std::vector<double> next_capacity_;
   mutable RelaxedCounter fastpath_granted_;
   mutable RelaxedCounter fastpath_fallthrough_;

@@ -12,6 +12,11 @@
 //     with apply(); return capacity with release().
 //   * set_capacities() replaces every V_i without touching the agreement
 //     structure (the per-epoch refresh path of trace-driven enforcement).
+//   * apply(), release() and set_capacities() are implemented here, once:
+//     each hands its write to commit(), which every implementation overrides
+//     to run the capacity rule (ledger.h) on its own current capacities and
+//     store the result. A write the rule refuses throws PreconditionError
+//     and changes nothing, on every backend.
 //   * Thread safety is implementation-defined: the two direct allocators are
 //     single-threaded, the engine is safe for any number of callers.
 #pragma once
@@ -21,8 +26,10 @@
 #include <vector>
 
 #include "agree/matrices.h"
+#include "alloc/ledger.h"
 #include "alloc/plan.h"
 #include "lp/solve_pipeline.h"
+#include "util/error.h"
 
 namespace agora::alloc {
 
@@ -44,18 +51,35 @@ class AllocatorBase {
   /// Largest request principal `a` could have satisfied right now (C_a).
   virtual double available_to(std::size_t a) const = 0;
 
-  /// Commit a satisfied plan: subtract draws from capacities.
-  virtual void apply(const AllocationPlan& plan) = 0;
+  /// Commit a satisfied plan: subtract its draws from capacities.
+  void apply(const AllocationPlan& plan) {
+    AGORA_REQUIRE(plan.satisfied(), "cannot apply an unsatisfied plan");
+    commit({CapacityWrite::Kind::Draw, plan.draw, plan.borrowed});
+  }
 
   /// Return capacity to principals (e.g. when borrowed work completes).
-  virtual void release(const std::vector<double>& give_back) = 0;
+  void release(const std::vector<double>& give_back) {
+    commit({CapacityWrite::Kind::Release, give_back, {}});
+  }
 
   /// Replace all capacities without touching the agreement matrices.
-  virtual void set_capacities(std::span<const double> v) = 0;
+  void set_capacities(std::span<const double> v) {
+    commit({CapacityWrite::Kind::Replace, v, {}});
+  }
+  void set_capacities(const std::vector<double>& v) {
+    set_capacities(std::span<const double>(v));
+  }
 
   /// Degradation telemetry of the certified solve chain; nullptr when the
   /// implementation has none to report (or aggregation is not meaningful).
   virtual const lp::PipelineStats* solver_stats() const { return nullptr; }
+
+ protected:
+  /// The one store behind apply, release and set_capacities: compute the
+  /// next capacities with next_capacities() from the implementation's own
+  /// current ones, under its own lock, and store them. When the rule throws,
+  /// nothing may have changed.
+  virtual void commit(const CapacityWrite& write) = 0;
 };
 
 }  // namespace agora::alloc

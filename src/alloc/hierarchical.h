@@ -15,6 +15,14 @@
 // This trades a single (n+1)-variable LP for one (g+1)-variable LP plus a
 // handful of (|group|+1)-variable LPs -- the micro_formulation bench
 // measures the crossover.
+//
+// The flat Allocator over the full system is built with the hierarchical
+// one and is its only copy of the capacities and of the full-system report
+// (entitlements, clamped shares, C_i): the fine level's draw bounds, the
+// flat fallback and available_to() all read it. A capacity write runs the
+// one capacity rule (ledger.h) on the flat allocator's capacities, stores
+// the result there -- refreshing only the components it moved -- and pushes
+// the new capacities into the live per-group allocators.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +40,8 @@ class HierarchicalAllocator : public AllocatorBase {
                         AllocatorOptions opts = {});
 
   std::size_t num_groups() const { return groups_.size(); }
-  const agree::AgreementSystem& system() const override { return sys_; }
-  std::size_t size() const override { return sys_.size(); }
+  const agree::AgreementSystem& system() const override { return flat_.system(); }
+  std::size_t size() const override { return flat_.size(); }
 
   /// Allocate `amount` for principal `a` using the two-level scheme.
   /// Fast path: when a's own group can cover the request, only that group's
@@ -42,57 +50,41 @@ class HierarchicalAllocator : public AllocatorBase {
 
   /// Largest request principal `a` could have satisfied right now, in the
   /// *full* system (the two-level scheme may place less; see allocate()).
-  double available_to(std::size_t a) const override { return full_report_.capacity.at(a); }
-
-  /// Commit a plan (subtract draws, refresh caches).
-  void apply(const AllocationPlan& plan) override;
-
-  /// Return capacity to principals (inverse of apply for completed work).
-  void release(const std::vector<double>& give_back) override;
-
-  /// Replace all capacities without touching the agreement structure; live
-  /// per-group caches are refreshed in place, the capacity-weighted coarse
-  /// cache is dropped and lazily rebuilt.
-  void set_capacities(std::span<const double> v) override;
+  double available_to(std::size_t a) const override { return flat_.available_to(a); }
 
   /// Telemetry of the fine-level (within-group) certified solve chain; the
   /// per-level Allocators carry their own pipelines.
   const lp::PipelineStats* solver_stats() const override { return &fine_pipeline_.stats(); }
 
  private:
-  /// Shared tail of apply/release/set_capacities: sys_.capacity changed;
-  /// refresh the full report and push new capacities into live caches.
-  void propagate_capacities();
+  /// The store behind apply/release/set_capacities: the capacity rule on the
+  /// flat allocator's capacities, stored there; live per-group caches are
+  /// refreshed in place and the capacity-weighted coarse cache is dropped
+  /// and lazily rebuilt. A write that moves no capacity does nothing.
+  void commit(const CapacityWrite& write) override;
 
-  struct Group {
-    std::vector<std::size_t> members;
-  };
-
-  /// Sub-system induced by one group (agreements internal to the group).
-  agree::AgreementSystem group_system(std::size_t g) const;
   /// Coarse system over groups.
   agree::AgreementSystem coarse_system() const;
-  void rebuild();
 
   // Lazily built, persistent per-level Allocators. Building an Allocator
   // runs the transitive-closure share computation, so reconstructing one per
   // allocate() (the historical behavior) dominated trace-driven runs. The
   // share matrices depend only on the agreement structure, which is fixed,
-  // so apply() just pushes new capacities into live caches -- except the
-  // coarse level, whose inter-group shares are capacity-weighted and must be
-  // rebuilt (it is reset and re-created on next use).
+  // so a capacity write just pushes new capacities into live caches --
+  // except the coarse level, whose inter-group shares are capacity-weighted
+  // and must be rebuilt (it is reset and re-created on next use).
   Allocator& group_allocator(std::size_t g) const;
   Allocator& coarse_allocator() const;
-  Allocator& flat_allocator() const;
 
-  agree::AgreementSystem sys_;
+  /// The full system: capacities, the full-system report, the flat fallback.
+  Allocator flat_;
   std::vector<std::size_t> group_of_;
-  std::vector<Group> groups_;
+  std::vector<std::vector<std::size_t>> groups_;  ///< each group's members, ascending
   AllocatorOptions opts_;
-  agree::CapacityReport full_report_;  ///< entitlements in the full system
   mutable std::vector<std::unique_ptr<Allocator>> group_cache_;
   mutable std::unique_ptr<Allocator> coarse_cache_;
-  mutable std::unique_ptr<Allocator> flat_cache_;
+  /// Scratch for the capacity vector commit() stores.
+  std::vector<double> next_capacity_;
   /// Certified solve chain for the fine-level (within-group) LPs; the
   /// per-level Allocators carry their own pipelines.
   mutable lp::SolvePipeline fine_pipeline_;

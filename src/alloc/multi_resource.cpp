@@ -45,8 +45,13 @@ MultiPlan MultiResourceAllocator::allocate(const MultiRequest& req, bool paralle
 void MultiResourceAllocator::apply(const MultiPlan& plan) {
   AGORA_REQUIRE(plan.satisfied(), "cannot apply a partially satisfied multi-plan");
   AGORA_REQUIRE(plan.per_resource.size() == allocators_.size(), "plan size mismatch");
+  // All or nothing: the capacity rule runs on every resource before any
+  // resource's capacities are stored.
+  std::vector<std::vector<double>> next(allocators_.size());
   for (std::size_t r = 0; r < allocators_.size(); ++r)
-    allocators_[r].apply(plan.per_resource[r]);
+    next_capacities(allocators_[r].system().capacity,
+                    {CapacityWrite::Kind::Draw, plan.per_resource[r].draw, {}}, next[r]);
+  for (std::size_t r = 0; r < allocators_.size(); ++r) allocators_[r].set_capacities(next[r]);
 }
 
 agree::AgreementSystem make_bundle(const std::vector<agree::AgreementSystem>& systems,

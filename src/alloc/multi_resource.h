@@ -8,6 +8,9 @@
 // handled the way the paper suggests: *bind* them into a new synthetic
 // resource type allocated as a unit; make_bundle() constructs the bound
 // system from the component systems and the per-unit composition.
+//
+// Committing a multi-plan is all or nothing: the capacity rule (ledger.h)
+// checks every resource's draw before any resource's capacities are stored.
 #pragma once
 
 #include <string>
@@ -45,7 +48,7 @@ class MultiResourceAllocator {
   /// applied and the failing component's status is reported.
   MultiPlan allocate(const MultiRequest& req, bool parallel = true) const;
 
-  /// Commit a satisfied multi-plan.
+  /// Commit a satisfied multi-plan, all or nothing (see the file comment).
   void apply(const MultiPlan& plan);
 
  private:

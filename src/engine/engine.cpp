@@ -13,25 +13,6 @@ namespace {
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
-/// The sub-economy a shard enforces: the agreement system restricted to its
-/// members. Exact in connectivity mode -- every agreement edge touching a
-/// member stays inside the member set (that is what a connected component
-/// is), so no entitlement is lost in the restriction.
-agree::AgreementSystem induce(const agree::AgreementSystem& sys,
-                              const std::vector<std::size_t>& members) {
-  const std::size_t m = members.size();
-  agree::AgreementSystem sub(m);
-  for (std::size_t l = 0; l < m; ++l) {
-    sub.capacity[l] = sys.capacity[members[l]];
-    sub.retained[l] = sys.retained[members[l]];
-    for (std::size_t k = 0; k < m; ++k) {
-      sub.relative(l, k) = sys.relative(members[l], members[k]);
-      sub.absolute(l, k) = sys.absolute(members[l], members[k]);
-    }
-  }
-  return sub;
-}
-
 }  // namespace
 
 EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions opts)
@@ -108,8 +89,10 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
       shard->bank = fed_->bank_index(s);
       shard->credits = std::move(fed_init[s].credits);
     } else {
-      shard->alloc =
-          std::make_shared<alloc::Allocator>(induce(sys_, shard->members), opts_.alloc);
+      // Connectivity mode: a shard's members are whole components, so the
+      // induced sub-economy loses no entitlement.
+      shard->alloc = std::make_shared<alloc::Allocator>(
+          agree::induced_system(sys_, shard->members), opts_.alloc);
     }
     shard->obs_queue_depth =
         &opts_.sink.gauge("engine.shard." + std::to_string(s) + ".queue_depth");
@@ -447,44 +430,18 @@ double EnforcementEngine::available_to(std::size_t a) const {
   return cell_.load()->available[a];
 }
 
-void EnforcementEngine::apply(const alloc::AllocationPlan& plan) {
-  AGORA_REQUIRE(plan.satisfied(), "cannot apply an unsatisfied plan");
-  AGORA_REQUIRE(plan.draw.size() == n_, "plan size mismatch");
+void EnforcementEngine::commit(const alloc::CapacityWrite& write) {
   std::lock_guard<std::mutex> lock(mutate_mu_);
-  std::vector<double> next = sys_.capacity;
-  for (std::size_t i = 0; i < next.size(); ++i) {
-    AGORA_REQUIRE(plan.draw[i] <= next[i] + 1e-7, "plan draws more than a principal owns");
-    next[i] = std::max(0.0, next[i] - plan.draw[i]);
-  }
-  mutate(next, plan.borrowed);
-}
-
-void EnforcementEngine::release(const std::vector<double>& give_back) {
-  AGORA_REQUIRE(give_back.size() == n_, "release size mismatch");
-  std::lock_guard<std::mutex> lock(mutate_mu_);
-  std::vector<double> next = sys_.capacity;
-  for (std::size_t i = 0; i < next.size(); ++i) {
-    AGORA_REQUIRE(give_back[i] >= 0.0, "release must be non-negative");
-    next[i] += give_back[i];
-  }
-  mutate(next);
-}
-
-void EnforcementEngine::set_capacities(std::span<const double> v) {
-  AGORA_REQUIRE(v.size() == n_, "capacity vector size mismatch");
-  for (double x : v) AGORA_REQUIRE(x >= 0.0 && std::isfinite(x), "capacities must be >= 0");
-  std::lock_guard<std::mutex> lock(mutate_mu_);
-  mutate(std::vector<double>(v.begin(), v.end()));
+  std::vector<double> next;
+  alloc::next_capacities(sys_.capacity, write, next);
+  mutate(next, write.spend);
 }
 
 void EnforcementEngine::mutate(const std::vector<double>& global,
-                               const std::vector<alloc::BorrowedDraw>& spend) {
-  // Caller holds mutate_mu_. Every check comes before the first side
-  // effect: a mutation one shard's allocator would reject must leave every
-  // shard's epoch counter where it was (an infinite capacity from an
-  // apply()/release() is the case that can arise), and the unchanged-slice
-  // skip below compares slices, which needs finite values.
-  for (double x : global) AGORA_REQUIRE(std::isfinite(x), "capacities must be finite");
+                               std::span<const alloc::BorrowedDraw> spend) {
+  // Caller holds mutate_mu_. `global` already passed the capacity rule, so
+  // no shard's allocator can refuse its slice after another shard's epoch
+  // counter has advanced.
   AGORA_INVARIANT(!stopping_.load(std::memory_order_acquire),
                   "mutation submitted to a shut-down engine");
   // Spend the plan's border credits first: this is the double-spend guard --
@@ -531,9 +488,11 @@ void EnforcementEngine::mutate(const std::vector<double>& global,
     run_queued(shard, 1);
     if (rebuild) {
       lp::accumulate(shard.carried, *shard.alloc->solver_stats());
+      auto replacement = std::make_shared<alloc::Allocator>(*rebuild, opts_.alloc);
+      replacement->carry_fastpath_counts(*shard.alloc);
       // atomic_store: stats() may be snapshotting the old allocator's
       // counters from another thread while we swap it out.
-      std::atomic_store(&shard.alloc, std::make_shared<alloc::Allocator>(*rebuild, opts_.alloc));
+      std::atomic_store(&shard.alloc, std::move(replacement));
     } else {
       shard.alloc->set_capacities(std::span<const double>(slice));
     }

@@ -197,9 +197,6 @@ class EnforcementEngine : public alloc::AllocatorBase {
     return consult(a, amount);
   }
   double available_to(std::size_t a) const override;
-  void apply(const alloc::AllocationPlan& plan) override;
-  void release(const std::vector<double>& give_back) override;
-  void set_capacities(std::span<const double> v) override;
   /// Aggregated certified-solve-chain telemetry across all shards, read
   /// under each shard's run lock after what is queued there has run (a
   /// barrier, like drain()). nullptr after shutdown().
@@ -275,7 +272,8 @@ class EnforcementEngine : public alloc::AllocatorBase {
     std::size_t gap_next = 0;
     /// Telemetry carried across allocator rebuilds (a settlement that moves
     /// bank earmarks replaces the allocator; its pipeline counters land
-    /// here so solver_stats() never loses history).
+    /// here so solver_stats() never loses history, and the replacement
+    /// starts from its fast-path counts so stats() never goes backwards).
     lp::PipelineStats carried;
     // Telemetry (relaxed atomics; readable without quiescence).
     std::atomic<std::uint64_t> consults{0};
@@ -321,11 +319,14 @@ class EnforcementEngine : public alloc::AllocatorBase {
   /// with its measured global perturbation (max capacity drop under that_).
   void sample_gap(Shard& shard, const alloc::AllocationPlan& plan, std::size_t a,
                   double amount) const;
-  /// Caller holds mutate_mu_. Check the new capacity vector, spend `spend`'s
-  /// border credits, apply each changed shard's slice under its run lock,
-  /// then merge the slices into a fresh snapshot and publish it (epoch + 1).
+  /// Under mutate_mu_: the capacity rule on the current capacities, then
+  /// mutate() to its result. A refused write changes nothing.
+  void commit(const alloc::CapacityWrite& write) override;
+  /// Caller holds mutate_mu_; `global` passed the capacity rule. Spend
+  /// `spend`'s border credits, apply each changed shard's slice under its
+  /// run lock, then merge the slices into a fresh snapshot and publish it.
   void mutate(const std::vector<double>& global,
-              const std::vector<alloc::BorrowedDraw>& spend = {});
+              std::span<const alloc::BorrowedDraw> spend = {});
   void publish(std::vector<double> capacity, std::vector<double> available);
 
   agree::AgreementSystem sys_;

@@ -152,7 +152,7 @@ std::vector<Federation::ShardUpdate> Federation::settle(std::span<const double> 
   return updates;
 }
 
-void Federation::consume(const std::vector<alloc::BorrowedDraw>& borrowed, double tol) {
+void Federation::consume(std::span<const alloc::BorrowedDraw> borrowed, double tol) {
   for (const alloc::BorrowedDraw& b : borrowed) ledger_.consume(b.credit, b.amount, tol);
 }
 

@@ -151,7 +151,7 @@ class Federation {
   /// Spend the credits an applied plan drew on (alloc::AllocationPlan::
   /// borrowed). Throws PreconditionError on overdraw -- the stale-plan
   /// double-spend guard.
-  void consume(const std::vector<alloc::BorrowedDraw>& borrowed, double tol);
+  void consume(std::span<const alloc::BorrowedDraw> borrowed, double tol);
 
   std::uint64_t settlements() const { return settlements_; }
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "alloc/ledger.h"
 #include "engine/engine.h"
 
 namespace agora::rms {
@@ -216,29 +217,31 @@ GrmStateMachine::Decision GrmStateMachine::decide(const AllocationRequest& req, 
     return out;
   }
 
-  // Commit: build reserve commands for every contributing LRM and update
-  // our book-keeping. The caller emits them (and the reply) on its bus.
-  ++grants_;
-  obs_grants_->inc();
+  // Commit: build reserve commands for every contributing LRM (a site whose
+  // total draw is round-off is left alone), then take what they reserve off
+  // our book of known availability through the capacity rule -- checked for
+  // every resource before any changes, and clamped at 0 so round-off in a
+  // full draw leaves no -eps for the next decide() to reject. The caller
+  // emits the commands (and the reply) on its bus.
+  std::vector<std::vector<double>> reserved(allocators_.size(), std::vector<double>(n, 0.0));
   for (std::size_t s = 0; s < n; ++s) {
-    std::vector<double> amounts(allocators_.size(), 0.0);
+    ReserveCommand cmd;
     double total = 0.0;
-    for (std::size_t r = 0; r < allocators_.size(); ++r) {
-      amounts[r] = plans[r].draw[s];
-      total += amounts[r];
-    }
+    for (const alloc::AllocationPlan& plan : plans) total += cmd.amounts.emplace_back(plan.draw[s]);
     if (total <= 1e-12) continue;
     AGORA_REQUIRE(registered_[s], "allocation draws on an unregistered LRM");
-    ReserveCommand cmd;
+    for (std::size_t r = 0; r < allocators_.size(); ++r) reserved[r][s] = cmd.amounts[r];
     cmd.request_id = req.request_id;
-    cmd.amounts = amounts;
     cmd.duration = req.duration;
     out.reserves.emplace_back(s, std::move(cmd));
-    // Clamp at 0 like Allocator::apply: round-off in a full draw must not
-    // leave -eps behind for the next decide() to reject.
-    for (std::size_t r = 0; r < allocators_.size(); ++r)
-      known_[r][s] = std::max(0.0, known_[r][s] - amounts[r]);
   }
+  std::vector<std::vector<double>> known(allocators_.size());
+  for (std::size_t r = 0; r < allocators_.size(); ++r)
+    alloc::next_capacities(known_[r], {alloc::CapacityWrite::Kind::Draw, reserved[r], {}},
+                           known[r]);
+  known_ = std::move(known);
+  ++grants_;
+  obs_grants_->inc();
 
   out.kind = Decision::Kind::Granted;
   out.reply.request_id = req.request_id;

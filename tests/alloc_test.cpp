@@ -467,6 +467,17 @@ TEST(MultiResource, AllOrNothing) {
   EXPECT_TRUE(plan.per_resource[0].satisfied());
   EXPECT_EQ(plan.per_resource[1].status, PlanStatus::Insufficient);
   EXPECT_THROW(mra.apply(plan), PreconditionError);
+
+  // Resource 0 within capacity, resource 1 over it: the whole plan is
+  // refused before either allocator's capacities move.
+  MultiPlan over;
+  over.per_resource.resize(2);
+  for (AllocationPlan& p : over.per_resource) p.status = PlanStatus::Satisfied;
+  over.per_resource[0].draw = {0.0, 1.0};
+  over.per_resource[1].draw = {0.0, 5.0};
+  EXPECT_THROW(mra.apply(over), PreconditionError);
+  EXPECT_EQ(mra.allocator(0).system().capacity, (std::vector<double>{0.0, 10.0}));
+  EXPECT_EQ(mra.allocator(1).system().capacity, (std::vector<double>{0.0, 1.0}));
 }
 
 TEST(MultiResource, ApplyCommitsAllComponents) {

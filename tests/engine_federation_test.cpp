@@ -246,6 +246,43 @@ TEST(EngineFederation, ApplyConservesTotalCapacityAndSpendsCredits) {
               1e-6 * (1.0 + st.federation.granted));
 }
 
+TEST(EngineFederation, FastPathCountsSurviveAllocatorRebuilds) {
+  // A settlement that moves bank earmarks replaces a shard's allocator; the
+  // engine's fast-path counters must carry the retired allocator's counts
+  // instead of restarting from zero.
+  std::mt19937_64 rng(7);
+  const agree::AgreementSystem sys = random_economy(rng, 32, 16);
+  EngineOptions eopts;
+  eopts.threads = 4;
+  eopts.federation.enabled = true;
+  eopts.alloc.fast_path = true;
+  EnforcementEngine eng(sys, eopts);
+  ASSERT_TRUE(eng.federated());
+
+  std::vector<double> caps = sys.capacity;
+  std::uint64_t granted = 0, fallthrough = 0;
+  for (int round = 0; round < 3; ++round) {
+    // Small requests fit the requester's own entitlement (the fast path);
+    // ones above its whole capacity fall through to the LP.
+    for (std::size_t k = 0; k < 200; ++k) {
+      const std::size_t a = k % sys.size();
+      ASSERT_TRUE(eng.consult(a, 0.01 * caps[a]).satisfied());
+      if (k % 10 == 0) (void)eng.consult(a, 1.5 * caps[a]);
+    }
+    EngineStats st = eng.stats();
+    EXPECT_EQ(st.fastpath_granted, granted + 200) << "round " << round;
+    EXPECT_EQ(st.fastpath_fallthrough, fallthrough + 20) << "round " << round;
+    granted = st.fastpath_granted;
+    fallthrough = st.fastpath_fallthrough;
+
+    for (double& c : caps) c *= 0.5;
+    eng.set_capacities(std::span<const double>(caps));
+    st = eng.stats();
+    EXPECT_EQ(st.fastpath_granted, granted) << "round " << round;
+    EXPECT_EQ(st.fastpath_fallthrough, fallthrough) << "round " << round;
+  }
+}
+
 // ------------------------------------------------------------- gap probes ---
 
 /// bench/scale_shards' bridged economy: 8 complete-graph islands of 8

@@ -1,14 +1,17 @@
 // Tests for the sharded enforcement engine (DESIGN.md §11): partitioning,
 // threads=1 decision identity against the direct Allocator path (including
 // byte-identical trace-event streams and same-seed simulator runs),
-// component-exact sharded decisions, the unified Status surface of
-// submit(), snapshot epochs and which shards a mutation touches, per-shard
-// FIFO across submit() and blocking calls, and certification inheritance.
+// component-exact sharded decisions, concurrent applies that can never
+// grant the same capacity twice, the unified Status surface of submit(),
+// snapshot epochs and which shards a mutation touches, per-shard FIFO
+// across submit() and blocking calls, and certification inheritance.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <future>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "agree/topology.h"
@@ -247,6 +250,47 @@ TEST(EngineSharded, ComponentLocalDecisionsMatchGlobalAllocator) {
       }
     }
     EXPECT_TRUE(ep.certified);
+  }
+}
+
+TEST(EngineSharded, ConcurrentAppliesNeverGrantTheSameCapacityTwice) {
+  // Four threads race to draw 6 of participant 0's 10 units. The capacity
+  // rule reads the current capacities under the engine's mutation lock, so
+  // exactly one draw fits and the other three are refused.
+  EngineOptions eopts;
+  eopts.sink = obs::Sink::none();
+  eopts.alloc.sink = obs::Sink::none();
+  eopts.threads = 2;
+  EnforcementEngine eng(island_economy(2, 4, 0.25), eopts);
+  ASSERT_EQ(eng.system().capacity[0], 10.0);
+  alloc::AllocationPlan plan;
+  plan.status = alloc::PlanStatus::Satisfied;
+  plan.draw.assign(eng.size(), 0.0);
+  plan.draw[0] = 6.0;
+
+  constexpr int kThreads = 4;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::atomic<bool> go{false};
+    std::atomic<int> granted{0}, refused{0};
+    std::vector<std::thread> racers;
+    for (int t = 0; t < kThreads; ++t)
+      racers.emplace_back([&] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        try {
+          eng.apply(plan);
+          ++granted;
+        } catch (const PreconditionError&) {
+          ++refused;
+        }
+      });
+    go.store(true, std::memory_order_release);
+    for (std::thread& r : racers) r.join();
+    ASSERT_EQ(granted.load(), 1) << "trial " << trial;
+    ASSERT_EQ(refused.load(), kThreads - 1) << "trial " << trial;
+    ASSERT_EQ(eng.system().capacity[0], 4.0) << "trial " << trial;
+    ASSERT_EQ(eng.snapshot()->capacity[0], 4.0) << "trial " << trial;
+    eng.release(plan.draw);
+    ASSERT_EQ(eng.system().capacity[0], 10.0) << "trial " << trial;
   }
 }
 

@@ -41,7 +41,12 @@ cmake --build build -j
 # simulator suites (proxysim_test, proxysim_bridge_test: arrivals stream from
 # per-proxy cursors into the traces and delayed decisions keep their budgets
 # in a flat side store addressed by slot, both index-heavy code where an
-# out-of-bounds read would otherwise go unseen). The sanitizer build
+# out-of-bounds read would otherwise go unseen), and the public-facade suite
+# (facade_test: it drives every backend's capacity writes -- the direct
+# Allocator, the HierarchicalAllocator and engines on one and two shards --
+# through the one capacity rule, malformed writes and a seeded conservation
+# stream included, so a write path that reads or stores out of step with the
+# rule shows up here). The sanitizer build
 # compiles with -ffp-contract=off so its floating-point results match the
 # tier-1 build bit for bit.
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
@@ -50,7 +55,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   lp_adversarial_test lp_sparse_test lp_warmstart_test alloc_test alloc_property_test \
   alloc_components_test engine_test engine_stress_test engine_cache_test \
   engine_federation_test credit_conservation_test federation_chaos_test net_frame_test net_service_test \
-  net_soak_test proxysim_test proxysim_bridge_test
+  net_soak_test proxysim_test proxysim_bridge_test facade_test
 ./build-asan/tests/rms_test
 ./build-asan/tests/rms_chaos_test
 ./build-asan/tests/rms_replica_test
@@ -84,6 +89,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 ./build-asan/tests/net_soak_test
 ./build-asan/tests/proxysim_test
 ./build-asan/tests/proxysim_bridge_test
+./build-asan/tests/facade_test
 
 # ThreadSanitizer pass over the deliberately multithreaded code: the
 # concurrent observability substrate (metrics registry, lock-free EventRing
