@@ -13,7 +13,7 @@
 // Before the google-benchmark registrations run, main() executes the
 // LPSCALE sweep on the banded fixture: warm revised consults at n in
 // {100, 500, 1000}, plus the cold certified solve chain (lp::SolvePipeline
-// with no workspace, presolve off) at n = 100 as the foil -- every timed
+// with no workspace) at n = 100 as the foil -- every timed
 // chain consult starts from the slack basis and is certified, so the ratio
 // measures what the warm start buys; a broken warm start reads about 1x.
 // One machine-readable line per configuration:
@@ -82,7 +82,6 @@ ScalePoint run_scale_point(std::size_t n, bool cold_chain) {
   cache.patch(rep, /*a=*/0, rep.capacity[0] * 0.5);
 
   lp::PipelineOptions po;
-  po.solve.presolve = false;
   po.sink = obs::Sink::none();
   lp::SolvePipeline chain(po);
   const lp::SolveOptions opts = backend_opts(lp::Backend::Revised);

@@ -127,7 +127,7 @@ AllocationPlan Allocator::allocate(std::size_t a, double amount) const {
   obs::ScopedTimer plan_timer(obs_plan_seconds_);
   const bool exact = opts_.equality == EqualityMode::Exact;
   if (opts_.fast_path && !exact && opts_.formulation == Formulation::Compact &&
-      opts_.reuse_context && !opts_.solve.presolve) {
+      opts_.reuse_context) {
     AllocationPlan fast;
     if (try_fast_path(a, amount, fast)) {
       if constexpr (obs::kEnabled) obs_plans_satisfied_->inc();
@@ -256,7 +256,7 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
   lp::SolveResult r;
   std::vector<std::size_t> all;  // the rebuild path's members: everyone
   std::span<const std::size_t> members;
-  if (!exact && opts_.reuse_context && !opts_.solve.presolve) {
+  if (!exact && opts_.reuse_context) {
     // Amortized path: one model structure per component, built once per
     // Allocator; each request only patches the draw bounds (U_kA) and the
     // demand rhs of its requester's component.

@@ -70,18 +70,9 @@ struct AllocatorOptions {
   agree::TransitiveOptions transitive;  ///< level limit etc. (Figs 8-11)
   Formulation formulation = Formulation::Compact;
   EqualityMode equality = EqualityMode::Relaxed;
-  /// Every LP knob in one struct (see lp/solve.h): backend choice, presolve
-  /// switch, tolerances. The backend is lp::SolveOptions' own, the revised
-  /// simplex. Presolve is off here: the allocator's hot paths patch a cached
-  /// model whose structure presolve would rebuild per request (and the
-  /// warm-started workspace path skips presolve regardless). Presolve pays
-  /// off for the FullPaper formulation, whose flow equalities it can
-  /// collapse.
-  lp::SolveOptions solve = [] {
-    lp::SolveOptions o;
-    o.presolve = false;
-    return o;
-  }();
+  /// Every LP knob in one struct (see lp/solve.h): backend choice and
+  /// tolerances. The backend is lp::SolveOptions' own, the revised simplex.
+  lp::SolveOptions solve;
   /// Reuse the compact model structure and the previous optimal basis, as
   /// a warm start, across allocate() calls, one model per connected
   /// agreement component, each consult solving only its requester's. Off,
@@ -94,15 +85,13 @@ struct AllocatorOptions {
   /// variables and rows a requester's entitlements cannot touch. The reuse
   /// state is per Allocator and not synchronized: turn this off if one
   /// Allocator instance must serve concurrent allocate() calls. Compact
-  /// relaxed solves only (exact mode and presolve always take the rebuild
-  /// path).
+  /// relaxed solves only (exact mode always takes the rebuild path).
   bool reuse_context = true;
   /// Verify every LP answer against the original problem (lp::Verifier) and
   /// escalate through the staged solve chain (lp::SolvePipeline) until one
   /// certifies. A consult whose chain is exhausted yields an explicit
   /// PlanStatus::Denied -- never an uncertified grant. Certification always
-  /// checks against the problem actually posed: when presolve is on, the
-  /// pipeline maps the reduced answer back (postsolve) before verifying.
+  /// checks against the problem actually posed.
   bool certify = true;
   /// Admission fast path: a request that fits inside the requester's own
   /// retained entitlement (U_aa) is granted as the self-draw plan

@@ -47,7 +47,8 @@ SolveResult brute_force_solve(const Problem& p, BruteForceOptions opts) {
   const auto evaluate = [&](const std::vector<std::size_t>& cols) {
     Matrix bmat(m, m);
     for (std::size_t c = 0; c < m; ++c)
-      for (std::size_t r = 0; r < m; ++r) bmat.at_unchecked(r, c) = sf.a.at_unchecked(r, cols[c]);
+      for (std::size_t k = sf.col_start[cols[c]]; k < sf.col_start[cols[c] + 1]; ++k)
+        bmat.at_unchecked(sf.col_row[k], c) = sf.col_val[k];
     LuFactorization lu(bmat);
     if (lu.singular()) return;
     const std::vector<double> xb = lu.solve(sf.b);
@@ -67,30 +68,24 @@ SolveResult brute_force_solve(const Problem& p, BruteForceOptions opts) {
     }
   };
 
-  // Lexicographic enumeration of all m-subsets of {0..n-1}.
+  // Lexicographic enumeration of all m-subsets of {0..n-1}. With no rows
+  // the empty basis is the only one, evaluated once.
   for (;;) {
     evaluate(pick);
-    // advance
-    std::size_t i = m;
-    while (i-- > 0) {
-      if (pick[i] != i + n - m) {
-        ++pick[i];
-        for (std::size_t j = i + 1; j < m; ++j) pick[j] = pick[j - 1] + 1;
-        break;
-      }
-      if (i == 0) {
-        // exhausted
-        if (!found) {
-          res.status = Status::Infeasible;
-          return res;
-        }
-        res.status = Status::Optimal;
-        res.objective = sf.obj_scale * best_obj;
-        res.x = recover_solution(sf, best_y, p.num_variables());
-        return res;
-      }
-    }
+    std::size_t i = m;  // advance the last position not at its maximum
+    while (i > 0 && pick[i - 1] == i - 1 + n - m) --i;
+    if (i == 0) break;
+    ++pick[i - 1];
+    for (std::size_t j = i; j < m; ++j) pick[j] = pick[j - 1] + 1;
   }
+  if (!found) {
+    res.status = Status::Infeasible;
+    return res;
+  }
+  res.status = Status::Optimal;
+  res.objective = sf.obj_scale * best_obj;
+  res.x = recover_solution(sf, best_y, p.num_variables());
+  return res;
 }
 
 }  // namespace agora::lp

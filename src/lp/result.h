@@ -48,10 +48,6 @@ struct SolveStats {
   std::uint64_t basis_nnz = 0;
   std::uint64_t lu_nnz = 0;
   std::uint64_t max_eta_count = 0;
-  /// Presolve telemetry (zero when the solve ran without presolve): rows
-  /// and columns removed from the problem the simplex actually saw.
-  std::uint64_t presolve_rows_removed = 0;
-  std::uint64_t presolve_cols_removed = 0;
 };
 
 struct SolveResult {

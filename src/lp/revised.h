@@ -17,12 +17,12 @@
 
 namespace agora::lp {
 
-/// Solve `p` (Backend::Revised; presolve is lp::solve's business). `ws`
-/// (when non-null) supplies reusable scratch and the previous optimal basis
-/// as a warm start. Contract: between calls that share a workspace, only
-/// the problem's bounds and constraint rhs may change -- a changed matrix or
-/// objective is detected via the standard-form fingerprint and demoted to a
-/// cold start. Passing nullptr is a cold solve.
+/// Solve `p` (Backend::Revised). `ws` (when non-null) supplies reusable
+/// scratch and the previous optimal basis as a warm start. Contract: between
+/// calls that share a workspace, only the problem's bounds and constraint
+/// rhs may change -- a changed matrix or objective is detected via the
+/// standard-form fingerprint and demoted to a cold start. Passing nullptr is
+/// a cold solve.
 SolveResult revised_solve(const Problem& p, const SolveOptions& opts, SolveWorkspace* ws);
 
 }  // namespace agora::lp

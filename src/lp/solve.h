@@ -7,25 +7,8 @@
 // Callers pick a Backend instead of calling a concrete solver; the
 // implementations (revised_solve, brute_force_solve) are an internal detail
 // of src/lp and their headers are not installed. The revised simplex is the
-// one simplex; brute force is an exact oracle for tiny problems.
-// SolveOptions also owns the presolve switch: by default a
-// workspace-free solve runs presolve -> reduced solve -> postsolve, with the
-// mapped result (primal, duals, objective) valid for -- and certifiable
-// against -- the ORIGINAL problem. Presolve is transparently skipped when it
-// cannot help or would break a stronger contract:
-//
-//   * workspace solves never presolve: warm-start fingerprints key on the
-//     original matrix and the steady-state hot loop must stay
-//     allocation-free (presolve rebuilds a Problem), so the trace-driven
-//     enforcement path is byte-for-byte the historical one;
-//   * a non-Optimal reduced outcome (infeasible/unbounded/decided-
-//     infeasible) falls back to solving the original problem directly, so
-//     Farkas/ray certificates always refer to the caller's problem;
-//   * the brute-force backend is an oracle for tiny problems and always
-//     solves the original directly.
-//
-// With `presolve = false` the call is bit-identical to invoking the chosen
-// concrete solver directly, which is exactly what the historical API did.
+// one simplex; brute force is an exact oracle for tiny problems. The call
+// is exactly the chosen backend's solve of `problem` as posed.
 #pragma once
 
 #include <cstdint>
@@ -65,22 +48,18 @@ inline const char* to_string(Backend b) {
   return "unknown";
 }
 
-/// Every knob of an LP solve in one struct: backend choice, presolve switch,
-/// and the centralized numerical tolerances.
+/// Every knob of an LP solve in one struct: backend choice and the
+/// centralized numerical tolerances.
 struct SolveOptions {
   Backend backend = Backend::Revised;
-  /// Run presolve -> solve -> postsolve (see file comment for when it is
-  /// transparently skipped). Off reproduces the historical direct solve
-  /// bit for bit.
-  bool presolve = true;
-  /// Centralized numerical thresholds (shared with presolve and the
-  /// certification layer).
+  /// Centralized numerical thresholds (shared with the certification
+  /// layer).
   Tolerances tols;
 };
 
 /// Solve `p` with the selected backend. `ws` (revised backend only) supplies
 /// reusable scratch and the previous optimal basis as a warm start; passing
-/// nullptr is a cold solve. See the file comment for the presolve contract.
+/// nullptr is a cold solve.
 SolveResult solve(const Problem& p, const SolveOptions& opts = {},
                   SolveWorkspace* ws = nullptr);
 

@@ -23,8 +23,6 @@ void accumulate(SolveStats& into, const SolveStats& s) {
   into.basis_nnz = std::max(into.basis_nnz, s.basis_nnz);
   into.lu_nnz = std::max(into.lu_nnz, s.lu_nnz);
   into.max_eta_count = std::max(into.max_eta_count, s.max_eta_count);
-  into.presolve_rows_removed = std::max(into.presolve_rows_removed, s.presolve_rows_removed);
-  into.presolve_cols_removed = std::max(into.presolve_cols_removed, s.presolve_cols_removed);
 }
 
 }  // namespace
@@ -85,11 +83,7 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
     const auto stage = static_cast<PipelineStage>(idx);
     SolveResult r;
     const double stage_start = obs::kEnabled ? obs::now_seconds() : 0.0;
-    // Presolve only applies to the first attempt: a fallback is a
-    // cross-check, and checking through the same reductions that may have
-    // produced the bad answer would not be independent.
     SolveOptions stage_opts = opts_.solve;
-    stage_opts.presolve = opts_.solve.presolve && attempts_made == 0;
     switch (stage) {
       case PipelineStage::WarmRevised:
       case PipelineStage::ColdRevised:

@@ -50,11 +50,8 @@ inline const char* to_string(PipelineStage s) {
 }
 
 struct PipelineOptions {
-  /// The presolve switch and tolerances shared by the stages; the Verifier
-  /// uses `solve.tols` too. Each stage sets its own backend. Presolve only
-  /// runs on the first attempt -- fallback stages solve the original
-  /// problem directly so the cross-check is independent of the reductions
-  /// too.
+  /// The tolerances shared by the stages; the Verifier uses `solve.tols`
+  /// too. Each stage sets its own backend.
   SolveOptions solve;
   /// Telemetry destination. Metric handles are resolved once at pipeline
   /// construction; the solve path itself never touches the registry map.

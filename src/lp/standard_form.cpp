@@ -29,6 +29,7 @@ StandardForm build_standard_form(const Problem& p) {
 void rebuild_standard_form(const Problem& p, StandardForm& sf) {
   p.validate();
   const std::size_t nv = p.num_variables();
+  const std::size_t nc = p.num_constraints();
 
   sf.obj_scale = p.sense() == Sense::Minimize ? 1.0 : -1.0;
   sf.c0 = 0.0;
@@ -65,22 +66,22 @@ void rebuild_standard_form(const Problem& p, StandardForm& sf) {
   // Rows are the original constraints followed by one y <= hi - lo row per
   // finite-range shifted variable. Only the transformed rhs decides the
   // negation, so coefficients need not be materialized yet.
-  const std::size_t m = p.num_constraints() + n_bound_rows;
+  const std::size_t m = nc + n_bound_rows;
   sf.b.assign(m, 0.0);
   sf.row_origin.assign(m, static_cast<std::size_t>(-1));
   sf.row_negated.assign(m, false);
-  sf.offset_dot.assign(p.num_constraints(), 0.0);
+  sf.offset_dot.assign(nc, 0.0);
 
   // rel_of(i): the row's relation after negation; recomputed on demand so no
   // scratch vector is needed.
   const auto base_rel = [&](std::size_t i) {
-    return i < p.num_constraints() ? p.constraint(i).rel : Relation::LessEqual;
+    return i < nc ? p.constraint(i).rel : Relation::LessEqual;
   };
   const auto rel_of = [&](std::size_t i) {
     return sf.row_negated[i] ? flipped(base_rel(i)) : base_rel(i);
   };
 
-  for (std::size_t i = 0; i < p.num_constraints(); ++i) {
+  for (std::size_t i = 0; i < nc; ++i) {
     const Constraint& con = p.constraint(i);
     double rhs = con.rhs;
     for (std::size_t j = 0; j < nv; ++j) {
@@ -95,7 +96,7 @@ void rebuild_standard_form(const Problem& p, StandardForm& sf) {
   }
   {
     sf.bound_row_var.clear();
-    std::size_t row = p.num_constraints();
+    std::size_t row = nc;
     for (std::size_t j = 0; j < nv; ++j) {
       const auto& vm = sf.var_map[j];
       if (vm.kind != StandardForm::VarMap::Kind::Shifted) continue;
@@ -120,7 +121,6 @@ void rebuild_standard_form(const Problem& p, StandardForm& sf) {
 
   // --- 3. Size the arrays (reusing capacity) and set the costs. -----------
   const std::size_t total = ncols + n_slack + n_art;
-  sf.a.assign(m, total);
   sf.c.assign(total, 0.0);
   for (std::size_t j = 0; j < nv; ++j) {
     const auto& vm = sf.var_map[j];
@@ -137,91 +137,65 @@ void rebuild_standard_form(const Problem& p, StandardForm& sf) {
   sf.is_artificial.assign(total, false);
   sf.initial_basis.assign(m, 0);
 
-  // --- 4. Fill the matrix and pick the starting basis. --------------------
-  for (std::size_t i = 0; i < p.num_constraints(); ++i) {
-    const Constraint& con = p.constraint(i);
-    const double sgn = sf.row_negated[i] ? -1.0 : 1.0;
-    for (std::size_t j = 0; j < nv; ++j) {
-      const double a = con.coeffs[j];
-      if (a == 0.0) continue;
-      const auto& vm = sf.var_map[j];
-      switch (vm.kind) {
-        case StandardForm::VarMap::Kind::Shifted:
-          sf.a.at_unchecked(i, vm.col) += sgn * a;
-          break;
-        case StandardForm::VarMap::Kind::Mirrored:
-          sf.a.at_unchecked(i, vm.col) -= sgn * a;
-          break;
-        case StandardForm::VarMap::Kind::Split:
-          sf.a.at_unchecked(i, vm.col) += sgn * a;
-          sf.a.at_unchecked(i, vm.neg_col) -= sgn * a;
-          break;
-      }
-    }
-  }
-  {
-    std::size_t row = p.num_constraints();
-    for (std::size_t j = 0; j < nv; ++j) {
-      const auto& vm = sf.var_map[j];
-      if (vm.kind != StandardForm::VarMap::Kind::Shifted) continue;
-      if (!std::isfinite(p.upper_bound(j))) continue;
-      sf.a.at_unchecked(row, vm.col) = sf.row_negated[row] ? -1.0 : 1.0;
-      ++row;
-    }
-  }
-
+  // --- 4. Auxiliary columns, in row order, and the starting basis: a
+  // slack (<=), a surplus then an artificial (>=), or an artificial (=). ---
   std::size_t next_aux = ncols;
   for (std::size_t i = 0; i < m; ++i) {
-    switch (rel_of(i)) {
-      case Relation::LessEqual: {
-        const std::size_t s = next_aux++;
-        sf.a.at_unchecked(i, s) = 1.0;
-        sf.initial_basis[i] = s;
-        break;
-      }
-      case Relation::GreaterEqual: {
-        const std::size_t s = next_aux++;   // surplus
-        sf.a.at_unchecked(i, s) = -1.0;
-        const std::size_t art = next_aux++;  // artificial
-        sf.a.at_unchecked(i, art) = 1.0;
-        sf.is_artificial[art] = true;
-        sf.initial_basis[i] = art;
-        break;
-      }
-      case Relation::Equal: {
-        const std::size_t art = next_aux++;
-        sf.a.at_unchecked(i, art) = 1.0;
-        sf.is_artificial[art] = true;
-        sf.initial_basis[i] = art;
-        break;
-      }
-    }
+    if (rel_of(i) == Relation::GreaterEqual) ++next_aux;  // surplus
+    sf.initial_basis[i] = next_aux;
+    sf.is_artificial[next_aux++] = rel_of(i) != Relation::LessEqual;
   }
   AGORA_INVARIANT(next_aux == total, "auxiliary column accounting mismatch");
 
-  // --- 5. CSC mirror of A plus the (A, c, shape) fingerprint. -------------
-  sf.col_start.assign(total + 1, 0);
-  for (std::size_t j = 0; j < total; ++j) {
-    std::size_t nnz = 0;
-    for (std::size_t i = 0; i < m; ++i)
-      if (sf.a.at_unchecked(i, j) != 0.0) ++nnz;
-    sf.col_start[j + 1] = sf.col_start[j] + nnz;
-  }
-  const std::size_t nnz_total = sf.col_start[total];
-  sf.col_row.assign(nnz_total, 0);
-  sf.col_val.assign(nnz_total, 0.0);
-  double fp = static_cast<double>(m) * 1e6 + static_cast<double>(total) * 1e3;
-  for (std::size_t j = 0; j < total; ++j) {
-    std::size_t at = sf.col_start[j];
+  // --- 5. A in compressed columns. `for_each_entry` visits every nonzero as
+  // (row, column, value) with rows ascending: a counting pass sizes the
+  // columns, and a fill pass, advancing each column's start as its cursor,
+  // keeps every column's entries sorted by row. -------------------------
+  const auto for_each_entry = [&](auto&& emit) {
     for (std::size_t i = 0; i < m; ++i) {
-      const double v = sf.a.at_unchecked(i, j);
-      if (v == 0.0) continue;
-      sf.col_row[at] = i;
-      sf.col_val[at] = v;
-      ++at;
-      fp += v * (static_cast<double>(i + 1) * 0.5 + static_cast<double>(j + 1) * 1.25);
+      const double sgn = sf.row_negated[i] ? -1.0 : 1.0;
+      if (i < nc) {
+        const Constraint& con = p.constraint(i);
+        for (std::size_t j = 0; j < nv; ++j) {
+          const double a = con.coeffs[j];
+          if (a == 0.0) continue;
+          const auto& vm = sf.var_map[j];
+          switch (vm.kind) {
+            case StandardForm::VarMap::Kind::Shifted: emit(i, vm.col, sgn * a); break;
+            case StandardForm::VarMap::Kind::Mirrored: emit(i, vm.col, -(sgn * a)); break;
+            case StandardForm::VarMap::Kind::Split:
+              emit(i, vm.col, sgn * a);
+              emit(i, vm.neg_col, -(sgn * a));
+              break;
+          }
+        }
+      } else {
+        emit(i, sf.var_map[sf.bound_row_var[i - nc]].col, sgn);
+      }
+      const std::size_t basic = sf.initial_basis[i];
+      if (rel_of(i) == Relation::GreaterEqual) emit(i, basic - 1, -1.0);
+      emit(i, basic, 1.0);
     }
-  }
+  };
+  sf.col_start.assign(total + 1, 0);
+  for_each_entry([&](std::size_t, std::size_t j, double) { ++sf.col_start[j + 1]; });
+  for (std::size_t j = 0; j < total; ++j) sf.col_start[j + 1] += sf.col_start[j];
+  sf.col_row.resize(sf.col_start[total]);
+  sf.col_val.resize(sf.col_start[total]);
+  for_each_entry([&](std::size_t i, std::size_t j, double v) {
+    const std::size_t at = sf.col_start[j]++;
+    sf.col_row[at] = i;
+    sf.col_val[at] = v;
+  });
+  for (std::size_t j = total; j > 0; --j) sf.col_start[j] = sf.col_start[j - 1];
+  sf.col_start[0] = 0;
+
+  // --- 6. The (A, c, shape) fingerprint, in (column, row) order. ----------
+  double fp = static_cast<double>(m) * 1e6 + static_cast<double>(total) * 1e3;
+  for (std::size_t j = 0; j < total; ++j)
+    for (std::size_t k = sf.col_start[j]; k < sf.col_start[j + 1]; ++k)
+      fp += sf.col_val[k] *
+            (static_cast<double>(sf.col_row[k] + 1) * 0.5 + static_cast<double>(j + 1) * 1.25);
   for (std::size_t j = 0; j < total; ++j)
     fp += sf.c[j] * static_cast<double>(j + 1) * 1e-3;
   sf.fingerprint = fp;

@@ -1,5 +1,5 @@
 // standard_form.h -- conversion of a natural-form Problem into the canonical
-// computational form shared by both simplex implementations:
+// computational form the revised simplex and the brute-force oracle solve:
 //
 //     min c' y + c0    subject to  A y = b,  y >= 0,  b >= 0
 //
@@ -20,12 +20,10 @@
 #include <vector>
 
 #include "lp/problem.h"
-#include "util/matrix.h"
 
 namespace agora::lp {
 
 struct StandardForm {
-  Matrix a;                 ///< m x n constraint matrix.
   std::vector<double> b;    ///< length m, all entries >= 0.
   std::vector<double> c;    ///< length n, phase-2 objective (minimization).
   double c0 = 0.0;          ///< objective constant from shifting/mirroring.
@@ -50,12 +48,11 @@ struct StandardForm {
   std::vector<std::size_t> row_origin;
   std::vector<bool> row_negated;
 
-  /// Compressed-sparse-column copy of `a`, rebuilt alongside it. The
-  /// allocation LPs are very sparse (flow rows have 2 nonzeros), so the
-  /// revised simplex prices and ftrans over these arrays instead of paying
-  /// dense O(m) per column. Row indices within a column are ascending, so
-  /// iterating a column visits exactly the nonzeros the dense scan would,
-  /// in the same order (bit-identical arithmetic).
+  /// The m x n constraint matrix A, compressed by column: column j's
+  /// nonzeros are col_row/col_val[col_start[j] .. col_start[j+1]), with row
+  /// indices ascending. The allocation LPs are very sparse (flow rows have 2
+  /// nonzeros), so the revised simplex prices and ftrans over these arrays
+  /// instead of paying dense O(m) per column.
   std::vector<std::size_t> col_start;  ///< length cols()+1.
   std::vector<std::size_t> col_row;    ///< nnz row indices.
   std::vector<double> col_val;         ///< nnz values.

@@ -2,7 +2,7 @@
 // substrate uses.
 //
 // Before this file, feasibility and pivot epsilons were scattered as magic
-// literals across revised.cpp, presolve.cpp and brute_force.cpp;
+// literals across the solvers;
 // tightening one without the others produced solvers that disagreed about
 // what "feasible" means. Tolerances centralizes them, and -- where a check
 // compares a residual against a problem-dependent quantity -- the checks are
@@ -27,12 +27,6 @@ struct Tolerances {
   /// Relative ||b - B x_B||_inf above which the basis is refactorized
   /// (residual-triggered refactorization, on top of the pivot-count cadence).
   double refactor_residual = 1e-8;
-
-  // --- Presolve. -----------------------------------------------------------
-  /// Bound-width below which a variable counts as fixed.
-  double presolve_fix = 1e-11;
-  /// Feasibility slack for constant (empty) rows; relative to (1 + |rhs|).
-  double presolve_row = 1e-9;
 
   // --- Certification (lp::Verifier). Deliberately looser than the solver
   // tolerances: a correct answer computed to 1e-9 must certify comfortably

@@ -299,24 +299,6 @@ TEST(Allocator, ExactModeFallsBackWithPartialShares) {
   EXPECT_TRUE(plan.exact_mode_fell_back);
 }
 
-TEST(Allocator, PresolveProducesSameAnswer) {
-  AgreementSystem sys(3);
-  sys.capacity = {0.0, 10.0, 10.0};
-  sys.relative(1, 0) = 0.5;
-  sys.relative(2, 0) = 0.5;
-  AllocatorOptions plain, pre;
-  pre.solve.presolve = true;
-  pre.formulation = Formulation::FullPaper;  // the formulation presolve helps
-  plain.formulation = Formulation::FullPaper;
-  Allocator a(sys, plain), b(sys, pre);
-  const AllocationPlan pa = a.allocate(0, 5.0);
-  const AllocationPlan pb = b.allocate(0, 5.0);
-  ASSERT_TRUE(pa.satisfied());
-  ASSERT_TRUE(pb.satisfied());
-  EXPECT_NEAR(pa.theta, pb.theta, 1e-6);
-  EXPECT_NEAR(pb.total_drawn(), 5.0, 1e-6);
-}
-
 // ------------------------------------------- compact vs full formulation ---
 
 struct FormulationCase {

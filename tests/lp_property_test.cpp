@@ -1,9 +1,8 @@
 // Property-based tests for the LP solver: random small instances are solved
-// by the revised simplex, with and without presolve, and by the brute-force
-// basis enumerator; all must agree on status and optimal objective, optimal
-// points must be feasible, and every revised answer must certify under
-// lp::Verifier. Larger instances, past brute force, rest on the Verifier's
-// certificate alone.
+// by the revised simplex and by the brute-force basis enumerator; both must
+// agree on status and optimal objective, optimal points must be feasible,
+// and every revised answer must certify under lp::Verifier. Larger
+// instances, past brute force, rest on the Verifier's certificate alone.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,16 +15,6 @@
 
 namespace agora::lp {
 namespace {
-
-SolveResult revised_solve(const Problem& p) {
-  SolveOptions o;
-  o.presolve = false;
-  return solve(p, o);
-}
-
-/// The full default pipeline entry point: revised backend, sparse LU basis,
-/// presolve on -- must agree with the raw solvers on every random instance.
-SolveResult presolved_solve(const Problem& p) { return solve(p); }
 
 struct RandomLpSpec {
   std::uint64_t seed;
@@ -60,27 +49,22 @@ class RandomLpAgreement : public ::testing::TestWithParam<RandomLpSpec> {};
 
 TEST_P(RandomLpAgreement, AllSolversAgree) {
   const Problem p = make_random_lp(GetParam());
-  const SolveResult rev = revised_solve(p);
-  const SolveResult pre = presolved_solve(p);
+  const SolveResult rev = solve(p);
   const SolveResult bf = brute_force_solve(p);
 
   // Box bounds make the LP bounded, so only Optimal/Infeasible can occur.
   ASSERT_NE(rev.status, Status::Unbounded);
   ASSERT_NE(rev.status, Status::IterationLimit);
   EXPECT_EQ(rev.status, bf.status) << "revised vs brute force";
-  EXPECT_EQ(pre.status, bf.status) << "presolved vs brute force";
   const Certificate cert = Verifier().certify(p, rev);
   EXPECT_TRUE(cert.certified) << (cert.reject ? cert.reject : "");
 
   if (bf.status == Status::Optimal) {
     EXPECT_NEAR(rev.objective, bf.objective, 1e-5);
-    EXPECT_NEAR(pre.objective, bf.objective, 1e-5);
     EXPECT_LE(p.max_violation(rev.x), 1e-6);
-    EXPECT_LE(p.max_violation(pre.x), 1e-6);
     EXPECT_LE(p.max_violation(bf.x), 1e-6);
     // The reported objective must match the reported point.
     EXPECT_NEAR(p.objective_value(rev.x), rev.objective, 1e-6);
-    EXPECT_NEAR(p.objective_value(pre.x), pre.objective, 1e-6);
   }
 }
 
@@ -109,11 +93,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RandomLpAgreement, ::testing::ValuesIn(make_spec
 
 /// Larger random feasible LPs, past what brute force can enumerate: the
 /// revised answer must certify optimal under lp::Verifier (a KKT proof, not
-/// a second opinion), and the presolved solve must reach the same optimum.
-/// Feasibility is forced by constraining around a known interior point.
+/// a second opinion). Feasibility is forced by constraining around a known
+/// interior point.
 class LargerLpAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LargerLpAgreement, TableauMatchesRevised) {
+TEST_P(LargerLpAgreement, RevisedCertifiesOptimal) {
   Pcg32 rng(GetParam());
   const std::size_t n = 10 + rng.uniform_u32(15);
   const std::size_t m = 5 + rng.uniform_u32(15);
@@ -133,16 +117,12 @@ TEST_P(LargerLpAgreement, TableauMatchesRevised) {
     // rhs set so the interior point satisfies the row with slack.
     p.add_constraint(std::move(coeffs), Relation::LessEqual, lhs_at_interior + 0.5);
   }
-  const SolveResult rev = revised_solve(p);
-  const SolveResult pre = presolved_solve(p);
+  const SolveResult rev = solve(p);
   ASSERT_EQ(rev.status, Status::Optimal);
-  ASSERT_EQ(pre.status, Status::Optimal);
   const Certificate cert = Verifier().certify(p, rev);
   EXPECT_TRUE(cert.certified) << (cert.reject ? cert.reject : "");
   EXPECT_EQ(cert.claim, Certificate::Claim::Optimal);
   EXPECT_FALSE(cert.primal_only);
-  EXPECT_NEAR(pre.objective, rev.objective, 1e-5);
-  EXPECT_LE(p.max_violation(pre.x), 1e-6);
   EXPECT_LE(p.max_violation(rev.x), 1e-6);
 }
 

@@ -1,13 +1,16 @@
-// Unit tests for the LP substrate: standard-form conversion, both simplex
-// implementations on known problems, presolve, and the model builder.
+// Unit tests for the LP substrate: standard-form conversion, the revised
+// simplex and the brute-force oracle on known problems, and the model
+// builder.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "lp/brute_force.h"
 #include "lp/certify.h"
 #include "lp/model_builder.h"
-#include "lp/presolve.h"
 #include "lp/problem.h"
 #include "lp/solve.h"
 #include "lp/standard_form.h"
@@ -102,6 +105,33 @@ TEST(StandardForm, MaximizeFlipsSign) {
   StandardForm sf = build_standard_form(p);
   EXPECT_DOUBLE_EQ(sf.obj_scale, -1.0);
   EXPECT_DOUBLE_EQ(sf.c[0], -3.0);
+}
+
+TEST(StandardForm, SparseColumnsAndFingerprintArePinned) {
+  // Shifted (with and without a bound row), mirrored and split variables;
+  // all three relations; three rows negated by their transformed rhs. The
+  // column arrays and the fingerprint are pinned bit for bit: warm starts
+  // key on the fingerprint, and the simplex's arithmetic follows the
+  // column order.
+  Problem p;
+  p.add_variable("x0", 1.0, 4.0, 2.0);
+  p.add_variable("x1", -kInfinity, 3.0, -1.0);
+  p.add_variable("x2", -kInfinity, kInfinity, 0.5);
+  p.add_variable("x3", 0.0, kInfinity, 1.0);
+  p.add_constraint({1.0, 2.0, -1.0, 0.0}, Relation::LessEqual, 5.0);
+  p.add_constraint({3.0, -1.0, 0.0, 1.0}, Relation::GreaterEqual, 20.0);
+  p.add_constraint({-1.0, 0.0, 1.0, -2.0}, Relation::Equal, -4.0);
+  p.add_constraint({0.0, 1.0, 0.0, 1.0}, Relation::GreaterEqual, -10.0);
+  const StandardForm sf = build_standard_form(p);
+  EXPECT_EQ(sf.col_start, (std::vector<std::size_t>{0, 4, 7, 9, 11, 14, 15, 16, 17, 18, 19,
+                                                    20, 21}));
+  EXPECT_EQ(sf.col_row, (std::vector<std::size_t>{0, 1, 2, 4, 0, 1, 3, 0, 2, 0, 2, 1, 2, 3,
+                                                  0, 0, 1, 1, 2, 3, 4}));
+  EXPECT_EQ(sf.col_val, (std::vector<double>{-1, 3, 1, 1, 2, 1, 1, 1, -1, -1, 1, 1, 2, -1,
+                                             -1, 1, -1, 1, 1, 1, 1}));
+  EXPECT_EQ(sf.b, (std::vector<double>{2, 20, 3, 13, 3}));
+  EXPECT_EQ(sf.initial_basis, (std::vector<std::size_t>{6, 8, 9, 10, 11}));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sf.fingerprint), 0x41531e9e708b4396ULL);
 }
 
 // ----------------------------------------- repatch_standard_form_rhs ------
@@ -355,6 +385,25 @@ TEST(BruteForce, DetectsInfeasible) {
   EXPECT_EQ(brute_force_solve(p).status, Status::Infeasible);
 }
 
+TEST(BruteForce, ZeroRowProblemTerminates) {
+  // No constraints and no finite range: the standard form has zero rows,
+  // so the only basis is the empty one and it must be evaluated once.
+  Problem p;
+  p.add_variable("x", 2.0, kInfinity, 1.0);    // shifted: optimum at lo
+  p.add_variable("y", -kInfinity, 5.0, -1.0);  // mirrored: optimum at hi
+  ASSERT_EQ(build_standard_form(p).rows(), 0u);
+  const SolveResult bf = brute_force_solve(p);
+  ASSERT_EQ(bf.status, Status::Optimal);
+  ASSERT_EQ(bf.x.size(), 2u);
+  EXPECT_DOUBLE_EQ(bf.x[0], 2.0);
+  EXPECT_DOUBLE_EQ(bf.x[1], 5.0);
+  EXPECT_DOUBLE_EQ(bf.objective, -3.0);
+  const SolveResult sx = lp::solve(p, RevisedSparseConfig::options());
+  ASSERT_EQ(sx.status, Status::Optimal);
+  EXPECT_DOUBLE_EQ(bf.objective, sx.objective);
+  EXPECT_EQ(bf.x, sx.x);
+}
+
 TEST(BruteForce, RefusesHugeProblems) {
   Problem p;
   for (int i = 0; i < 40; ++i) p.add_variable("x" + std::to_string(i), 0, 1, 1.0);
@@ -363,106 +412,6 @@ TEST(BruteForce, RefusesHugeProblems) {
     p.add_constraint(std::move(c), Relation::LessEqual, 10.0);
   }
   EXPECT_THROW(brute_force_solve(p), PreconditionError);
-}
-
-// -------------------------------------------------------------- Presolve ---
-
-TEST(Presolve, SubstitutesFixedVariables) {
-  // The Equal row keeps dual fixing out of the picture, so substitution is
-  // the only reduction that fires: x = 3 folds into the rhs and the row
-  // survives with the remaining two variables.
-  Problem p;
-  p.add_variable("x", 3.0, 3.0, 1.0);  // fixed
-  p.add_variable("y", 0.0, kInfinity, 1.0);
-  p.add_variable("z", 0.0, kInfinity, 1.0);
-  p.add_constraint({1.0, 1.0, 1.0}, Relation::Equal, 10.0);
-  const PresolveOutcome out = presolve(p);
-  ASSERT_FALSE(out.decided.has_value());
-  EXPECT_EQ(out.reduced.num_variables(), 2u);
-  EXPECT_EQ(out.reduced.num_constraints(), 1u);
-  EXPECT_DOUBLE_EQ(out.reduced.constraint(0).rhs, 7.0);
-  const auto x = out.postsolve({5.0, 2.0});
-  EXPECT_DOUBLE_EQ(x[0], 3.0);
-  EXPECT_DOUBLE_EQ(x[1], 5.0);
-  EXPECT_DOUBLE_EQ(x[2], 2.0);
-}
-
-TEST(Presolve, FoldsSingletonRows) {
-  Problem p;
-  p.add_variable("x", 0.0, kInfinity, 1.0);
-  p.add_variable("y", 0.0, kInfinity, 1.0);
-  p.add_constraint({2.0, 0.0}, Relation::LessEqual, 6.0);  // x <= 3
-  p.add_constraint({1.0, 1.0}, Relation::Equal, 2.0);      // blocks dual fixing
-  const PresolveOutcome out = presolve(p);
-  ASSERT_FALSE(out.decided.has_value());
-  EXPECT_EQ(out.reduced.num_constraints(), 1u);
-  EXPECT_DOUBLE_EQ(out.reduced.upper_bound(0), 3.0);
-}
-
-TEST(Presolve, DualFixingDecidesCostDominatedProblems) {
-  // min x + y over x + y <= 10: both columns are down-safe with positive
-  // reduced cost, so dual fixing pins them at their lower bounds and the
-  // whole problem is decided without a simplex iteration.
-  Problem p;
-  p.add_variable("x", 0.0, kInfinity, 1.0);
-  p.add_variable("y", 0.0, kInfinity, 1.0);
-  p.add_constraint({1.0, 1.0}, Relation::LessEqual, 10.0);
-  const PresolveOutcome out = presolve(p);
-  ASSERT_TRUE(out.decided.has_value());
-  EXPECT_EQ(out.decided->status, Status::Optimal);
-  EXPECT_DOUBLE_EQ(out.decided->objective, 0.0);
-  Verifier v;
-  EXPECT_TRUE(v.certify(p, *out.decided).certified);
-}
-
-TEST(Presolve, DetectsTrivialInfeasibility) {
-  Problem p;
-  p.add_variable("x", 0.0, 1.0, 1.0);
-  p.add_constraint({1.0}, Relation::GreaterEqual, 5.0);  // x >= 5 vs x <= 1
-  const PresolveOutcome out = presolve(p);
-  ASSERT_TRUE(out.decided.has_value());
-  EXPECT_EQ(out.decided->status, Status::Infeasible);
-}
-
-TEST(Presolve, DecidesFullyFixedProblems) {
-  Problem p;
-  p.add_variable("x", 2.0, 2.0, 3.0);
-  const PresolveOutcome out = presolve(p);
-  ASSERT_TRUE(out.decided.has_value());
-  EXPECT_EQ(out.decided->status, Status::Optimal);
-  EXPECT_DOUBLE_EQ(out.decided->objective, 6.0);
-}
-
-TEST(Presolve, SolveWithPresolveMatchesDirect) {
-  const Problem p = classic_lp();
-  SolveOptions direct_opts;
-  direct_opts.presolve = false;
-  const SolveResult direct = lp::solve(p, direct_opts);
-  SolveOptions via_opts = direct_opts;
-  via_opts.presolve = true;
-  const SolveResult via = lp::solve(p, via_opts);
-  ASSERT_EQ(via.status, Status::Optimal);
-  EXPECT_NEAR(via.objective, direct.objective, 1e-7);
-}
-
-TEST(Presolve, PostsolveReconstructsDuals) {
-  // x <= 3 singleton row is folded away; postsolve must reconstruct its dual
-  // so the reduced answer still certifies against the original problem.
-  Problem p(Sense::Maximize);
-  p.add_variable("x", 0, kInfinity, 2.0);
-  p.add_variable("y", 0, kInfinity, 1.0);
-  p.add_constraint({1.0, 0.0}, Relation::LessEqual, 3.0);  // singleton
-  p.add_constraint({1.0, 1.0}, Relation::LessEqual, 5.0);
-  SolveOptions opts;
-  opts.presolve = true;
-  const SolveResult r = lp::solve(p, opts);
-  ASSERT_EQ(r.status, Status::Optimal);
-  EXPECT_NEAR(r.objective, 8.0, 1e-7);  // x=3, y=2
-  ASSERT_EQ(r.duals.size(), 2u);
-  Verifier v;
-  const Certificate cert = v.certify(p, r);
-  EXPECT_TRUE(cert.certified) << cert.reject;
-  EXPECT_FALSE(cert.primal_only);
 }
 
 // ---------------------------------------------------------- ModelBuilder ---

@@ -28,14 +28,11 @@ namespace {
 
 constexpr double kTol = 1e-7;
 
-/// Thin shims over lp::solve so the fuzz loops below read like the solver
-/// calls they compare. Presolve is off: these tests pin down the raw warm
-/// path against the raw cold path, not the reductions.
+/// Thin shim over lp::solve so the fuzz loops below read like the solver
+/// calls they compare: the warm path against the cold path.
 struct RevisedRunner {
   SolveResult solve(const Problem& p, SolveWorkspace* ws = nullptr) const {
-    SolveOptions o;
-    o.presolve = false;
-    return lp::solve(p, o, ws);
+    return lp::solve(p, SolveOptions{}, ws);
   }
 };
 
@@ -96,7 +93,7 @@ TEST(LpWarmstart, NullWorkspaceIsTheColdSolve) {
   EXPECT_EQ(a.iterations, b.iterations);
 }
 
-TEST(LpWarmstart, FuzzedPerturbationsMatchColdTableauAndBruteForce) {
+TEST(LpWarmstart, FuzzedPerturbationsMatchColdRevisedAndBruteForce) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Pcg32 rng(seed * 977);
     const std::size_t n = 2 + seed % 3;  // tiny: brute force stays cheap

@@ -8,14 +8,15 @@ cd "$(dirname "$0")/.."
 
 cmake -B build -S .
 cmake --build build -j
-# Fast tier-1 lane: the long-running stress/soak/figure/chaos suites carry
-# tier2-* labels and run selectively (`ctest -L tier2-stress` etc.) or via
-# the sanitizer passes below. Plain `ctest` still runs everything.
-(cd build && ctest --output-on-failure -j -LE '^tier2-')
-# The golden figures (about 1.5 s) replay small Figure 5/9/13 scenarios end
-# to end through the allocator and its solver, so they are the guard on any
-# change of solver behaviour; they run in tier 1 too.
-(cd build && ctest --output-on-failure -L '^tier2-figures$')
+# Two lanes that together run every test exactly once. The fast lane skips
+# the suites labelled tier2-* (stress, soak, chaos, and the golden figures);
+# `-j` takes a number here, because a bare `-j` would swallow the label
+# filter and run everything. The second lane then runs the tier2-* suites
+# serially: the golden figures replay small Figure 5/9/13 scenarios end to
+# end through the allocator and its solver, so they guard any change of
+# solver behaviour. Plain `ctest` still runs everything in one go.
+(cd build && ctest --output-on-failure -j"$(nproc)" -LE '^tier2-')
+(cd build && ctest --output-on-failure -L '^tier2-')
 
 # Sanitizer pass over the message-layer tests (the fault-injection code
 # paths -- drops, duplicate frees of envelopes, restart handlers -- are the
