@@ -8,6 +8,7 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <vector>
 
 #include "agora/agora.h"
 
@@ -60,9 +61,14 @@ int main() {
   }
   std::printf("\nD requests 8 TB; the LP draws (minimizing global perturbation theta=%.2f):\n",
               plan.theta);
+  // A plan is a decision; committing it moves the availability the
+  // allocator reports.
+  const std::vector<double> before = allocator.capacities().capacity;
+  allocator.apply(plan);
+  const std::vector<double>& after = allocator.capacities().capacity;
   for (std::size_t i = 0; i < plan.draw.size(); ++i)
     if (plan.draw[i] > 1e-9)
       std::printf("  %5.2f TB from %c  (its availability: %5.2f -> %5.2f)\n", plan.draw[i],
-                  static_cast<char>('A' + i), plan.capacity_before[i], plan.capacity_after[i]);
+                  static_cast<char>('A' + i), before[i], after[i]);
   return 0;
 }

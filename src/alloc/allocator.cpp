@@ -215,12 +215,6 @@ bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan
   plan.lp_iterations = 0;
   plan.draw.assign(sys_.size(), 0.0);
   plan.draw[a] = amount;
-  plan.capacity_before = report_.capacity;
-  plan.capacity_after = report_.capacity;
-  for (const std::size_t i : members) {
-    const double coeff = i == a ? sys_.retained[a] : row[i];
-    plan.capacity_after[i] = report_.capacity[i] - amount * coeff;
-  }
   fastpath_granted_.inc();
   if constexpr (obs::kEnabled) obs_fastpath_granted_->inc();
   return true;
@@ -249,7 +243,6 @@ bool Allocator::try_closed_form_denial(std::size_t a, double amount,
 AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact) const {
   const std::size_t n = sys_.size();
   AllocationPlan plan;
-  plan.capacity_before = report_.capacity;
 
   // Variables are the draws of `members`, in member order, then theta, so
   // the extraction after the solve is shared by both branches below.
@@ -327,21 +320,12 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
   plan.draw.assign(n, 0.0);
   for (std::size_t l = 0; l < m; ++l) plan.draw[members[l]] = std::max(0.0, r.x[l]);
   plan.theta = r.x[m];
-  // Only members draw, and a member's draw moves no non-member's capacity.
-  plan.capacity_after = report_.capacity;
-  for (const std::size_t i : members) {
-    double drop = 0.0;
-    for (const std::size_t k : members)
-      drop += plan.draw[k] * (k == i ? sys_.retained[i] : report_.shares(k, i));
-    plan.capacity_after[i] = report_.capacity[i] - drop;
-  }
   return plan;
 }
 
 AllocationPlan Allocator::solve_full(std::size_t a, double amount, bool exact) const {
   const std::size_t n = sys_.size();
   AllocationPlan plan;
-  plan.capacity_before = report_.capacity;
 
   // The paper's variable set: V'_i, C'_i, I'_ij (i != j), theta
   // -- n^2 + n + 1 variables total (C' counts into the paper's n^2 + n + 1
@@ -414,11 +398,8 @@ AllocationPlan Allocator::solve_full(std::size_t a, double amount, bool exact) c
 
   plan.status = PlanStatus::Satisfied;
   plan.draw.assign(n, 0.0);
-  plan.capacity_after.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i)
     plan.draw[i] = std::max(0.0, sys_.capacity[i] - r.x[vprime[i].index]);
-    plan.capacity_after[i] = r.x[cprime[i].index];
-  }
   plan.theta = r.x[theta.index];
   return plan;
 }

@@ -14,7 +14,6 @@ AllocationPlan endpoint_allocate(const agree::AgreementSystem& sys, std::size_t 
 
   AllocationPlan plan;
   plan.draw.assign(n, 0.0);
-  plan.capacity_before = sys.capacity;
 
   // What each neighbor k agreed to provide to a directly.
   std::vector<double> cap(n, 0.0);
@@ -66,13 +65,8 @@ AllocationPlan endpoint_allocate(const agree::AgreementSystem& sys, std::size_t 
   plan.draw[a] += std::max(0.0, remaining);
 
   plan.status = PlanStatus::Satisfied;
-  plan.capacity_after.assign(n, 0.0);
-  double max_drop = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    plan.capacity_after[i] = plan.capacity_before[i] - plan.draw[i];
-    max_drop = std::max(max_drop, plan.draw[i]);
-  }
-  plan.theta = max_drop;  // local view of perturbation, for reporting only
+  // Local view of perturbation, for reporting only: the largest draw.
+  plan.theta = *std::max_element(plan.draw.begin(), plan.draw.end());
   return plan;
 }
 

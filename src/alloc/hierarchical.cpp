@@ -106,18 +106,16 @@ AllocationPlan HierarchicalAllocator::allocate(std::size_t a, double amount) con
 
   obs::ScopedTimer plan_timer(obs_plan_seconds_);
   AllocationPlan plan;
-  plan.capacity_before = full.capacity;
   plan.draw.assign(n, 0.0);
   // Report theta with the same meaning as the flat allocator: the largest
-  // *global* availability drop (a group LP's theta only covers its group).
+  // *global* linearized availability drop (a group LP's theta only covers
+  // its group).
   const auto price_globally = [&] {
-    plan.capacity_after = plan.capacity_before;
     plan.theta = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       double drop = 0.0;
       for (std::size_t k = 0; k < n; ++k)
         drop += plan.draw[k] * (k == i ? sys.retained[i] : full.shares(k, i));
-      plan.capacity_after[i] = plan.capacity_before[i] - drop;
       plan.theta = std::max(plan.theta, drop);
     }
   };

@@ -46,12 +46,11 @@ struct AllocationPlan {
   /// V_k - V'_k in the paper). Sums to the request when Satisfied.
   std::vector<double> draw;
 
-  /// Optimal global perturbation theta = max_i (C_i - C'_i).
+  /// Global perturbation theta: the bound the LP minimizes on the
+  /// linearized availability drop sum_k d_k * That_ki at every principal i
+  /// (DESIGN.md section 6). A plan carries the decision only: the
+  /// availability it leaves is read from its allocator after apply().
   double theta = 0.0;
-
-  /// Availability before and after the allocation.
-  std::vector<double> capacity_before;
-  std::vector<double> capacity_after;
 
   /// Simplex iterations spent.
   std::uint64_t lp_iterations = 0;

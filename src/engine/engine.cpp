@@ -20,7 +20,6 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
   PartitionOptions popts;
   popts.shards = opts_.threads;
   popts.federated = opts_.federation.enabled;
-  popts.balance_slack = opts_.federation.balance_slack;
   part_ = partition_participants(sys_, popts);
 
   obs_consults_ = &opts_.sink.counter("engine.consults");
@@ -40,10 +39,7 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
   obs_fed_outstanding_ = &opts_.sink.gauge("engine.federation.outstanding");
   obs_fed_gap_rel_ = &opts_.sink.gauge("engine.federation.gap_rel");
 
-  if (opts_.plan_cache) {
-    pcache_ = std::make_unique<PlanCache>(
-        PlanCacheOptions{opts_.plan_cache_slots, /*probe_window=*/8});
-  }
+  if (opts_.plan_cache) pcache_ = std::make_unique<PlanCache>();
   if (opts_.plan_cache || part_.federated) {
     // The global perturbation coefficients: one row per drawn-on participant
     // k, that_(k, i) = capacity drop at i per unit drawn at k. Identical to
@@ -213,43 +209,18 @@ alloc::AllocationPlan EnforcementEngine::decide(Shard& shard, std::size_t a,
 
 alloc::AllocationPlan EnforcementEngine::globalize(const Shard& shard,
                                                    alloc::AllocationPlan local) const {
-  if (shard.members.size() == n_) return local;
-  const auto snap = cell_.load();
-  alloc::AllocationPlan plan;
-  plan.status = local.status;
-  plan.theta = local.theta;
-  plan.lp_iterations = local.lp_iterations;
-  plan.exact_mode_fell_back = local.exact_mode_fell_back;
-  plan.certified = local.certified;
-  plan.solver_fallbacks = local.solver_fallbacks;
-  const auto overlay = [&](const std::vector<double>& loc, const std::vector<double>& base,
-                           double fill) {
-    std::vector<double> out;
-    if (loc.empty()) return out;
-    out = base.empty() ? std::vector<double>(n_, fill) : base;
-    for (std::size_t l = 0; l < shard.members.size(); ++l) out[shard.members[l]] = loc[l];
-    return out;
-  };
-  plan.draw = overlay(local.draw, {}, 0.0);
-  // Non-member availabilities come from the published snapshot: this plan
-  // cannot change them (zero cross-component entitlements).
-  plan.capacity_before = overlay(local.capacity_before, snap->available, 0.0);
-  plan.capacity_after = overlay(local.capacity_after, snap->available, 0.0);
-  return plan;
+  if (shard.members.size() == n_ || local.draw.empty()) return local;
+  std::vector<double> draw(n_, 0.0);
+  for (std::size_t l = 0; l < shard.members.size(); ++l) draw[shard.members[l]] = local.draw[l];
+  local.draw = std::move(draw);
+  return local;
 }
 
 alloc::AllocationPlan EnforcementEngine::federate(Shard& shard, alloc::AllocationPlan local,
                                                   std::size_t a) const {
-  const std::size_t m = shard.members.size();
   double bank_draw = 0.0;
   if (shard.bank != kNpos && local.draw.size() > shard.bank)
     bank_draw = local.draw[shard.bank];
-  const auto trim = [m](std::vector<double>& v) {
-    if (v.size() > m) v.resize(m);
-  };
-  trim(local.draw);
-  trim(local.capacity_before);
-  trim(local.capacity_after);
   alloc::AllocationPlan plan = globalize(shard, std::move(local));
   if (bank_draw <= 0.0 || plan.draw.empty()) return plan;
   // Attribute the bank draw to individual credits greedily in id order:

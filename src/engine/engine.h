@@ -89,8 +89,6 @@ struct EngineOptions {
   /// the same shape from a later basis agrees with it in status and theta
   /// but not necessarily in the last bits (DESIGN.md §11.4).
   bool plan_cache = false;
-  /// Slot count for the decision cache (rounded up to a power of two).
-  std::size_t plan_cache_slots = std::size_t{1} << 13;
   /// Federated cross-shard enforcement (federation.h). When enabled and the
   /// agreement graph has fewer components than requested shards, the engine
   /// cuts components by edge scoring and carries cut entitlements as border
@@ -305,10 +303,11 @@ class EnforcementEngine : public alloc::AllocatorBase {
   /// draws within current entitlements, demand met, theta covers every
   /// capacity drop. O(nnz * n) with the vectorized kernels.
   bool recertify(const PlanCache::Entry& e, const CapacitySnapshot& snap) const;
-  /// Map a shard-local plan back to full-system indices, overlaying the
-  /// current snapshot for participants outside the shard.
+  /// Map a shard-local plan back to full-system indices: scatter its
+  /// members' draws into a zero draw vector (a bank slot, past the members,
+  /// is dropped).
   alloc::AllocationPlan globalize(const Shard& shard, alloc::AllocationPlan local) const;
-  /// Federated globalize: strip the bank slot, attribute the bank draw to
+  /// Federated globalize: drop the bank slot, attribute the bank draw to
   /// individual credits (greedy in id order -- deterministic, and exact
   /// because the local LP bounds the draw by the requester's earmark), fold
   /// the attributed amounts into the lenders' global draw entries, and

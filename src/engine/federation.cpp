@@ -54,15 +54,15 @@ std::size_t Federation::local_size(std::size_t shard) const {
 
 std::vector<double> Federation::targets(std::span<const double> capacity) const {
   AGORA_REQUIRE(capacity.size() == sys_.size(), "federation capacity size mismatch");
-  // Price every cut edge at borrow_fraction of its global entitlement, using
-  // the *current* capacity for V_l (entitlements scale with capacity).
+  // Price every cut edge at its global entitlement, using the *current*
+  // capacity for V_l (entitlements scale with capacity).
   std::vector<double> t(ledger_.size(), 0.0);
   std::vector<double> per_lender(sys_.size(), 0.0);
   for (const Credit& c : ledger_.credits()) {
     const double v = capacity[c.lender];
     const double ent =
         std::min(v * shares_(c.lender, c.borrower) + sys_.absolute(c.lender, c.borrower), v);
-    t[c.id] = std::max(0.0, opts_.borrow_fraction * ent);
+    t[c.id] = std::max(0.0, ent);
     per_lender[c.lender] += t[c.id];
   }
   // Keep at least (1 - lend_cap) of every lender home: scale its loans

@@ -58,15 +58,9 @@ struct FederationOptions {
   /// are split by edge-scored partitioning with border credits instead of
   /// running on one exact shard.
   bool enabled = false;
-  /// Fraction of a cut edge's global entitlement loaned to the borrower's
-  /// bank at each settlement.
-  double borrow_fraction = 1.0;
   /// Cap on the total fraction of a lender's capacity on loan at once; the
   /// rest stays home so the lender's own shard keeps admitting locally.
   double lend_cap = 0.5;
-  /// Allowed shard-size imbalance for the edge-scored partition (see
-  /// PartitionOptions::balance_slack).
-  double balance_slack = 0.25;
   /// How many of the epoch's decisions each settlement re-solves against
   /// the exact global LP to measure the optimality gap. 0 disables the
   /// probe (and the gap telemetry).
@@ -114,9 +108,8 @@ class Federation {
   std::size_t local_size(std::size_t shard) const;
 
   /// Policy: the per-credit loan balance the next settlement steers toward,
-  /// given global capacities -- borrow_fraction of the cut edge's global
-  /// entitlement, scaled down pro-rata where a lender's total would exceed
-  /// lend_cap * V_lender.
+  /// given global capacities -- the cut edge's global entitlement, scaled
+  /// down pro-rata where a lender's total would exceed lend_cap * V_lender.
   std::vector<double> targets(std::span<const double> capacity) const;
 
   /// What one settlement round hands each shard.

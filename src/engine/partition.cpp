@@ -61,16 +61,21 @@ void pack_groups(const std::vector<std::vector<std::size_t>>& groups, Partition&
   for (auto& m : part.members) std::sort(m.begin(), m.end());
 }
 
+/// Federated size balance: no shard exceeds ceil(n * (1 + kBalanceSlack) /
+/// shards) participants. Larger slack lets heavier edges stay uncut at the
+/// cost of load skew.
+constexpr double kBalanceSlack = 0.25;
+
 /// Min-cut-ish split for federated mode: heavy-edge agglomeration under a
 /// size cap. Merging the heaviest agreement edges first keeps them inside a
 /// shard, so the edges that end up cut -- and become border credits -- are
 /// the lightest ones, which is what bounds the optimality gap in practice.
 std::vector<std::vector<std::size_t>> agglomerate(const agree::AgreementSystem& sys,
-                                                  std::size_t shards, double slack) {
+                                                  std::size_t shards) {
   const std::size_t n = sys.size();
   const std::size_t cap = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(static_cast<double>(n) * (1.0 + slack) / static_cast<double>(shards))));
+      1, static_cast<std::size_t>(std::ceil(static_cast<double>(n) * (1.0 + kBalanceSlack) /
+                                            static_cast<double>(shards))));
 
   // Absolute amounts live on the capacity scale; relative shares are
   // fractions. Normalize A by the mean capacity so both contribute
@@ -125,7 +130,7 @@ Partition partition_participants(const agree::AgreementSystem& sys,
   if (comps.size() < shards && shards > 1 && opts.federated) {
     // Federated split: cut the components themselves, lightest edges first
     // to the boundary. Cut entitlements become border credits.
-    const auto groups = agglomerate(sys, shards, opts.balance_slack);
+    const auto groups = agglomerate(sys, shards);
     part.shards = std::min(shards, groups.size());
     part.federated = part.shards > 1 && groups.size() > comps.size();
     pack_groups(groups, part);

@@ -51,12 +51,9 @@ struct PartitionOptions {
   std::size_t shards = 1;
   /// Split components by edge-scored agglomeration (with border credits)
   /// when there are fewer components than requested shards, instead of
-  /// running fewer shards.
+  /// running fewer shards. No split shard exceeds ceil(1.25 * n / shards)
+  /// participants (kBalanceSlack in partition.cpp).
   bool federated = false;
-  /// Federated size balance: no shard exceeds ceil(n / shards) * (1 +
-  /// balance_slack) participants. Larger slack lets heavier edges stay
-  /// uncut at the cost of load skew.
-  double balance_slack = 0.25;
 };
 
 /// Partition the participants of `sys` into at most `opts.shards` shards.

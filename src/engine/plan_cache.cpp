@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <thread>
 
 namespace agora::engine {
 
@@ -31,6 +32,19 @@ constexpr std::uint8_t kNegRef = 1;
 
 }  // namespace
 
+std::shared_ptr<const PlanCache::Entry> PlanCache::Slot::load() const {
+  while (busy.exchange(true, std::memory_order_acquire)) std::this_thread::yield();
+  std::shared_ptr<const Entry> e = entry;
+  busy.store(false, std::memory_order_release);
+  return e;
+}
+
+void PlanCache::Slot::store(std::shared_ptr<const Entry> next) {
+  while (busy.exchange(true, std::memory_order_acquire)) std::this_thread::yield();
+  entry.swap(next);
+  busy.store(false, std::memory_order_release);
+}
+
 PlanCache::PlanCache(PlanCacheOptions opts) {
   std::size_t n = std::bit_ceil(std::max<std::size_t>(opts.slots, 64));
   probe_ = std::max<std::size_t>(1, std::min(opts.probe_window, n));
@@ -50,7 +64,7 @@ PlanCache::LookupResult PlanCache::lookup(std::uint64_t epoch, std::size_t parti
   const std::uint64_t bits = amount_bits(amount);
   for (std::size_t i = 0; i < probe_; ++i) {
     Slot& slot = slots_[(base + i) & mask_];
-    std::shared_ptr<const Entry> e = slot.entry.load(std::memory_order_acquire);
+    std::shared_ptr<const Entry> e = slot.load();
     if (!e) continue;
     if (e->participant != participant || amount_bits(e->amount) != bits) continue;
     // insert() overwrites a matching shape in place, so the first shape
@@ -88,10 +102,10 @@ void PlanCache::insert(std::uint64_t epoch, std::size_t participant, double amou
   for (std::size_t i = 0; i < probe_; ++i) {
     const std::size_t idx = (base + i) & mask_;
     Slot& slot = slots_[idx];
-    std::shared_ptr<const Entry> e = slot.entry.load(std::memory_order_acquire);
+    std::shared_ptr<const Entry> e = slot.load();
     if (e && e->participant == participant && amount_bits(e->amount) == bits) {
       // Same shape (fresh or stale): refresh in place.
-      slot.entry.store(std::move(entry), std::memory_order_release);
+      slot.store(std::move(entry));
       slot.ref.store(fresh_ref, std::memory_order_relaxed);
       (negative ? neg_inserts_ : inserts_).fetch_add(1, std::memory_order_relaxed);
       return;
@@ -116,11 +130,11 @@ void PlanCache::insert(std::uint64_t epoch, std::size_t participant, double amou
   if (!victim_empty) {
     // Attribute the eviction to the polarity of the DISPLACED entry, so the
     // counters answer "are denials crowding out grants?" directly.
-    std::shared_ptr<const Entry> old = slot.entry.load(std::memory_order_acquire);
+    std::shared_ptr<const Entry> old = slot.load();
     (old && old->negative() ? neg_evictions_ : evictions_)
         .fetch_add(1, std::memory_order_relaxed);
   }
-  slot.entry.store(std::move(entry), std::memory_order_release);
+  slot.store(std::move(entry));
   slot.ref.store(fresh_ref, std::memory_order_relaxed);
   (negative ? neg_inserts_ : inserts_).fetch_add(1, std::memory_order_relaxed);
 }

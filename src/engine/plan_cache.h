@@ -16,10 +16,11 @@
 // silently becomes stale (lookup mismatches), and the next solve of a shape
 // overwrites its slot in place -- no flush pass, no generation sweeps.
 //
-// Concurrency: slots hold std::atomic<std::shared_ptr<const Entry>>, so
-// readers (engine front-end, any caller thread) and writers (whichever
-// thread just decided a consult under its shard's run lock) never block
-// each other; a reader that loses a race simply sees the old or the new
+// Concurrency: each slot holds a std::shared_ptr<const Entry> behind a
+// one-byte spinlock held only to copy or swap the pointer, so readers
+// (engine front-end, any caller thread) and writers (whichever thread just
+// decided a consult under its shard's run lock) wait on each other for no
+// more than that; a reader that loses a race simply sees the old or the new
 // immutable entry. Eviction is a probe-window LRU clock: each slot carries
 // a reference byte, bumped on hit and decayed as insert scans pass over it;
 // the coldest slot in the window is replaced.
@@ -114,8 +115,18 @@ class PlanCache {
   PlanCacheStats stats() const;
 
  private:
+  /// The entry is guarded by a spinlock rather than held in a
+  /// std::atomic<std::shared_ptr>: libstdc++ 12's load() releases its
+  /// internal lock with a relaxed store, so its read of the pointer is not
+  /// ordered before the next store's write, a data race that
+  /// ThreadSanitizer reports.
   struct Slot {
-    std::atomic<std::shared_ptr<const Entry>> entry;
+    std::shared_ptr<const Entry> load() const;
+    /// Install `next`; the displaced entry is released after the unlock.
+    void store(std::shared_ptr<const Entry> next);
+
+    std::shared_ptr<const Entry> entry;  ///< guarded by `busy`
+    mutable std::atomic<bool> busy{false};
     std::atomic<std::uint8_t> ref{0};  ///< LRU-clock recency, saturating
   };
 

@@ -2,16 +2,15 @@
 
 namespace agora::rms {
 
-namespace {
-
-StateMachineOptions sm_options(const GrmOptions& g) {
+StateMachineOptions GrmOptions::state_machine_options() const {
   StateMachineOptions o;
-  o.staleness_ttl = g.staleness_ttl;
-  o.decided_cache_capacity = g.decided_cache_capacity;
-  o.engine_threads = g.engine_threads;
-  o.sink = g.sink;
+  o.staleness_ttl = staleness_ttl;
+  o.decided_cache_capacity = decided_cache_capacity;
+  o.sink = sink;
   return o;
 }
+
+namespace {
 
 ReserveEmitterOptions emitter_options(const GrmOptions& g, double send_latency) {
   ReserveEmitterOptions o;
@@ -32,7 +31,7 @@ Grm::Grm(MessageBus& bus, std::vector<agree::AgreementSystem> systems,
     : bus_(bus),
       decision_latency_(decision_latency),
       grm_opts_(grm_opts),
-      sm_(std::move(systems), opts, sm_options(grm_opts)),
+      sm_(std::move(systems), opts, grm_opts.state_machine_options()),
       emitter_(bus, emitter_options(grm_opts, decision_latency)) {
   obs_forwards_ = &grm_opts_.sink.counter("rms.grm.forwards");
   lrm_endpoints_.assign(sm_.num_sites(), 0);

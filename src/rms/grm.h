@@ -90,13 +90,12 @@ struct GrmOptions {
   /// stamped with bus virtual time). Also forwarded into the allocators'
   /// AllocatorOptions unless those carry their own non-global sink.
   obs::Sink sink = obs::Sink::global();
-  /// Per-resource decision backend: 0 (default) consults an in-process
-  /// Allocator directly (seed behavior); >= 1 fronts each resource with a
-  /// sharded engine::EnforcementEngine running this many worker threads.
-  /// threads=1 is decision-identical to the direct path.
-  std::size_t engine_threads = 0;
   /// Replication (replica::ReplicatedGrm only; ignored by a plain Grm).
   ReplicationOptions replication;
+
+  /// The decision state machine's share of these options, the same for a
+  /// plain Grm and a replicated one.
+  StateMachineOptions state_machine_options() const;
 };
 
 class Grm {

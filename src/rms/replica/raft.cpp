@@ -7,15 +7,6 @@ namespace agora::rms::replica {
 
 namespace {
 
-StateMachineOptions sm_options(const GrmOptions& g) {
-  StateMachineOptions o;
-  o.staleness_ttl = g.staleness_ttl;
-  o.decided_cache_capacity = g.decided_cache_capacity;
-  o.engine_threads = g.engine_threads;
-  o.sink = g.sink;
-  return o;
-}
-
 ReserveEmitterOptions emitter_options(const GrmOptions& g, double send_latency) {
   ReserveEmitterOptions o;
   o.attempts = g.reserve_attempts;
@@ -42,7 +33,7 @@ RaftNode::RaftNode(MessageBus& bus, std::size_t id,
       decision_latency_(decision_latency),
       grm_opts_(grm_opts),
       rep_(grm_opts.replication),
-      sm_(std::move(systems), opts, sm_options(grm_opts)),
+      sm_(std::move(systems), opts, grm_opts.state_machine_options()),
       emitter_(bus, emitter_options(grm_opts, decision_latency)),
       // Distinct seeded stream per replica: elections are randomized enough
       // to rarely split, yet every run replays bit-identically.

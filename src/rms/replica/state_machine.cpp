@@ -5,26 +5,14 @@
 #include <cmath>
 
 #include "alloc/ledger.h"
-#include "engine/engine.h"
 
 namespace agora::rms {
-
-std::unique_ptr<alloc::AllocatorBase> GrmStateMachine::make_allocator(
-    agree::AgreementSystem sys) const {
-  if (sm_opts_.engine_threads >= 1) {
-    engine::EngineOptions eng;
-    eng.threads = sm_opts_.engine_threads;
-    eng.alloc = opts_;
-    eng.sink = opts_.sink;
-    return std::make_unique<engine::EnforcementEngine>(std::move(sys), std::move(eng));
-  }
-  return std::make_unique<alloc::Allocator>(std::move(sys), opts_);
-}
 
 void GrmStateMachine::rebuild_allocators(std::vector<agree::AgreementSystem> systems) {
   allocators_.clear();
   allocators_.reserve(systems.size());
-  for (auto& s : systems) allocators_.push_back(make_allocator(std::move(s)));
+  for (auto& s : systems)
+    allocators_.push_back(std::make_unique<alloc::Allocator>(std::move(s), opts_));
 }
 
 GrmStateMachine::GrmStateMachine(std::vector<agree::AgreementSystem> systems,
@@ -77,7 +65,7 @@ void GrmStateMachine::apply_update(std::size_t resource, std::size_t from, std::
   AGORA_REQUIRE(from < sys.size() && to < sys.size() && from != to, "bad agreement endpoints");
   AGORA_REQUIRE(share >= 0.0, "share must be non-negative");
   sys.relative(from, to) = share;
-  allocators_[resource] = make_allocator(std::move(sys));
+  allocators_[resource] = std::make_unique<alloc::Allocator>(std::move(sys), opts_);
 }
 
 bool GrmStateMachine::apply_report(const AvailabilityReport& rep, double now) {

@@ -66,8 +66,6 @@ struct StateMachineOptions {
   /// Bound on the idempotent decided-reply cache; 0 = unbounded. Evictions
   /// are FIFO by decision order and counted (rms.grm.decided_evictions).
   std::size_t decided_cache_capacity = 65536;
-  /// See GrmOptions::engine_threads.
-  std::size_t engine_threads = 0;
   obs::Sink sink = obs::Sink::global();
 };
 
@@ -146,13 +144,12 @@ class GrmStateMachine {
   std::uint64_t unknown_queries() const { return unknown_queries_; }        ///< edge-driven
 
  private:
-  std::unique_ptr<alloc::AllocatorBase> make_allocator(agree::AgreementSystem sys) const;
   void rebuild_allocators(std::vector<agree::AgreementSystem> systems);
 
   alloc::AllocatorOptions opts_;
   StateMachineOptions sm_opts_;
   std::uint32_t actor_ = 0;
-  std::vector<std::unique_ptr<alloc::AllocatorBase>> allocators_;
+  std::vector<std::unique_ptr<alloc::Allocator>> allocators_;
   std::vector<std::vector<double>> known_;  ///< [resource][site]
   std::vector<bool> registered_;
   std::vector<bool> reported_;

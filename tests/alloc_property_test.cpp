@@ -69,15 +69,19 @@ TEST_P(RandomSystems, PlanInvariantsHold) {
       EXPECT_LE(plan.draw[k], cap + 1e-6);
       EXPECT_GE(plan.draw[k], -1e-9);
     }
-    // (6): capacities only go down, by at most theta.
-    for (std::size_t i = 0; i < sys.size(); ++i) {
-      EXPECT_LE(plan.capacity_after[i], plan.capacity_before[i] + 1e-6);
-      EXPECT_GE(plan.capacity_after[i], plan.capacity_before[i] - plan.theta - 1e-6);
-    }
-    // theta is exactly the largest drop.
+    // (6) over the LP's linearized drop sum_k d_k * That_ki (That_ii =
+    // retained_i, That_ki = K_ki): availability only goes down, by at most
+    // theta, and theta is exactly the largest drop.
+    const agree::CapacityReport& rep = allocator.capacities();
     double max_drop = 0.0;
-    for (std::size_t i = 0; i < sys.size(); ++i)
-      max_drop = std::max(max_drop, plan.capacity_before[i] - plan.capacity_after[i]);
+    for (std::size_t i = 0; i < sys.size(); ++i) {
+      double drop = 0.0;
+      for (std::size_t k = 0; k < sys.size(); ++k)
+        drop += plan.draw[k] * (k == i ? sys.retained[i] : rep.shares(k, i));
+      EXPECT_GE(drop, -1e-6);
+      EXPECT_LE(drop, plan.theta + 1e-6);
+      max_drop = std::max(max_drop, drop);
+    }
     EXPECT_NEAR(plan.theta, max_drop, 1e-6);
   }
 }

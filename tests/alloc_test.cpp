@@ -38,8 +38,9 @@ TEST(Allocator, SimpleBorrow) {
   EXPECT_NEAR(plan.draw[0], 0.0, 1e-9);
   // Node 1 loses 4 of capacity; node 0 loses 4*0.5 = 2 of availability.
   EXPECT_NEAR(plan.theta, 4.0, 1e-9);
-  EXPECT_NEAR(plan.capacity_after[0], 3.0, 1e-9);
-  EXPECT_NEAR(plan.capacity_after[1], 6.0, 1e-9);
+  alloc.apply(plan);
+  EXPECT_NEAR(alloc.available_to(0), 3.0, 1e-9);
+  EXPECT_NEAR(alloc.available_to(1), 6.0, 1e-9);
 }
 
 TEST(Allocator, InsufficientCapacityReported) {
@@ -284,7 +285,9 @@ TEST(Allocator, ExactModeFeasibleWithFullShares) {
   const AllocationPlan plan = alloc.allocate(0, 4.0);
   ASSERT_TRUE(plan.satisfied());
   EXPECT_FALSE(plan.exact_mode_fell_back);
-  EXPECT_NEAR(plan.capacity_after[0], alloc.capacities().capacity[0] - 4.0, 1e-7);
+  const double before = alloc.available_to(0);
+  alloc.apply(plan);
+  EXPECT_NEAR(alloc.available_to(0), before - 4.0, 1e-7);
 }
 
 TEST(Allocator, ExactModeFallsBackWithPartialShares) {

@@ -1,14 +1,12 @@
 // Stress tests for the sharded EnforcementEngine (DESIGN.md §11): many
 // producer threads hammering submit()/consult() while mutators apply,
-// release and rewrite capacities concurrently; random shard counts with
-// construction/destruction churn; and the GRM running its decision path on
-// an engine backend while the rms fault injector drops, duplicates and
-// crashes traffic. Run under the tsan preset by tools/tier1.sh -- the point
-// of these tests is the interleavings, not the arithmetic.
+// release and rewrite capacities concurrently; and random shard counts with
+// construction/destruction churn. Run under the tsan preset by
+// tools/tier1.sh -- the point of these tests is the interleavings, not the
+// arithmetic.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <future>
 #include <string>
 #include <thread>
@@ -17,11 +15,6 @@
 #include "agree/matrices.h"
 #include "agree/topology.h"
 #include "engine/engine.h"
-#include "rms/bus.h"
-#include "rms/client.h"
-#include "rms/fault.h"
-#include "rms/grm.h"
-#include "rms/lrm.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -216,111 +209,6 @@ TEST(EngineStress, RandomShardCountChurn) {
           << r.status.to_string();
     }
   }
-}
-
-// --------------------------------------------------- GRM on the engine ---
-
-std::vector<agree::AgreementSystem> two_site_systems(double cap0, double cap1, double share10) {
-  agree::AgreementSystem cpu(2);
-  cpu.capacity = {cap0, cap1};
-  cpu.relative(1, 0) = share10;
-  return {cpu};
-}
-
-struct ChaosResult {
-  std::string transcript;
-  std::size_t granted = 0;
-  std::size_t denied = 0;
-  std::uint64_t bus_dropped = 0;
-};
-
-/// run_drop_chaos from rms_chaos_test.cpp, but with the GRM's decision
-/// backend fronted by a 2-shard EnforcementEngine (GrmOptions::engine_threads)
-/// and a crash window layered on top of the lossy links.
-ChaosResult run_engine_chaos(std::uint64_t fault_seed) {
-  rms::MessageBus bus;
-  rms::GrmOptions gopts;
-  gopts.engine_threads = 2;
-  gopts.reserve_attempts = 6;
-  gopts.reserve_backoff = 0.1;
-  gopts.reserve_backoff_cap = 1.0;
-  gopts.sink = obs::Sink::none();
-  alloc::AllocatorOptions aopts;
-  aopts.sink = obs::Sink::none();
-  rms::Grm grm(bus, two_site_systems(5.0, 10.0, 0.5), aopts, /*decision_latency=*/0.01, gopts);
-  rms::Lrm lrm0(bus, {5.0}, 0.01), lrm1(bus, {10.0}, 0.01);
-  grm.register_lrm(0, lrm0.endpoint());
-  grm.register_lrm(1, lrm1.endpoint());
-  lrm0.attach(grm.endpoint(), 0);
-  lrm1.attach(grm.endpoint(), 1);
-  bus.run_until_idle();
-
-  rms::FaultPlan plan;
-  plan.seed = fault_seed;
-  plan.default_link.drop = 0.15;
-  plan.default_link.duplicate = 0.05;
-  plan.crashes.push_back(rms::CrashWindow{lrm0.endpoint(), 8.0, 10.0});
-  bus.set_fault_plan(plan);
-
-  rms::ClientOptions copts;
-  copts.max_attempts = 8;
-  copts.retry_backoff = 0.2;
-  copts.backoff_cap = 2.0;
-  copts.deadline = 30.0;
-  copts.send_latency = 0.01;
-  rms::RequestClient client(bus, grm.endpoint(), copts);
-
-  Pcg32 rng(42);
-  const std::size_t kRequests = 40;
-  for (std::uint64_t id = 1; id <= kRequests; ++id) {
-    rms::AllocationRequest req;
-    req.request_id = id;
-    req.principal = rng.uniform_u32(2);
-    req.amounts = {rng.uniform(0.5, 3.0)};
-    req.duration = rng.uniform(0.5, 3.0);
-    client.submit(req);
-    bus.run_until(bus.now() + 0.5);
-    for (const rms::Lrm* l : {&lrm0, &lrm1})
-      for (double a : l->available()) EXPECT_GE(a, -1e-9);
-  }
-  bus.run_until_idle();
-
-  EXPECT_EQ(client.outstanding(), 0u);
-  EXPECT_EQ(client.outcomes().size(), kRequests);
-  ChaosResult res;
-  for (const rms::RequestClient::Outcome& out : client.outcomes()) {
-    if (out.reply.granted) {
-      ++res.granted;
-    } else {
-      ++res.denied;
-      EXPECT_FALSE(out.reply.reason.empty());
-    }
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "%llu:%d;",
-                  static_cast<unsigned long long>(out.reply.request_id),
-                  out.reply.granted ? 1 : 0);
-    res.transcript += buf;
-  }
-  EXPECT_LE(grm.grants(), kRequests);
-  res.bus_dropped = bus.dropped();
-  return res;
-}
-
-TEST(EngineStress, GrmOnEngineSurvivesChaos) {
-  const ChaosResult res = run_engine_chaos(777);
-  EXPECT_GT(res.bus_dropped, 0u);
-  EXPECT_GT(res.granted, 0u);
-  EXPECT_EQ(res.granted + res.denied, 40u);
-}
-
-TEST(EngineStress, GrmOnEngineReplaysDeterministically) {
-  // The bus serializes the GRM, so even a 2-shard engine backend must make
-  // the whole fault-injected run a deterministic function of the seed.
-  const ChaosResult a = run_engine_chaos(2024);
-  const ChaosResult b = run_engine_chaos(2024);
-  EXPECT_EQ(a.transcript, b.transcript);
-  EXPECT_EQ(a.granted, b.granted);
-  EXPECT_EQ(a.bus_dropped, b.bus_dropped);
 }
 
 }  // namespace

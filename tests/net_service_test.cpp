@@ -1,22 +1,27 @@
 // Loopback integration tests for the wire boundary (DESIGN.md §14): the
-// framed service fronting a real EnforcementEngine, driven by net::Client
-// and by raw sockets for the adversarial cases. Covers decision parity with
-// the direct allocator, explicit load shedding with retry-after hints,
-// deadline propagation (shed on arrival, dropped in queue, late answers
-// replaced), malformed-input handling (Error frame + close), graceful
-// drain (GoAway, every in-flight request resolved), and the obs counters.
+// framed service fronting a real EnforcementEngine (or, for the overload
+// test, a gated direct Allocator behind the service's serial pump), driven
+// by net::Client and by raw sockets for the adversarial cases. Covers
+// decision parity with the direct allocator, explicit load shedding with
+// retry-after hints, deadline propagation (shed on arrival, dropped in
+// queue, late answers replaced), malformed-input handling (Error frame +
+// close), graceful drain (GoAway, every in-flight request resolved), and
+// the obs counters.
 #include <gtest/gtest.h>
 
 #include <poll.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "agree/matrices.h"
 #include "alloc/allocator.h"
+#include "alloc/ledger.h"
 #include "engine/engine.h"
 #include "net/client.h"
 #include "net/service.h"
@@ -149,21 +154,66 @@ TEST(NetService, PingAndInfoWork) {
 
 // --------------------------------------------------------------- shedding ---
 
+/// A backend whose allocate() blocks until the test opens its gate, over a
+/// direct Allocator. Not an engine, so the service fronts it with its serial
+/// pump: while the gate is shut, the one consult the pump took holds the
+/// service's in-flight slot.
+class GatedBackend : public alloc::AllocatorBase {
+ public:
+  explicit GatedBackend(agree::AgreementSystem sys) : inner_(std::move(sys)) {}
+
+  std::size_t size() const override { return inner_.size(); }
+  const agree::AgreementSystem& system() const override { return inner_.system(); }
+  double available_to(std::size_t a) const override { return inner_.available_to(a); }
+  alloc::AllocationPlan allocate(std::size_t a, double amount) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      opened_.wait(lock, [this] { return open_; });
+    }
+    return inner_.allocate(a, amount);
+  }
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    opened_.notify_all();
+  }
+
+ protected:
+  void commit(const alloc::CapacityWrite& write) override {
+    std::vector<double> next;
+    alloc::next_capacities(inner_.system().capacity, write, next);
+    inner_.set_capacities(next);
+  }
+
+ private:
+  alloc::Allocator inner_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable opened_;
+  bool open_ = false;
+};
+
 TEST(NetService, OverloadShedsExplicitlyWithRetryAfter) {
-  // A tiny queue and in-flight window in front of a single-threaded engine:
-  // a burst from several clients MUST shed some requests with unavailable +
-  // a retry hint, and every request still gets a definite answer.
+  // A tiny queue and in-flight window, the one slot held by a gated backend
+  // until the queue has overflowed: a burst from several clients MUST shed
+  // some requests with unavailable + a retry hint, and every request still
+  // gets a definite answer.
   ServiceOptions sopts;
   sopts.max_queue = 2;
   sopts.max_inflight = 1;
-  Harness h(sopts, /*threads=*/1);
+  GatedBackend backend(small_economy());
+  AgoraService service(backend, sopts);
+  ASSERT_TRUE(service.start().ok());
 
   constexpr int kClients = 4, kPerClient = 50;
   std::atomic<std::uint64_t> definite{0}, shed{0}, hinted{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&, t] {
-      ClientOptions copt = h.client_options();
+      ClientOptions copt;
+      copt.endpoints = {Endpoint{"", service.port()}};
       copt.max_attempts = 1;  // observe the shed itself, not the retry
       copt.seed = static_cast<std::uint64_t>(t) + 1;
       Client client(copt);
@@ -188,9 +238,15 @@ TEST(NetService, OverloadShedsExplicitlyWithRetryAfter) {
       }
     });
   }
+  // Four clients against one held slot and a queue of two: the fourth
+  // consult in flight overflows the queue. Then let the backend answer.
+  const auto give_up = Clock::now() + std::chrono::seconds(30);
+  while (service.stats().shed_queue == 0 && Clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  backend.open();
   for (auto& t : threads) t.join();
   EXPECT_EQ(definite.load(), kClients * kPerClient) << "a request was lost";
-  const ServiceStats s = h.service.stats();
+  const ServiceStats s = service.stats();
   // Under 4 clients hammering a queue of 2 with one in-flight slot the
   // service MUST shed, and shed replies carry a retry hint. (shed counted
   // client-side may also include client-local verdicts, so only the

@@ -97,13 +97,13 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 # and its multithreaded hammer test), the sharded enforcement engine (run
 # locks taken by callers and shard workers, the submit() queues, snapshot
 # publication, the unchanged-shard skip -- engine_test pins the serial
-# semantics, engine_stress_test hammers it with producer/mutator threads and
-# runs the GRM-on-engine chaos scenarios), and the rms chaos suite, whose
-# fault-injection paths exercise the bus under the heaviest event/metric
-# traffic. engine_cache_test joins both passes: the plan cache's lock-free
-# slots (atomic shared_ptr loads racing in-place overwrites) and the
-# caller-thread hit path racing capacity mutations are exactly the code
-# TSan is for, and the hammer test drives them hard.
+# semantics, engine_stress_test hammers it with producer/mutator threads),
+# and the rms chaos suite, whose fault-injection paths exercise the bus
+# under the heaviest event/metric traffic. engine_cache_test joins both
+# passes: the plan cache's spinlocked slots (shared_ptr copies racing
+# in-place overwrites) and the caller-thread hit path racing capacity
+# mutations are exactly the code TSan is for, and the hammer test drives
+# them hard.
 cmake -B build-tsan -S . -DAGORA_TSAN=ON
 cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
   engine_test engine_stress_test engine_cache_test engine_federation_test \
