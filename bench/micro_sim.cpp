@@ -1,5 +1,6 @@
 // Ablation: end-to-end simulator throughput (requests simulated per second
-// of wall clock) vs proxy count and scheduler kind.
+// of wall clock) vs proxy count and scheduler kind, and the cost of
+// generating one proxy's day-long trace.
 #include <benchmark/benchmark.h>
 
 #include "agree/topology.h"
@@ -56,6 +57,25 @@ void BM_SimEndpoint(benchmark::State& state) {
 BENCHMARK(BM_SimNoSharing)->Arg(2)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimLp)->Arg(2)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimEndpoint)->Arg(2)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
+
+// Trace generation alone: one proxy's trace of the Figure 9 day (24 h
+// Berkeley-like profile, peak 9.5 requests/s, shifted by one hour), the
+// unit of work that perfbench's proxy_day set-up repeats ten times a day.
+void BM_TraceGenerateDay(benchmark::State& state) {
+  trace::GeneratorConfig gc;
+  gc.peak_rate = 9.5;
+  const trace::Generator gen(gc, trace::DiurnalProfile::berkeley_like());
+  const auto seed = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t requests = 0;
+  for (auto _ : state) {
+    const std::vector<trace::TraceRequest> t = gen.generate(seed, 3600.0);
+    benchmark::DoNotOptimize(t.data());
+    requests += t.size();
+  }
+  state.counters["requests/s"] =
+      benchmark::Counter(static_cast<double>(requests), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TraceGenerateDay)->Arg(101)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -12,6 +12,13 @@
 // Time skew: the paper evaluates geographically distributed ISPs by shifting
 // otherwise-identical client populations in time ("gap"/time-zone skip).
 // `time_shift` cyclically shifts arrivals within the horizon.
+//
+// Order: a trace is its draws sorted stably by arrival, so arrivals ascend
+// and equal arrivals keep the order they were drawn in. Each slot is sorted
+// on its 32-bit arrival draws as it is drawn, in linear time (within a slot
+// the arrival never decreases as the draw grows), and one rotation at the
+// horizon wrap finishes the day. The tie order matters to the simulator,
+// which serves tied arrivals of one proxy in trace order.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +66,9 @@ class Generator {
   const DiurnalProfile& profile() const { return profile_; }
 
   /// Generate one proxy's stream, deterministically in `seed`, cyclically
-  /// shifted by `time_shift` seconds. Arrivals are sorted.
+  /// shifted by `time_shift` seconds (finite, of either sign). Every arrival
+  /// lies in [0, horizon); arrivals ascend, and equal arrivals keep their
+  /// draw order.
   std::vector<TraceRequest> generate(std::uint64_t seed, double time_shift = 0.0) const;
 
  private:

@@ -3,7 +3,9 @@
 //
 // We carry our own small PCG32 generator rather than std::mt19937 so that
 // trace generation is bit-reproducible across standard libraries -- the
-// simulator's regression tests depend on that.
+// simulator's regression tests depend on that. The draws always were; the
+// order of tied arrivals in a trace is too since the generator keeps ties
+// in draw order (trace/generator.h) instead of leaving them to std::sort.
 #pragma once
 
 #include <cmath>
@@ -40,8 +42,12 @@ class Pcg32 {
     return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
   }
 
+  /// The double in [0, 1) that next_double() makes of the 32-bit draw `u`:
+  /// u * 2^-32, exact. Equal draws give equal doubles, and order is kept.
+  static double unit(std::uint32_t u) { return u * (1.0 / 4294967296.0); }
+
   /// Uniform double in [0, 1).
-  double next_double() { return next_u32() * (1.0 / 4294967296.0); }
+  double next_double() { return unit(next_u32()); }
 
   /// Uniform double in [0, 1) that is never exactly 0 (safe for log()).
   double next_double_open() {

@@ -2,14 +2,20 @@
 // generator, and trace (de)serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "trace/generator.h"
 #include "trace/profile.h"
 #include "trace/trace_io.h"
 #include "trace/zipf.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace agora::trace {
@@ -163,6 +169,150 @@ TEST(Generator, SameSeedYieldsByteIdenticalSerializedStream) {
   std::ostringstream c;
   write_trace(c, gen2.generate(42, 300.0));
   EXPECT_EQ(a.str(), c.str());
+}
+
+// The generator as it was before it ordered each slot on its arrival draws,
+// transcribed as the oracle: draw the day in generation order, wrap with
+// fmod, then sort stably, so tied arrivals keep their draw order.
+std::vector<TraceRequest> stable_sorted_draws(const GeneratorConfig& cfg,
+                                              const DiurnalProfile& profile, std::uint64_t seed,
+                                              double time_shift) {
+  Pcg32 rng(seed);
+  const double horizon = profile.horizon();
+  const double width = profile.slot_width();
+  const bool zipf_mode = cfg.zipf_s > 0.0 && cfg.zipf_catalog > 0;
+  std::vector<std::uint64_t> object_bytes;
+  std::optional<ZipfSampler> zipf;
+  if (zipf_mode) {
+    Pcg32 crng(0x0b1ec7ULL, /*stream=*/0xca7a10ULL);
+    for (std::size_t k = 0; k < cfg.zipf_catalog; ++k) {
+      const double b = crng.next_double() < cfg.tail_probability
+                           ? crng.pareto(cfg.tail_scale_bytes, cfg.tail_alpha)
+                           : crng.lognormal(cfg.body_log_median_bytes, cfg.body_sigma);
+      object_bytes.push_back(static_cast<std::uint64_t>(b));
+    }
+    zipf.emplace(cfg.zipf_catalog, cfg.zipf_s, seed);
+  }
+  std::vector<TraceRequest> out;
+  for (std::size_t s = 0; s < profile.slots(); ++s) {
+    const double mean = cfg.peak_rate * profile.slot_weight(s) * width;
+    const std::uint64_t count = rng.poisson(mean);
+    const double slot_start = static_cast<double>(s) * width;
+    for (std::uint64_t k = 0; k < count; ++k) {
+      TraceRequest r;
+      double t = slot_start + rng.next_double() * width + time_shift;
+      t = std::fmod(t, horizon);
+      if (t < 0.0) t += horizon;
+      r.arrival = t;
+      if (zipf_mode) {
+        r.response_bytes = object_bytes[zipf->next()];
+      } else if (rng.next_double() < cfg.tail_probability) {
+        r.response_bytes =
+            static_cast<std::uint64_t>(rng.pareto(cfg.tail_scale_bytes, cfg.tail_alpha));
+      } else {
+        r.response_bytes = static_cast<std::uint64_t>(
+            rng.lognormal(cfg.body_log_median_bytes, cfg.body_sigma));
+      }
+      r.client = rng.uniform_u32(cfg.num_clients);
+      out.push_back(r);
+    }
+  }
+  std::stable_sort(out.begin(), out.end(), [](const TraceRequest& a, const TraceRequest& b) {
+    return a.arrival < b.arrival;
+  });
+  return out;
+}
+
+// Index of the first record that differs, compared field by field (the
+// struct has padding) and the arrival bit for bit; a.size() if none does.
+std::size_t first_difference(const std::vector<TraceRequest>& a,
+                             const std::vector<TraceRequest>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i].arrival) != std::bit_cast<std::uint64_t>(b[i].arrival) ||
+        a[i].response_bytes != b[i].response_bytes || a[i].client != b[i].client)
+      return i;
+  return a.size();
+}
+
+TEST(Generator, OrderIsAStableSortOfTheDrawOrder) {
+  struct Case {
+    const char* name;
+    DiurnalProfile profile;
+    double peak_rate;
+    double shift;
+    double zipf_s;
+    std::uint64_t first_seed;
+    std::uint64_t seeds;
+    bool ties_expected = false;
+  };
+  const DiurnalProfile day = DiurnalProfile::berkeley_like();
+  const double two_pow_60 = std::ldexp(1.0, 60);
+  const std::vector<Case> cases = {
+      {"proxy_day's shape, shift 3600", day, 9.5, 3600.0, 0.0, 101, 2},
+      {"a slot straddles the horizon", day, 2.0, 1234.5, 0.0, 1, 2},
+      {"2.5 horizons + 17.25", day, 2.0, 2.5 * 86400.0 + 17.25, 0.0, 3, 1},
+      {"negative shift", day, 2.0, -5000.3, 0.0, 4, 1},
+      {"width 1000/3", DiurnalProfile::flat(1.0, 1000.0, 3), 50.0, 0.0, 0.0, 5, 2},
+      {"width 1000/3, straddling", DiurnalProfile::flat(1.0, 1000.0, 3), 50.0, 500.5, 0.0, 7, 1},
+      {"one dense slot", DiurnalProfile::flat(1.0, 1.0, 1), 2e5, 0.0, 0.0, 1, 4, true},
+      {"zipf mode", day, 2.0, 7200.0, 1.1, 8, 1},
+      // Far from 0 an ulp spans many draws, so distinct draws of one slot
+      // round to one arrival, in either order.
+      {"shift 1e12", DiurnalProfile::flat(1.0, 1000.0, 3), 50.0, 1e12 + 0.5, 0.0, 9, 1, true},
+      // At 2^60 an ulp is 256 s, so a day's arrivals land on 5 points 256 s
+      // apart: the day can wrap twice (horizon 1000), or its last arrival
+      // can wrap onto its first (horizon 1024, a multiple of the ulp). About
+      // four draws a day.
+      {"shift 2^60, two wraps", DiurnalProfile::flat(1.0, 1000.0, 1), 0.004, two_pow_60, 0.0,
+       1, 300, true},
+      {"shift 2^60, last onto first", DiurnalProfile::flat(1.0, 1024.0, 1), 4.0 / 1024.0,
+       two_pow_60, 0.0, 1, 300, true},
+  };
+  for (const Case& c : cases) {
+    GeneratorConfig cfg;
+    cfg.peak_rate = c.peak_rate;
+    cfg.zipf_s = c.zipf_s;
+    const Generator gen(cfg, c.profile);
+    std::size_t ties = 0;
+    for (std::uint64_t seed = c.first_seed; seed < c.first_seed + c.seeds; ++seed) {
+      const auto oracle = stable_sorted_draws(cfg, c.profile, seed, c.shift);
+      const auto got = gen.generate(seed, c.shift);
+      ASSERT_EQ(got.size(), oracle.size()) << c.name << ", seed " << seed;
+      const std::size_t at = first_difference(got, oracle);
+      EXPECT_EQ(at, got.size()) << c.name << ", seed " << seed << ": record " << at
+                                << " differs from the stable sort";
+      for (std::size_t i = 1; i < oracle.size(); ++i)
+        ties += oracle[i].arrival == oracle[i - 1].arrival ? 1 : 0;
+    }
+    if (c.ties_expected) {
+      EXPECT_GT(ties, 0u) << c.name << ": no tied arrivals, so the tie order went untested";
+    }
+  }
+}
+
+TEST(Generator, NegativeShiftStaysInsideTheHorizon) {
+  // Shift the first request of slot 0 to just below 0: 1e-13 is far below
+  // half an ulp of the horizon, so fmod's remainder plus the horizon rounds
+  // to the horizon itself.
+  GeneratorConfig cfg;
+  cfg.peak_rate = 9.5;
+  const DiurnalProfile day = DiurnalProfile::berkeley_like();
+  Pcg32 rng(7);
+  (void)rng.poisson(cfg.peak_rate * day.slot_weight(0) * day.slot_width());
+  const double first = Pcg32::unit(rng.next_u32()) * day.slot_width();
+  const auto reqs = Generator(cfg, day).generate(7, -(first + 1e-13));
+  ASSERT_FALSE(reqs.empty());
+  for (const TraceRequest& r : reqs) {
+    ASSERT_GE(r.arrival, 0.0);
+    ASSERT_LT(r.arrival, day.horizon());
+  }
+  EXPECT_EQ(reqs.back().arrival, std::nextafter(day.horizon(), 0.0));
+}
+
+TEST(Generator, RejectsANonFiniteShift) {
+  const Generator gen(GeneratorConfig{}, DiurnalProfile::flat(1.0, 600.0, 2));
+  EXPECT_THROW(gen.generate(1, std::numeric_limits<double>::quiet_NaN()), PreconditionError);
+  EXPECT_THROW(gen.generate(1, std::numeric_limits<double>::infinity()), PreconditionError);
 }
 
 // ---------------------------------------------------------------- trace_io ---

@@ -47,7 +47,10 @@ cmake --build build -j
 # Allocator, the HierarchicalAllocator and engines on one and two shards --
 # through the one capacity rule, malformed writes and a seeded conservation
 # stream included, so a write path that reads or stores out of step with the
-# rule shows up here). The sanitizer build
+# rule shows up here), and the trace suite (trace_test: the generator
+# orders each slot with a radix sort over packed (draw, index) keys and
+# gathers records through those indices, index arithmetic where an
+# off-by-one would read past a slot). The sanitizer build
 # compiles with -ffp-contract=off so its floating-point results match the
 # tier-1 build bit for bit.
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
@@ -56,7 +59,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   lp_adversarial_test lp_sparse_test lp_warmstart_test alloc_test alloc_property_test \
   alloc_components_test engine_test engine_stress_test engine_cache_test \
   engine_federation_test credit_conservation_test federation_chaos_test net_frame_test net_service_test \
-  net_soak_test proxysim_test proxysim_bridge_test facade_test
+  net_soak_test proxysim_test proxysim_bridge_test facade_test trace_test
 ./build-asan/tests/rms_test
 ./build-asan/tests/rms_chaos_test
 ./build-asan/tests/rms_replica_test
@@ -91,6 +94,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 ./build-asan/tests/proxysim_test
 ./build-asan/tests/proxysim_bridge_test
 ./build-asan/tests/facade_test
+./build-asan/tests/trace_test
 
 # ThreadSanitizer pass over the deliberately multithreaded code: the
 # concurrent observability substrate (metrics registry, lock-free EventRing
