@@ -34,8 +34,8 @@ Allocator::Allocator(agree::AgreementSystem sys, AllocatorOptions opts)
   obs_plans_denied_ = &opts_.sink.counter("alloc.plans.denied");
   obs_plans_failed_ = &opts_.sink.counter("alloc.plans.solver_failed");
   obs_closed_form_denials_ = &opts_.sink.counter("alloc.plans.closed_form_denials");
-  obs_fastpath_granted_ = &opts_.sink.counter("alloc.fastpath.granted");
-  obs_fastpath_fallthrough_ = &opts_.sink.counter("alloc.fastpath.fallthrough");
+  fastpath_granted_ = obs::Tally(opts_.sink.counter("alloc.fastpath.granted"));
+  fastpath_fallthrough_ = obs::Tally(opts_.sink.counter("alloc.fastpath.fallthrough"));
   // The expensive part (simple-path enumeration) depends only on S; do it
   // once and keep the K matrix cached across capacity updates.
   Matrix t = agree::transitive_shares(sys_.relative, opts_.transitive);
@@ -174,7 +174,6 @@ bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan
   // when the amount fits inside the requester's retained entitlement U_aa.
   if (amount > report_.entitlement(a, a)) {
     fastpath_fallthrough_.inc();
-    if constexpr (obs::kEnabled) obs_fastpath_fallthrough_->inc();
     return false;
   }
 
@@ -205,7 +204,6 @@ bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan
       verifiers_[component_of_[a]].certify_admission(model.problem(), fast_x_, theta);
   if (!cert.certified) {
     fastpath_fallthrough_.inc();
-    if constexpr (obs::kEnabled) obs_fastpath_fallthrough_->inc();
     return false;
   }
 
@@ -216,7 +214,6 @@ bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan
   plan.draw.assign(sys_.size(), 0.0);
   plan.draw[a] = amount;
   fastpath_granted_.inc();
-  if constexpr (obs::kEnabled) obs_fastpath_granted_->inc();
   return true;
 }
 

@@ -32,7 +32,6 @@
 // falls back to Relaxed when it renders the program infeasible.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -48,20 +47,6 @@
 #include "lp/solve_pipeline.h"
 
 namespace agora::alloc {
-
-/// Relaxed-order counter that stays copyable/movable (Allocator instances are
-/// moved into engine shards); a copy carries the value, not the identity.
-struct RelaxedCounter {
-  RelaxedCounter() = default;
-  RelaxedCounter(const RelaxedCounter& o) : v(o.load()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) {
-    v.store(o.load(), std::memory_order_relaxed);
-    return *this;
-  }
-  void inc() { v.fetch_add(1, std::memory_order_relaxed); }
-  std::uint64_t load() const { return v.load(std::memory_order_relaxed); }
-  std::atomic<std::uint64_t> v{0};
-};
 
 enum class Formulation { Compact, FullPaper };
 enum class EqualityMode { Relaxed, Exact };
@@ -128,12 +113,13 @@ class Allocator : public AllocatorBase {
   /// Degradation telemetry of the certified solve chain (attempts,
   /// certification failures, fallback depth, solver health counters).
   /// All-zero when `certify` is off.
-  const lp::PipelineStats* solver_stats() const override { return &pipeline_.stats(); }
+  std::optional<lp::PipelineStats> solver_stats() const override { return pipeline_.stats(); }
 
-  /// Fast-path telemetry (zero unless AllocatorOptions::fast_path). Readable
-  /// from other threads (the engine aggregates these into EngineStats).
-  std::uint64_t fastpath_granted() const { return fastpath_granted_.load(); }
-  std::uint64_t fastpath_fallthrough() const { return fastpath_fallthrough_.load(); }
+  /// Fast-path telemetry (zero unless AllocatorOptions::fast_path), the same
+  /// counts alloc.fastpath.* is fed. Readable from other threads (the
+  /// engine aggregates these into EngineStats).
+  std::uint64_t fastpath_granted() const { return fastpath_granted_.value(); }
+  std::uint64_t fastpath_fallthrough() const { return fastpath_fallthrough_.value(); }
   /// Continue `retired`'s fast-path counts (an engine shard whose allocator
   /// is rebuilt keeps its history).
   void carry_fastpath_counts(const Allocator& retired) {
@@ -196,8 +182,6 @@ class Allocator : public AllocatorBase {
   obs::Counter* obs_plans_denied_ = nullptr;
   obs::Counter* obs_plans_failed_ = nullptr;
   obs::Counter* obs_closed_form_denials_ = nullptr;
-  obs::Counter* obs_fastpath_granted_ = nullptr;
-  obs::Counter* obs_fastpath_fallthrough_ = nullptr;
   /// Connected agreement components (agree::connected_components), fixed at
   /// construction, and each principal's component and index within it.
   std::vector<std::vector<std::size_t>> components_;
@@ -217,8 +201,8 @@ class Allocator : public AllocatorBase {
   mutable std::vector<double> fast_x_;
   /// Scratch for the capacity vector commit() stores.
   std::vector<double> next_capacity_;
-  mutable RelaxedCounter fastpath_granted_;
-  mutable RelaxedCounter fastpath_fallthrough_;
+  mutable obs::Tally fastpath_granted_;
+  mutable obs::Tally fastpath_fallthrough_;
 };
 
 }  // namespace agora::alloc

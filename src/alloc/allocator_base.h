@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -70,9 +71,10 @@ class AllocatorBase {
     set_capacities(std::span<const double>(v));
   }
 
-  /// Degradation telemetry of the certified solve chain; nullptr when the
-  /// implementation has none to report (or aggregation is not meaningful).
-  virtual const lp::PipelineStats* solver_stats() const { return nullptr; }
+  /// Degradation telemetry of the certified solve chain, a copy the caller
+  /// owns; nullopt when the implementation has none to report (or
+  /// aggregation is not meaningful).
+  virtual std::optional<lp::PipelineStats> solver_stats() const { return std::nullopt; }
 
  protected:
   /// The one store behind apply, release and set_capacities: compute the

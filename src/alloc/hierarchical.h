@@ -54,7 +54,9 @@ class HierarchicalAllocator : public AllocatorBase {
 
   /// Telemetry of the fine-level (within-group) certified solve chain; the
   /// per-level Allocators carry their own pipelines.
-  const lp::PipelineStats* solver_stats() const override { return &fine_pipeline_.stats(); }
+  std::optional<lp::PipelineStats> solver_stats() const override {
+    return fine_pipeline_.stats();
+  }
 
  private:
   /// The store behind apply/release/set_capacities: the capacity rule on the

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/threadpool.h"
-
 namespace agora::alloc {
 
 bool MultiPlan::satisfied() const {
@@ -26,19 +24,13 @@ MultiResourceAllocator::MultiResourceAllocator(std::vector<agree::AgreementSyste
   for (auto& s : systems) allocators_.emplace_back(std::move(s), opts);
 }
 
-MultiPlan MultiResourceAllocator::allocate(const MultiRequest& req, bool parallel) const {
+MultiPlan MultiResourceAllocator::allocate(const MultiRequest& req) const {
   AGORA_REQUIRE(req.amounts.size() == allocators_.size(),
                 "request must name an amount per resource");
   MultiPlan plan;
-  plan.per_resource.resize(allocators_.size());
-  if (parallel && allocators_.size() > 1) {
-    ThreadPool::shared().parallel_for(allocators_.size(), [&](std::size_t r) {
-      plan.per_resource[r] = allocators_[r].allocate(req.principal, req.amounts[r]);
-    });
-  } else {
-    for (std::size_t r = 0; r < allocators_.size(); ++r)
-      plan.per_resource[r] = allocators_[r].allocate(req.principal, req.amounts[r]);
-  }
+  plan.per_resource.reserve(allocators_.size());
+  for (std::size_t r = 0; r < allocators_.size(); ++r)
+    plan.per_resource.push_back(allocators_[r].allocate(req.principal, req.amounts[r]));
   return plan;
 }
 

@@ -1,8 +1,8 @@
 // multi_resource.h -- requests spanning several resource types
 // (Section 3.2): "a request for k types of resources is in the form of a
 // vector <r_1, ..., r_k> ... we need to solve k linear systems, one for each
-// resource requested". The k solves are independent, so they run on the
-// shared thread pool.
+// resource requested". The k solves are independent; they run in resource
+// order on the caller's thread.
 //
 // Coupled resources ("CPU and memory need to be on the same machine") are
 // handled the way the paper suggests: *bind* them into a new synthetic
@@ -43,10 +43,10 @@ class MultiResourceAllocator {
   const std::string& resource_name(std::size_t r) const { return names_.at(r); }
   const Allocator& allocator(std::size_t r) const { return allocators_.at(r); }
 
-  /// Solve the k independent LPs (in parallel when `parallel` is true).
-  /// All-or-nothing: when any resource cannot be satisfied, no plan is
-  /// applied and the failing component's status is reported.
-  MultiPlan allocate(const MultiRequest& req, bool parallel = true) const;
+  /// Solve the k independent LPs, in resource order on the caller's
+  /// thread. All-or-nothing: when any resource cannot be satisfied, no plan
+  /// is applied and the failing component's status is reported.
+  MultiPlan allocate(const MultiRequest& req) const;
 
   /// Commit a satisfied multi-plan, all or nothing (see the file comment).
   void apply(const MultiPlan& plan);

@@ -23,23 +23,21 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
   part_ = partition_participants(sys_, popts);
 
   obs_consults_ = &opts_.sink.counter("engine.consults");
-  obs_batches_ = &opts_.sink.counter("engine.batches");
-  obs_coalesced_batches_ = &opts_.sink.counter("engine.batches.coalesced");
-  obs_coalesced_ops_ = &opts_.sink.counter("engine.requests.coalesced");
-  obs_epochs_ = &opts_.sink.counter("engine.epochs");
+  obs::Counter& batches = opts_.sink.counter("engine.batches");
+  obs::Counter& coalesced_batches = opts_.sink.counter("engine.batches.coalesced");
+  obs::Counter& coalesced_ops = opts_.sink.counter("engine.requests.coalesced");
+  epochs_ = obs::Tally(opts_.sink.counter("engine.epochs"));
   obs_batch_size_ = &opts_.sink.histogram("engine.batch.size");
   obs_pc_hits_ = &opts_.sink.counter("engine.plan_cache.hits");
-  obs_pc_misses_ = &opts_.sink.counter("engine.plan_cache.misses");
-  obs_pc_stale_ = &opts_.sink.counter("engine.plan_cache.stale");
   obs_pc_rejects_ = &opts_.sink.counter("engine.plan_cache.certify_rejects");
   obs_pc_neg_hits_ = &opts_.sink.counter("engine.plan_cache.neg_hits");
   obs_pc_neg_rejects_ = &opts_.sink.counter("engine.plan_cache.neg_rejects");
   obs_fed_settlements_ = &opts_.sink.counter("engine.federation.settlements");
-  obs_fed_gap_probes_ = &opts_.sink.counter("engine.federation.gap_probes");
+  gap_probes_ = obs::Tally(opts_.sink.counter("engine.federation.gap_probes"));
   obs_fed_outstanding_ = &opts_.sink.gauge("engine.federation.outstanding");
   obs_fed_gap_rel_ = &opts_.sink.gauge("engine.federation.gap_rel");
 
-  if (opts_.plan_cache) pcache_ = std::make_unique<PlanCache>();
+  if (opts_.plan_cache) pcache_ = std::make_unique<PlanCache>(PlanCacheOptions{}, opts_.sink);
   if (opts_.plan_cache || part_.federated) {
     // The global perturbation coefficients: one row per drawn-on participant
     // k, that_(k, i) = capacity drop at i per unit drawn at k. Identical to
@@ -90,6 +88,10 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
       shard->alloc = std::make_shared<alloc::Allocator>(
           agree::induced_system(sys_, shard->members), opts_.alloc);
     }
+    shard->consults = obs::Tally(*obs_consults_);
+    shard->batches = obs::Tally(batches);
+    shard->coalesced_batches = obs::Tally(coalesced_batches);
+    shard->coalesced_ops = obs::Tally(coalesced_ops);
     shard->obs_queue_depth =
         &opts_.sink.gauge("engine.shard." + std::to_string(s) + ".queue_depth");
     shards_.push_back(std::move(shard));
@@ -139,8 +141,7 @@ void EnforcementEngine::run_queued(Shard& shard, std::size_t own) const {
   shard.queue.try_drain(shard.batch);
   const std::size_t size = shard.batch.size() + own;
   if (size == 0) return;
-  shard.batches.fetch_add(1, std::memory_order_relaxed);
-  obs_batches_->inc();
+  shard.batches.inc();
   obs_batch_size_->observe(static_cast<double>(size));
   std::uint64_t prev = shard.max_batch.load(std::memory_order_relaxed);
   while (size > prev &&
@@ -150,10 +151,8 @@ void EnforcementEngine::run_queued(Shard& shard, std::size_t own) const {
     // Coalesced work. A serial caller never triggers this (nothing is
     // queued when its own op runs), which keeps the threads=1 event stream
     // byte-identical to the direct path.
-    shard.coalesced_batches.fetch_add(1, std::memory_order_relaxed);
-    shard.coalesced_ops.fetch_add(size - 1, std::memory_order_relaxed);
-    obs_coalesced_batches_->inc();
-    obs_coalesced_ops_->inc(size - 1);
+    shard.coalesced_batches.inc();
+    shard.coalesced_ops.inc(size - 1);
     opts_.sink.event(static_cast<double>(shard.ordinal), obs::EventKind::EngineBatch,
                      static_cast<std::uint32_t>(shard.id), 0, static_cast<double>(size));
   }
@@ -182,8 +181,7 @@ void EnforcementEngine::run_op(Shard& shard, Op& op) const {
 
 alloc::AllocationPlan EnforcementEngine::decide(Shard& shard, std::size_t a,
                                                 double amount) const {
-  shard.consults.fetch_add(1, std::memory_order_relaxed);
-  obs_consults_->inc();
+  shard.consults.inc();
   alloc::AllocationPlan local = shard.alloc->allocate(shard.local_of[a], amount);
   alloc::AllocationPlan plan =
       fed_ ? federate(shard, std::move(local), a) : globalize(shard, std::move(local));
@@ -327,10 +325,7 @@ std::optional<alloc::AllocationPlan> EnforcementEngine::cached_decision(
   PlanCache::LookupResult found = pcache_->lookup(snap->epoch, a, amount);
   switch (found.outcome) {
     case PlanCache::Outcome::Miss:
-      obs_pc_misses_->inc();
-      return std::nullopt;
     case PlanCache::Outcome::Stale:
-      obs_pc_stale_->inc();
       return std::nullopt;
     case PlanCache::Outcome::Hit:
       break;
@@ -485,13 +480,12 @@ void EnforcementEngine::mutate(const std::vector<double>& global,
       const double gap_abs = std::max(0.0, g.theta_global - ref.theta);
       const double gap_rel = gap_abs / std::max(ref.theta, 1.0);
       {
-        std::lock_guard<std::mutex> glock(agg_mu_);
-        ++fed_stats_.gap_probes;
+        std::lock_guard<std::mutex> glock(gap_mu_);
+        gap_probes_.inc();
         fed_stats_.last_gap_abs = gap_abs;
         fed_stats_.last_gap_rel = gap_rel;
         fed_stats_.max_gap_rel = std::max(fed_stats_.max_gap_rel, gap_rel);
       }
-      obs_fed_gap_probes_->inc();
       obs_fed_gap_rel_->set(gap_rel);
     }
     exact_->set_capacities(std::span<const double>(global));
@@ -510,14 +504,13 @@ void EnforcementEngine::settle() {
 }
 
 void EnforcementEngine::publish(std::vector<double> capacity, std::vector<double> available) {
-  ++epoch_;
+  epochs_.inc();
   cell_.store(std::make_shared<const CapacitySnapshot>(
-      CapacitySnapshot{epoch_, std::move(capacity), std::move(available)}));
-  obs_epochs_->inc();
+      CapacitySnapshot{epochs_.value(), std::move(capacity), std::move(available)}));
 }
 
-const lp::PipelineStats* EnforcementEngine::solver_stats() const {
-  if (stopping_.load(std::memory_order_acquire)) return nullptr;
+std::optional<lp::PipelineStats> EnforcementEngine::solver_stats() const {
+  if (stopping_.load(std::memory_order_acquire)) return std::nullopt;
   lp::PipelineStats agg;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> run(shard->run_mu);
@@ -525,9 +518,7 @@ const lp::PipelineStats* EnforcementEngine::solver_stats() const {
     lp::accumulate(agg, shard->carried);
     lp::accumulate(agg, *shard->alloc->solver_stats());
   }
-  std::lock_guard<std::mutex> lock(agg_mu_);
-  agg_stats_ = agg;
-  return &agg_stats_;
+  return agg;
 }
 
 std::size_t EnforcementEngine::shard_of(std::size_t participant) const {
@@ -550,8 +541,9 @@ EngineStats EnforcementEngine::stats() const {
   out.epoch = cell_.load()->epoch;
   if (fed_) {
     {
-      std::lock_guard<std::mutex> glock(agg_mu_);
+      std::lock_guard<std::mutex> glock(gap_mu_);
       out.federation = fed_stats_;
+      out.federation.gap_probes = gap_probes_.value();
     }
     // Ledger reads synchronize with settlements/consumption via mutate_mu_.
     std::lock_guard<std::mutex> mlock(mutate_mu_);
@@ -568,10 +560,10 @@ EngineStats EnforcementEngine::stats() const {
   for (const auto& shard : shards_) {
     ShardStats s;
     s.participants = shard->members.size();
-    s.consults = shard->consults.load(std::memory_order_relaxed);
-    s.batches = shard->batches.load(std::memory_order_relaxed);
-    s.coalesced_batches = shard->coalesced_batches.load(std::memory_order_relaxed);
-    s.coalesced_ops = shard->coalesced_ops.load(std::memory_order_relaxed);
+    s.consults = shard->consults.value();
+    s.batches = shard->batches.value();
+    s.coalesced_batches = shard->coalesced_batches.value();
+    s.coalesced_ops = shard->coalesced_ops.value();
     s.max_batch = shard->max_batch.load(std::memory_order_relaxed);
     s.queue_depth = shard->queue.size();
     out.shard.push_back(s);

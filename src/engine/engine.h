@@ -197,8 +197,8 @@ class EnforcementEngine : public alloc::AllocatorBase {
   double available_to(std::size_t a) const override;
   /// Aggregated certified-solve-chain telemetry across all shards, read
   /// under each shard's run lock after what is queued there has run (a
-  /// barrier, like drain()). nullptr after shutdown().
-  const lp::PipelineStats* solver_stats() const override;
+  /// barrier, like drain()). nullopt after shutdown().
+  std::optional<lp::PipelineStats> solver_stats() const override;
 
   // --- Snapshot reads (never touch shard state) ---------------------------
   std::shared_ptr<const CapacitySnapshot> snapshot() const { return cell_.load(); }
@@ -273,11 +273,12 @@ class EnforcementEngine : public alloc::AllocatorBase {
     /// here so solver_stats() never loses history, and the replacement
     /// starts from its fast-path counts so stats() never goes backwards).
     lp::PipelineStats carried;
-    // Telemetry (relaxed atomics; readable without quiescence).
-    std::atomic<std::uint64_t> consults{0};
-    std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> coalesced_batches{0};
-    std::atomic<std::uint64_t> coalesced_ops{0};
+    // Telemetry (relaxed atomics; readable without quiescence). Each count
+    // feeds the engine.* registry counter of its ShardStats field.
+    obs::Tally consults;
+    obs::Tally batches;
+    obs::Tally coalesced_batches;
+    obs::Tally coalesced_ops;
     std::atomic<std::uint64_t> max_batch{0};
     obs::Gauge* obs_queue_depth = nullptr;
     /// Serves submit() alone; started after every field above is set.
@@ -354,28 +355,28 @@ class EnforcementEngine : public alloc::AllocatorBase {
   /// certification off: it measures, it never admits). Guarded by
   /// mutate_mu_.
   mutable std::unique_ptr<alloc::Allocator> exact_;
-  /// Gap telemetry published by settlement rounds (guarded by agg_mu_ so
-  /// stats() never contends with a settlement in flight).
+  /// Gap telemetry published by settlement rounds, guarded by gap_mu_ so
+  /// stats() never contends with a settlement in flight: the last_gap_* and
+  /// max_gap_rel fields of fed_stats_ (stats() fills in the rest) and the
+  /// probe count, which feeds engine.federation.gap_probes.
   FederationStats fed_stats_;
-  std::uint64_t epoch_ = 0;          ///< guarded by mutate_mu_
+  obs::Tally gap_probes_;
+  mutable std::mutex gap_mu_;
+  /// Published epochs: the snapshot epoch and engine.epochs (guarded by
+  /// mutate_mu_).
+  obs::Tally epochs_;
   mutable std::mutex mutate_mu_;     ///< serializes mutations + publish
-  mutable lp::PipelineStats agg_stats_;  ///< scratch for solver_stats()
-  mutable std::mutex agg_mu_;
-  // Cached registry handles (see obs/metrics.h).
+  // Cached registry handles (see obs/metrics.h) for the counts no stats()
+  // field mirrors: engine.consults adds cache hits to the shards' consults,
+  // and the cache counts its hits and re-check rejections apart from the
+  // registry's split (DESIGN.md §10).
   obs::Counter* obs_consults_ = nullptr;
-  obs::Counter* obs_batches_ = nullptr;
-  obs::Counter* obs_coalesced_batches_ = nullptr;
-  obs::Counter* obs_coalesced_ops_ = nullptr;
-  obs::Counter* obs_epochs_ = nullptr;
   obs::LogHistogram* obs_batch_size_ = nullptr;
   obs::Counter* obs_pc_hits_ = nullptr;
-  obs::Counter* obs_pc_misses_ = nullptr;
-  obs::Counter* obs_pc_stale_ = nullptr;
   obs::Counter* obs_pc_rejects_ = nullptr;
   obs::Counter* obs_pc_neg_hits_ = nullptr;
   obs::Counter* obs_pc_neg_rejects_ = nullptr;
   obs::Counter* obs_fed_settlements_ = nullptr;
-  obs::Counter* obs_fed_gap_probes_ = nullptr;
   obs::Gauge* obs_fed_outstanding_ = nullptr;
   obs::Gauge* obs_fed_gap_rel_ = nullptr;
 };

@@ -45,7 +45,9 @@ void PlanCache::Slot::store(std::shared_ptr<const Entry> next) {
   busy.store(false, std::memory_order_release);
 }
 
-PlanCache::PlanCache(PlanCacheOptions opts) {
+PlanCache::PlanCache(PlanCacheOptions opts, const obs::Sink& sink)
+    : misses_(sink.counter("engine.plan_cache.misses")),
+      stale_(sink.counter("engine.plan_cache.stale")) {
   std::size_t n = std::bit_ceil(std::max<std::size_t>(opts.slots, 64));
   probe_ = std::max<std::size_t>(1, std::min(opts.probe_window, n));
   mask_ = n - 1;
@@ -70,14 +72,14 @@ PlanCache::LookupResult PlanCache::lookup(std::uint64_t epoch, std::size_t parti
     // insert() overwrites a matching shape in place, so the first shape
     // match in the window is THE entry for this key: no need to probe on.
     if (e->epoch != epoch) {
-      stale_.fetch_add(1, std::memory_order_relaxed);
+      stale_.inc();
       return {nullptr, Outcome::Stale};
     }
     slot.ref.store(e->negative() ? kNegRef : kHotRef, std::memory_order_relaxed);
-    (e->negative() ? neg_hits_ : hits_).fetch_add(1, std::memory_order_relaxed);
+    (e->negative() ? neg_hits_ : hits_).inc();
     return {std::move(e), Outcome::Hit};
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  misses_.inc();
   return {nullptr, Outcome::Miss};
 }
 
@@ -107,7 +109,7 @@ void PlanCache::insert(std::uint64_t epoch, std::size_t participant, double amou
       // Same shape (fresh or stale): refresh in place.
       slot.store(std::move(entry));
       slot.ref.store(fresh_ref, std::memory_order_relaxed);
-      (negative ? neg_inserts_ : inserts_).fetch_add(1, std::memory_order_relaxed);
+      (negative ? neg_inserts_ : inserts_).inc();
       return;
     }
     if (!e) {
@@ -131,25 +133,24 @@ void PlanCache::insert(std::uint64_t epoch, std::size_t participant, double amou
     // Attribute the eviction to the polarity of the DISPLACED entry, so the
     // counters answer "are denials crowding out grants?" directly.
     std::shared_ptr<const Entry> old = slot.load();
-    (old && old->negative() ? neg_evictions_ : evictions_)
-        .fetch_add(1, std::memory_order_relaxed);
+    (old && old->negative() ? neg_evictions_ : evictions_).inc();
   }
   slot.store(std::move(entry));
   slot.ref.store(fresh_ref, std::memory_order_relaxed);
-  (negative ? neg_inserts_ : inserts_).fetch_add(1, std::memory_order_relaxed);
+  (negative ? neg_inserts_ : inserts_).inc();
 }
 
 PlanCacheStats PlanCache::stats() const {
   PlanCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.stale = stale_.load(std::memory_order_relaxed);
-  s.inserts = inserts_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.certify_rejects = certify_rejects_.load(std::memory_order_relaxed);
-  s.neg_hits = neg_hits_.load(std::memory_order_relaxed);
-  s.neg_inserts = neg_inserts_.load(std::memory_order_relaxed);
-  s.neg_evictions = neg_evictions_.load(std::memory_order_relaxed);
+  s.hits = hits_.value();
+  s.misses = misses_.value();
+  s.stale = stale_.value();
+  s.inserts = inserts_.value();
+  s.evictions = evictions_.value();
+  s.certify_rejects = certify_rejects_.value();
+  s.neg_hits = neg_hits_.value();
+  s.neg_inserts = neg_inserts_.value();
+  s.neg_evictions = neg_evictions_.value();
   return s;
 }
 

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "alloc/plan.h"
+#include "obs/sink.h"
 
 namespace agora::engine {
 
@@ -53,7 +54,9 @@ struct PlanCacheOptions {
 /// The neg_* family tracks NEGATIVE entries -- cached certified denials
 /// (PlanStatus::Insufficient) replayed so a hammering requester cannot buy
 /// an LP solve per refusal. misses/stale are shared: at lookup time the
-/// polarity of an absent answer is unknown.
+/// polarity of an absent answer is unknown. misses and stale are the counts
+/// engine.plan_cache.misses and .stale are fed; the engine counts its hits
+/// and re-check rejections in the registry after its own re-check.
 struct PlanCacheStats {
   std::uint64_t hits = 0;  ///< grant (positive-entry) hits
   std::uint64_t misses = 0;
@@ -90,7 +93,8 @@ class PlanCache {
     Outcome outcome = Outcome::Miss;
   };
 
-  explicit PlanCache(PlanCacheOptions opts = {});
+  /// `sink` receives the miss and stale counts (engine.plan_cache.*).
+  explicit PlanCache(PlanCacheOptions opts = {}, const obs::Sink& sink = obs::Sink::none());
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
@@ -109,7 +113,7 @@ class PlanCache {
 
   /// Record a hit the engine's residual re-certification rejected (counted
   /// here so PlanCacheStats tells the whole admission story in one struct).
-  void note_certify_reject() { certify_rejects_.fetch_add(1, std::memory_order_relaxed); }
+  void note_certify_reject() { certify_rejects_.inc(); }
 
   std::size_t slots() const { return slots_.size(); }
   PlanCacheStats stats() const;
@@ -135,15 +139,15 @@ class PlanCache {
   std::size_t mask_ = 0;
   std::size_t probe_ = 8;
   std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> stale_{0};
-  std::atomic<std::uint64_t> inserts_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> certify_rejects_{0};
-  std::atomic<std::uint64_t> neg_hits_{0};
-  std::atomic<std::uint64_t> neg_inserts_{0};
-  std::atomic<std::uint64_t> neg_evictions_{0};
+  obs::Tally hits_;
+  obs::Tally misses_;
+  obs::Tally stale_;
+  obs::Tally inserts_;
+  obs::Tally evictions_;
+  obs::Tally certify_rejects_;
+  obs::Tally neg_hits_;
+  obs::Tally neg_inserts_;
+  obs::Tally neg_evictions_;
 };
 
 }  // namespace agora::engine

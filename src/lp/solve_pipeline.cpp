@@ -46,15 +46,30 @@ SolvePipeline::SolvePipeline(PipelineOptions opts)
   for (int i = 0; i < kPipelineStages; ++i) {
     const std::string prefix =
         std::string("lp.pipeline.stage.") + to_string(static_cast<PipelineStage>(i));
-    stage_obs_[i].attempts = &opts_.sink.counter(prefix + ".attempts");
-    stage_obs_[i].failures = &opts_.sink.counter(prefix + ".cert_failures");
+    stage_obs_[i].attempts = obs::Tally(opts_.sink.counter(prefix + ".attempts"));
+    stage_obs_[i].failures = obs::Tally(opts_.sink.counter(prefix + ".cert_failures"));
     stage_obs_[i].seconds = &opts_.sink.histogram(prefix + ".seconds");
   }
-  obs_solves_ = &opts_.sink.counter("lp.pipeline.solves");
-  obs_certified_ = &opts_.sink.counter("lp.pipeline.certified");
-  obs_exhausted_ = &opts_.sink.counter("lp.pipeline.exhausted");
+  solves_ = obs::Tally(opts_.sink.counter("lp.pipeline.solves"));
+  certified_ = obs::Tally(opts_.sink.counter("lp.pipeline.certified"));
+  exhausted_ = obs::Tally(opts_.sink.counter("lp.pipeline.exhausted"));
   obs_solve_seconds_ = &opts_.sink.histogram("lp.pipeline.solve.seconds");
   obs_iterations_ = &opts_.sink.histogram("lp.pipeline.iterations");
+}
+
+PipelineStats SolvePipeline::stats() const {
+  PipelineStats s;
+  s.solves = solves_.value();
+  for (int i = 0; i < kPipelineStages; ++i) {
+    s.attempts[i] = stage_obs_[i].attempts.value();
+    s.failures[i] = stage_obs_[i].failures.value();
+  }
+  s.certified = certified_.value();
+  s.primal_only = primal_only_;
+  s.exhausted = exhausted_.value();
+  s.max_fallback_depth = max_fallback_depth_;
+  s.solver = solver_;
+  return s;
 }
 
 PipelineResult SolvePipeline::solve(const Problem& p) { return attempt_chain(p, nullptr); }
@@ -64,11 +79,11 @@ PipelineResult SolvePipeline::solve(const Problem& p, SolveWorkspace* ws) {
 }
 
 PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws) {
-  ++stats_.solves;
-  obs_solves_->inc();
+  solves_.inc();
   // Event time = solve ordinal: deterministic under identical inputs.
-  const double ordinal = static_cast<double>(stats_.solves);
-  const auto actor = static_cast<std::uint32_t>(stats_.solves);
+  const std::uint64_t solve_no = solves_.value();
+  const double ordinal = static_cast<double>(solve_no);
+  const auto actor = static_cast<std::uint32_t>(solve_no);
   opts_.sink.event(ordinal, obs::EventKind::LpSolveStarted, actor);
   obs::ScopedTimer solve_timer(obs_solve_seconds_);
   PipelineResult out;
@@ -110,21 +125,18 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
         continue;
     }
 
-    ++stats_.attempts[idx];
+    stage_obs_[idx].attempts.inc();
     ++attempts_made;
-    accumulate(stats_.solver, r.stats);
-    if constexpr (obs::kEnabled) {
-      stage_obs_[idx].attempts->inc();
+    accumulate(solver_, r.stats);
+    if constexpr (obs::kEnabled)
       stage_obs_[idx].seconds->observe(obs::now_seconds() - stage_start);
-    }
     if (r.status == Status::Unbounded) saw_unbounded_claim = true;
 
     Certificate cert = verifier_.certify(p, r);
     if (cert.certified) {
-      stats_.max_fallback_depth = std::max(stats_.max_fallback_depth, attempts_made - 1);
-      ++stats_.certified;
-      if (cert.primal_only) ++stats_.primal_only;
-      obs_certified_->inc();
+      max_fallback_depth_ = std::max(max_fallback_depth_, attempts_made - 1);
+      certified_.inc();
+      if (cert.primal_only) ++primal_only_;
       obs_iterations_->observe(static_cast<double>(r.iterations));
       opts_.sink.event(ordinal, obs::EventKind::LpSolveCertified, actor,
                        static_cast<std::uint32_t>(idx),
@@ -137,8 +149,7 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
       return out;
     }
 
-    ++stats_.failures[idx];
-    stage_obs_[idx].failures->inc();
+    stage_obs_[idx].failures.inc();
     opts_.sink.event(ordinal, obs::EventKind::LpSolveFallback, actor,
                      static_cast<std::uint32_t>(idx));
     if ((stage == PipelineStage::WarmRevised || stage == PipelineStage::ColdRevised) && ws) {
@@ -150,12 +161,11 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
     out.certificate = cert;
   }
 
-  ++stats_.exhausted;
-  obs_exhausted_->inc();
+  exhausted_.inc();
   opts_.sink.event(ordinal, obs::EventKind::LpSolveExhausted, actor, 0,
                    static_cast<double>(attempts_made));
-  stats_.max_fallback_depth =
-      std::max(stats_.max_fallback_depth, attempts_made > 0 ? attempts_made - 1 : 0);
+  max_fallback_depth_ =
+      std::max(max_fallback_depth_, attempts_made > 0 ? attempts_made - 1 : 0);
   out.stage = PipelineStage::Exhausted;
   out.fallbacks = attempts_made > 0 ? attempts_made - 1 : 0;
   return out;

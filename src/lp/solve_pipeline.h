@@ -105,29 +105,33 @@ class SolvePipeline {
   /// cannot survive into later solves.
   PipelineResult solve(const Problem& p, SolveWorkspace* ws);
 
-  const PipelineStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
+  /// The telemetry so far. Each counted field reads the Tally that also
+  /// feeds its lp.pipeline.* registry counter.
+  PipelineStats stats() const;
   const PipelineOptions& options() const { return opts_; }
 
  private:
   PipelineResult attempt_chain(const Problem& p, SolveWorkspace* ws);
 
-  /// Registry handles cached at construction so the solve path is
-  /// allocation-free (see obs/metrics.h: references are stable for the
-  /// registry's lifetime).
+  /// Per-stage counts and timer, their registry handles resolved at
+  /// construction so the solve path is allocation-free (see obs/metrics.h:
+  /// references are stable for the registry's lifetime).
   struct StageObs {
-    obs::Counter* attempts = nullptr;
-    obs::Counter* failures = nullptr;
+    obs::Tally attempts;
+    obs::Tally failures;
     obs::LogHistogram* seconds = nullptr;
   };
 
   PipelineOptions opts_;
-  PipelineStats stats_;
   Verifier verifier_;
   StageObs stage_obs_[kPipelineStages];
-  obs::Counter* obs_solves_ = nullptr;
-  obs::Counter* obs_certified_ = nullptr;
-  obs::Counter* obs_exhausted_ = nullptr;
+  obs::Tally solves_;
+  obs::Tally certified_;
+  obs::Tally exhausted_;
+  /// The PipelineStats fields no registry counter mirrors.
+  std::uint64_t primal_only_ = 0;
+  std::uint64_t max_fallback_depth_ = 0;
+  SolveStats solver_;
   obs::LogHistogram* obs_solve_seconds_ = nullptr;
   obs::LogHistogram* obs_iterations_ = nullptr;
 };

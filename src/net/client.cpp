@@ -28,16 +28,36 @@ std::uint64_t us_remaining(Clock::time_point deadline) {
   return left <= 0 ? 0 : static_cast<std::uint64_t>(left);
 }
 
+/// The ClientStats fields; the four with a net.client.* registry counter
+/// feed it.
+struct Counts {
+  explicit Counts(const obs::Sink& sink)
+      : requests(sink.counter("net.client.requests")),
+        retries(sink.counter("net.client.retries")),
+        failovers(sink.counter("net.client.failovers")),
+        timeouts(sink.counter("net.client.timeouts")) {}
+
+  obs::Tally requests, retries, failovers, timeouts, reconnects, goaways, wire_errors;
+
+  ClientStats snapshot() const {
+    ClientStats s;
+    s.requests = requests.value();
+    s.retries = retries.value();
+    s.failovers = failovers.value();
+    s.reconnects = reconnects.value();
+    s.timeouts = timeouts.value();
+    s.goaways = goaways.value();
+    s.wire_errors = wire_errors.value();
+    return s;
+  }
+};
+
 }  // namespace
 
 struct Client::Impl {
-  explicit Impl(ClientOptions o) : opts(std::move(o)), rng(opts.seed) {
+  explicit Impl(ClientOptions o) : opts(std::move(o)), rng(opts.seed), stats(opts.sink) {
     AGORA_REQUIRE(!opts.endpoints.empty(), "net::Client needs at least one endpoint");
     AGORA_REQUIRE(opts.max_attempts >= 1, "net::Client needs max_attempts >= 1");
-    c_requests = &opts.sink.counter("net.client.requests");
-    c_retries = &opts.sink.counter("net.client.retries");
-    c_failovers = &opts.sink.counter("net.client.failovers");
-    c_timeouts = &opts.sink.counter("net.client.timeouts");
     h_call = &opts.sink.histogram("net.client.call.seconds");
   }
 
@@ -51,8 +71,7 @@ struct Client::Impl {
   void failover() {
     disconnect();
     cur = (cur + 1) % opts.endpoints.size();
-    stats.failovers++;
-    c_failovers->inc();
+    stats.failovers.inc();
   }
 
   bool ensure_connected(Clock::time_point deadline) {
@@ -63,7 +82,7 @@ struct Client::Impl {
     fd = connect_tcp(ep.host, ep.port, budget, err);
     if (!fd.valid()) return false;
     dec = FrameDecoder(opts.max_payload);
-    stats.reconnects++;
+    stats.reconnects.inc();
     return true;
   }
 
@@ -91,17 +110,17 @@ struct Client::Impl {
       while (true) {
         const FrameDecoder::Result r = dec.next(out);
         if (r == FrameDecoder::Result::Error) {
-          stats.wire_errors++;
+          stats.wire_errors.inc();
           return Status::internal(std::string("wire decode: ") + to_string(dec.error()));
         }
         if (r == FrameDecoder::Result::NeedMore) break;
         if (out.type == FrameType::GoAway) {
-          stats.goaways++;
+          stats.goaways.inc();
           goaway_seen = true;
           continue;  // server still answers in-flight requests during drain
         }
         if (out.type == FrameType::Error) {
-          stats.wire_errors++;
+          stats.wire_errors.inc();
           WireError e;
           (void)decode(std::span<const std::uint8_t>(out.payload.data(), out.payload.size()),
                        e);
@@ -141,7 +160,7 @@ struct Client::Impl {
     const Status s = recv_match(f.request_id, reply, deadline);
     if (!s.ok()) return s;
     if (reply.type != expect) {
-      stats.wire_errors++;
+      stats.wire_errors.inc();
       return Status::internal("unexpected reply frame type");
     }
     return Status();
@@ -164,17 +183,13 @@ struct Client::Impl {
     const Clock::time_point deadline =
         t0 + std::chrono::milliseconds(deadline_ms > 0 ? deadline_ms
                                                        : opts.default_deadline_ms);
-    stats.requests++;
-    c_requests->inc();
+    stats.requests.inc();
     ConsultOutcome out;
     out.status = Status::unavailable("no attempt completed");
     std::vector<std::uint8_t> payload;
     encode(ConsultRequest{participant, amount}, payload);
     for (std::size_t attempt = 0; attempt < opts.max_attempts; ++attempt) {
-      if (attempt > 0) {
-        stats.retries++;
-        c_retries->inc();
-      }
+      if (attempt > 0) stats.retries.inc();
       if (ms_remaining(deadline) == 0) {
         out.status = Status::deadline_exceeded("client budget exhausted");
         break;
@@ -191,8 +206,7 @@ struct Client::Impl {
                                  reply, deadline);
       if (!s.ok()) {
         if (s.code() == StatusCode::DeadlineExceeded) {
-          stats.timeouts++;
-          c_timeouts->inc();
+          stats.timeouts.inc();
           // The server may still answer this id later; this connection's
           // stream is now ambiguous, so drop it.
           disconnect();
@@ -207,7 +221,7 @@ struct Client::Impl {
       ConsultReply m;
       if (!decode(std::span<const std::uint8_t>(reply.payload.data(), reply.payload.size()),
                   m)) {
-        stats.wire_errors++;
+        stats.wire_errors.inc();
         failover();
         out.status = Status::internal("malformed consult reply");
         backoff_sleep(attempt, 0, deadline);
@@ -248,9 +262,7 @@ struct Client::Impl {
   std::size_t cur = 0;  ///< current endpoint index
   std::uint64_t next_rid = 0;
   bool goaway_seen = false;
-  ClientStats stats;
-  obs::Counter *c_requests = nullptr, *c_retries = nullptr, *c_failovers = nullptr;
-  obs::Counter* c_timeouts = nullptr;
+  Counts stats;
   obs::LogHistogram* h_call = nullptr;
 };
 
@@ -280,6 +292,6 @@ void Client::disconnect() { impl_->disconnect(); }
 
 std::size_t Client::endpoint_index() const { return impl_->cur; }
 
-const ClientStats& Client::stats() const { return impl_->stats; }
+ClientStats Client::stats() const { return impl_->stats.snapshot(); }
 
 }  // namespace agora::net

@@ -97,7 +97,7 @@ class Client {
   /// Endpoint index the next attempt will use (for failover tests).
   std::size_t endpoint_index() const;
 
-  const ClientStats& stats() const;
+  ClientStats stats() const;
 
  private:
   struct Impl;

@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -34,47 +35,61 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// One ServiceStats field, written by the loop thread, snapshot by anyone:
-/// relaxed atomics so stats() is race-free while the service runs.
-struct StatCell {
-  std::atomic<std::uint64_t> v{0};
-  void inc(std::uint64_t n = 1) { v.fetch_add(n, std::memory_order_relaxed); }
-  void maxed(std::uint64_t x) {
-    std::uint64_t cur = v.load(std::memory_order_relaxed);
-    while (x > cur && !v.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
-    }
-  }
-  std::uint64_t get() const { return v.load(std::memory_order_relaxed); }
-};
+/// The ServiceStats fields, written by the loop thread, snapshot by anyone:
+/// relaxed atomics so stats() is race-free while the service runs. Each
+/// event count feeds its net.server.* registry counter.
+struct Counts {
+  explicit Counts(const obs::Sink& sink)
+      : accepted(sink.counter("net.server.conns.accepted")),
+        rejected(sink.counter("net.server.conns.rejected")),
+        closed(sink.counter("net.server.conns.closed")),
+        frames_rx(sink.counter("net.server.frames.rx")),
+        frames_tx(sink.counter("net.server.frames.tx")),
+        bytes_rx(sink.counter("net.server.bytes.rx")),
+        bytes_tx(sink.counter("net.server.bytes.tx")),
+        malformed(sink.counter("net.server.malformed")),
+        consults(sink.counter("net.server.consults")),
+        answered(sink.counter("net.server.answered")),
+        shed_queue(sink.counter("net.server.shed.queue")),
+        shed_drain(sink.counter("net.server.shed.drain")),
+        shed_deadline(sink.counter("net.server.shed.deadline")),
+        late_drop(sink.counter("net.server.late_drop")),
+        idle_closed(sink.counter("net.server.idle_closed")),
+        stall_closed(sink.counter("net.server.stall_closed")),
+        goaway_sent(sink.counter("net.server.goaway")) {}
 
-struct StatCells {
-  StatCell accepted, rejected, closed, frames_rx, frames_tx, bytes_rx, bytes_tx;
-  StatCell malformed, consults, answered, shed_queue, shed_drain, shed_deadline;
-  StatCell late_drop, idle_closed, stall_closed, goaway_sent;
-  StatCell peak_queue, peak_inflight, peak_connections;
+  obs::Tally accepted, rejected, closed, frames_rx, frames_tx, bytes_rx, bytes_tx;
+  obs::Tally malformed, consults, answered, shed_queue, shed_drain, shed_deadline;
+  obs::Tally late_drop, idle_closed, stall_closed, goaway_sent;
+  /// High-water marks; the loop thread is their only writer.
+  std::atomic<std::uint64_t> peak_queue{0}, peak_inflight{0}, peak_connections{0};
+
+  static void raise(std::atomic<std::uint64_t>& peak, std::uint64_t x) {
+    if (x > peak.load(std::memory_order_relaxed)) peak.store(x, std::memory_order_relaxed);
+  }
 
   ServiceStats snapshot() const {
     ServiceStats s;
-    s.accepted = accepted.get();
-    s.rejected = rejected.get();
-    s.closed = closed.get();
-    s.frames_rx = frames_rx.get();
-    s.frames_tx = frames_tx.get();
-    s.bytes_rx = bytes_rx.get();
-    s.bytes_tx = bytes_tx.get();
-    s.malformed = malformed.get();
-    s.consults = consults.get();
-    s.answered = answered.get();
-    s.shed_queue = shed_queue.get();
-    s.shed_drain = shed_drain.get();
-    s.shed_deadline = shed_deadline.get();
-    s.late_drop = late_drop.get();
-    s.idle_closed = idle_closed.get();
-    s.stall_closed = stall_closed.get();
-    s.goaway_sent = goaway_sent.get();
-    s.peak_queue = peak_queue.get();
-    s.peak_inflight = peak_inflight.get();
-    s.peak_connections = peak_connections.get();
+    s.accepted = accepted.value();
+    s.rejected = rejected.value();
+    s.closed = closed.value();
+    s.frames_rx = frames_rx.value();
+    s.frames_tx = frames_tx.value();
+    s.bytes_rx = bytes_rx.value();
+    s.bytes_tx = bytes_tx.value();
+    s.malformed = malformed.value();
+    s.consults = consults.value();
+    s.answered = answered.value();
+    s.shed_queue = shed_queue.value();
+    s.shed_drain = shed_drain.value();
+    s.shed_deadline = shed_deadline.value();
+    s.late_drop = late_drop.value();
+    s.idle_closed = idle_closed.value();
+    s.stall_closed = stall_closed.value();
+    s.goaway_sent = goaway_sent.value();
+    s.peak_queue = peak_queue.load(std::memory_order_relaxed);
+    s.peak_inflight = peak_inflight.load(std::memory_order_relaxed);
+    s.peak_connections = peak_connections.load(std::memory_order_relaxed);
     return s;
   }
 };
@@ -125,25 +140,9 @@ struct AgoraService::Impl {
       : svc(svc),
         backend(svc.backend_),
         opts(svc.opts_),
-        engine(dynamic_cast<engine::EnforcementEngine*>(&svc.backend_)) {
+        engine(dynamic_cast<engine::EnforcementEngine*>(&svc.backend_)),
+        stats(opts.sink) {
     const obs::Sink& sink = opts.sink;
-    c_accepted = &sink.counter("net.server.conns.accepted");
-    c_rejected = &sink.counter("net.server.conns.rejected");
-    c_closed = &sink.counter("net.server.conns.closed");
-    c_frames_rx = &sink.counter("net.server.frames.rx");
-    c_frames_tx = &sink.counter("net.server.frames.tx");
-    c_bytes_rx = &sink.counter("net.server.bytes.rx");
-    c_bytes_tx = &sink.counter("net.server.bytes.tx");
-    c_malformed = &sink.counter("net.server.malformed");
-    c_consults = &sink.counter("net.server.consults");
-    c_answered = &sink.counter("net.server.answered");
-    c_shed_queue = &sink.counter("net.server.shed.queue");
-    c_shed_drain = &sink.counter("net.server.shed.drain");
-    c_shed_deadline = &sink.counter("net.server.shed.deadline");
-    c_late_drop = &sink.counter("net.server.late_drop");
-    c_idle_closed = &sink.counter("net.server.idle_closed");
-    c_stall_closed = &sink.counter("net.server.stall_closed");
-    c_goaway = &sink.counter("net.server.goaway");
     g_conns = &sink.gauge("net.server.connections");
     g_queue = &sink.gauge("net.server.queue_depth");
     g_inflight = &sink.gauge("net.server.inflight");
@@ -185,15 +184,12 @@ struct AgoraService::Impl {
     if (before == c.out_off) c.stall_since = Clock::now();  // buffer was flushed
     encode_frame(f, c.out);
     stats.frames_tx.inc();
-    c_frames_tx->inc();
     const std::size_t added = c.out.size() - before;
     stats.bytes_tx.inc(added);
-    c_bytes_tx->inc(added);
     if (c.out.size() - c.out_off > opts.max_write_buffer) {
       // The peer is not reading: keeping an unbounded buffer for it would
       // let one slow client absorb the service's memory.
       stats.stall_closed.inc();
-      c_stall_closed->inc();
       close_conn(id, c);
     }
   }
@@ -203,7 +199,6 @@ struct AgoraService::Impl {
     encode(m, payload);
     send_frame(id, c, FrameType::ConsultReply, rid, payload);
     stats.answered.inc();
-    c_answered->inc();
   }
 
   void send_shed(std::uint64_t id, Conn& c, std::uint64_t rid, Status s,
@@ -218,12 +213,10 @@ struct AgoraService::Impl {
   void send_goaway(std::uint64_t id, Conn& c) {
     send_frame(id, c, FrameType::GoAway, 0, {});
     stats.goaway_sent.inc();
-    c_goaway->inc();
   }
 
   void protocol_error(std::uint64_t id, Conn& c, std::uint8_t code, const std::string& msg) {
     stats.malformed.inc();
-    c_malformed->inc();
     if (!c.error_sent) {
       WireError e;
       e.code = code;
@@ -253,7 +246,6 @@ struct AgoraService::Impl {
   void handle_frame(std::uint64_t id, Conn& c, const Frame& f, Clock::time_point now) {
     c.last_frame = now;
     stats.frames_rx.inc();
-    c_frames_rx->inc();
     switch (f.type) {
       case FrameType::Ping:
         send_frame(id, c, FrameType::Pong, f.request_id, {});
@@ -279,7 +271,6 @@ struct AgoraService::Impl {
       case FrameType::Error:
         // Peer reported a violation on our stream; nothing sane to send back.
         stats.malformed.inc();
-        c_malformed->inc();
         c.closing = true;
         c.error_sent = true;
         return;
@@ -300,24 +291,20 @@ struct AgoraService::Impl {
     }
     if (c.closing) return;  // peer half-closed: no channel to answer on
     stats.consults.inc();
-    c_consults->inc();
     if (svc.draining()) {
       stats.shed_drain.inc();
-      c_shed_drain->inc();
       send_shed(id, c, f.request_id, Status::unavailable("service is draining"),
                 opts.retry_after_ms);
       return;
     }
     if (queue.size() >= opts.max_queue) {
       stats.shed_queue.inc();
-      c_shed_queue->inc();
       send_shed(id, c, f.request_id, Status::unavailable("admission queue full"),
                 retry_hint());
       return;
     }
     if (f.deadline_us > 0 && f.deadline_us < opts.min_deadline_us) {
       stats.shed_deadline.inc();
-      c_shed_deadline->inc();
       send_shed(id, c, f.request_id,
                 Status::deadline_exceeded("deadline budget below service minimum"), 0);
       return;
@@ -335,7 +322,7 @@ struct AgoraService::Impl {
     }
     queue.push_back(p);
     c.outstanding++;
-    stats.peak_queue.maxed(queue.size());
+    Counts::raise(stats.peak_queue, queue.size());
   }
 
   // --- dispatch + completion ------------------------------------------------
@@ -364,7 +351,6 @@ struct AgoraService::Impl {
         // The budget ran out while parked: drop, do not compute -- the LP
         // seconds would buy an answer nobody is waiting for.
         stats.shed_deadline.inc();
-        c_shed_deadline->inc();
         it->second.outstanding--;
         send_shed(p.conn, it->second, p.rid,
                   Status::deadline_exceeded("deadline expired in admission queue"), 0);
@@ -378,7 +364,7 @@ struct AgoraService::Impl {
       f.admitted = p.admitted;
       f.fut = submit(p.participant, p.amount);
       inflight.push_back(std::move(f));
-      stats.peak_inflight.maxed(inflight.size());
+      Counts::raise(stats.peak_inflight, inflight.size());
     }
   }
 
@@ -393,7 +379,6 @@ struct AgoraService::Impl {
       // moved on. A definite deadline_exceeded beats a grant that desyncs
       // the two sides' idea of what was admitted.
       stats.late_drop.inc();
-      c_late_drop->inc();
       send_shed(f.conn, c, f.rid, Status::deadline_exceeded("answer completed too late"), 0);
       return;
     }
@@ -450,7 +435,6 @@ struct AgoraService::Impl {
         encode_frame(f, buf);
         (void)write_some(fd.get(), buf.data(), buf.size());
         stats.rejected.inc();
-        c_rejected->inc();
         continue;
       }
       const std::uint64_t id = next_conn_id++;
@@ -460,8 +444,7 @@ struct AgoraService::Impl {
       c.last_frame = now;
       conns.emplace(id, std::move(c));
       stats.accepted.inc();
-      c_accepted->inc();
-      stats.peak_connections.maxed(conns.size());
+      Counts::raise(stats.peak_connections, conns.size());
       if (svc.draining()) send_goaway(id, conns.at(id));
     }
   }
@@ -479,7 +462,6 @@ struct AgoraService::Impl {
       if (n > 0) {
         total += static_cast<std::size_t>(n);
         stats.bytes_rx.inc(static_cast<std::uint64_t>(n));
-        c_bytes_rx->inc(static_cast<std::uint64_t>(n));
         c.dec.feed(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
       }
       if (eof) {
@@ -542,19 +524,16 @@ struct AgoraService::Impl {
           seconds_between(c.stall_since, now) * 1000.0 >
               static_cast<double>(opts.write_stall_timeout_ms)) {
         stats.stall_closed.inc();
-        c_stall_closed->inc();
         dead = true;
       }
       if (!dead && flushed && c.outstanding == 0 && !c.closing &&
           seconds_between(c.last_frame, now) * 1000.0 >
               static_cast<double>(opts.idle_timeout_ms)) {
         stats.idle_closed.inc();
-        c_idle_closed->inc();
         dead = true;
       }
       if (dead) {
         stats.closed.inc();
-        c_closed->inc();
         it = conns.erase(it);
       } else {
         ++it;
@@ -578,7 +557,6 @@ struct AgoraService::Impl {
       if (it == conns.end()) continue;
       it->second.outstanding--;
       stats.shed_drain.inc();
-      c_shed_drain->inc();
       send_shed(p.conn, it->second, p.rid, Status::unavailable("service is draining"),
                 opts.retry_after_ms);
     }
@@ -673,12 +651,7 @@ struct AgoraService::Impl {
       if (drain_started && queue.empty() && drain_complete(Clock::now())) break;
     }
     // Final accounting: every connection closes, every gauge lands on zero.
-    for (auto& [id, c] : conns) {
-      (void)id;
-      (void)c;
-      stats.closed.inc();
-      c_closed->inc();
-    }
+    stats.closed.inc(conns.size());
     conns.clear();
     g_conns->set(0.0);
     g_queue->set(0.0);
@@ -701,15 +674,8 @@ struct AgoraService::Impl {
   BlockingQueue<PumpOp> pump;
   std::thread pump_thread;
 
-  StatCells stats;  ///< loop-thread writes, relaxed-atomic snapshot reads
+  Counts stats;  ///< loop-thread writes, relaxed-atomic snapshot reads
 
-  obs::Counter *c_accepted = nullptr, *c_rejected = nullptr, *c_closed = nullptr;
-  obs::Counter *c_frames_rx = nullptr, *c_frames_tx = nullptr;
-  obs::Counter *c_bytes_rx = nullptr, *c_bytes_tx = nullptr;
-  obs::Counter *c_malformed = nullptr, *c_consults = nullptr, *c_answered = nullptr;
-  obs::Counter *c_shed_queue = nullptr, *c_shed_drain = nullptr, *c_shed_deadline = nullptr;
-  obs::Counter *c_late_drop = nullptr, *c_idle_closed = nullptr, *c_stall_closed = nullptr;
-  obs::Counter* c_goaway = nullptr;
   obs::Gauge *g_conns = nullptr, *g_queue = nullptr, *g_inflight = nullptr;
   obs::LogHistogram* h_consult = nullptr;
 };

@@ -82,8 +82,9 @@ struct ServiceOptions {
   obs::Sink sink = obs::Sink::global();
 };
 
-/// Service telemetry (relaxed atomics mirrored into net.* obs metrics;
-/// exact once the loop thread is joined).
+/// Service telemetry (relaxed atomics; each event count is the one that
+/// also feeds its net.server.* metric; exact once the loop thread is
+/// joined).
 struct ServiceStats {
   std::uint64_t accepted = 0;         ///< connections accepted
   std::uint64_t rejected = 0;         ///< accepts turned away (conn limit)

@@ -50,6 +50,40 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
+/// One instance's count of one event, and the one statement that records
+/// it: inc() bumps the instance's own relaxed value, which its stats()
+/// struct reads, and feeds the registry Counter it was built with (looked
+/// up once, at the owner's construction). The instance value counts with
+/// the observability layer compiled out too; only the feed compiles out.
+/// Without a feed it is a plain per-instance count. A copy carries the
+/// value and the feed.
+class Tally {
+ public:
+  Tally() = default;
+  explicit Tally(Counter& feed) : feed_(&feed) {}
+  Tally(const Tally& o) : v_(o.value()), feed_(o.feed_) {}
+  Tally& operator=(const Tally& o) {
+    v_.store(o.value(), std::memory_order_relaxed);
+    feed_ = o.feed_;
+    return *this;
+  }
+
+  void inc(std::uint64_t n = 1) {
+    v_.fetch_add(n, std::memory_order_relaxed);
+    if constexpr (kEnabled) {
+      if (feed_ != nullptr) feed_->inc(n);
+    }
+  }
+  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  /// Set the instance value without feeding the registry: a count restored
+  /// from a snapshot was fed where it was first counted.
+  void restore(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::uint64_t> v_{0};
+  Counter* feed_ = nullptr;
+};
+
 /// Last-written scalar (queue depths, capacities, ratios).
 class Gauge {
  public:

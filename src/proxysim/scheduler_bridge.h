@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -55,9 +56,9 @@ class SchedulerBridge {
   SchedulerKind kind() const { return kind_; }
 
   /// Degradation telemetry of the LP scheme's certified solve chain
-  /// (nullptr for non-LP schemes).
-  const lp::PipelineStats* solver_stats() const {
-    return allocator_ ? allocator_->solver_stats() : nullptr;
+  /// (nullopt for non-LP schemes).
+  std::optional<lp::PipelineStats> solver_stats() const {
+    return allocator_ ? allocator_->solver_stats() : std::nullopt;
   }
 
  private:

@@ -10,11 +10,17 @@ MessageBus::MessageBus() { set_sink(obs::Sink::global()); }
 
 void MessageBus::set_sink(obs::Sink sink) {
   sink_ = sink;
-  obs_delivered_ = &sink_.counter("rms.bus.delivered");
-  obs_dropped_ = &sink_.counter("rms.bus.dropped");
-  obs_duplicated_ = &sink_.counter("rms.bus.duplicated");
-  obs_lost_crash_ = &sink_.counter("rms.bus.lost_crash");
-  obs_lost_partition_ = &sink_.counter("rms.bus.lost_partition");
+  // Re-point each count's feed; the counts carry on.
+  const auto feed = [this](obs::Tally& count, const char* name) {
+    const std::uint64_t v = count.value();
+    count = obs::Tally(sink_.counter(name));
+    count.restore(v);
+  };
+  feed(delivered_, "rms.bus.delivered");
+  feed(dropped_, "rms.bus.dropped");
+  feed(duplicated_, "rms.bus.duplicated");
+  feed(lost_crash_, "rms.bus.lost_crash");
+  feed(lost_partition_, "rms.bus.lost_partition");
 }
 
 EndpointId MessageBus::add_endpoint(Handler handler) {
@@ -47,10 +53,8 @@ void MessageBus::post(EndpointId from, EndpointId to, Payload payload, double la
   if (fault_active_) {
     // A crashed sender cannot put anything on the wire.
     if (plan_.crashed(from, now_)) {
-      ++dropped_;
-      ++lost_crash_;
-      obs_dropped_->inc();
-      obs_lost_crash_->inc();
+      dropped_.inc();
+      lost_crash_.inc();
       sink_.event(now_, obs::EventKind::BusFaultCrashLoss, static_cast<std::uint32_t>(from));
       return;
     }
@@ -60,8 +64,7 @@ void MessageBus::post(EndpointId from, EndpointId to, Payload payload, double la
       const LinkFaults& lf = plan_.link(from, to);
       if (lf.any()) {
         if (lf.drop > 0.0 && rng_.next_double() < lf.drop) {
-          ++dropped_;
-          obs_dropped_->inc();
+          dropped_.inc();
           sink_.event(now_, obs::EventKind::BusFaultDrop, static_cast<std::uint32_t>(from),
                       static_cast<std::uint32_t>(to));
           return;
@@ -70,8 +73,7 @@ void MessageBus::post(EndpointId from, EndpointId to, Payload payload, double la
         queue_.push(Envelope{now_ + latency + extra, seq_++, from, to, payload});
         if (lf.duplicate > 0.0 && rng_.next_double() < lf.duplicate) {
           const double extra2 = lf.jitter > 0.0 ? rng_.uniform(0.0, lf.jitter) : 0.0;
-          ++duplicated_;
-          obs_duplicated_->inc();
+          duplicated_.inc();
           sink_.event(now_, obs::EventKind::BusFaultDuplicate, static_cast<std::uint32_t>(from),
                       static_cast<std::uint32_t>(to));
           queue_.push(Envelope{now_ + latency + extra2, seq_++, from, to, std::move(payload)});
@@ -101,25 +103,20 @@ bool MessageBus::step() {
   now_ = env.deliver_at;
   if (fault_active_) {
     if (plan_.crashed(env.to, now_)) {
-      ++dropped_;
-      ++lost_crash_;
-      obs_dropped_->inc();
-      obs_lost_crash_->inc();
+      dropped_.inc();
+      lost_crash_.inc();
       sink_.event(now_, obs::EventKind::BusFaultCrashLoss, static_cast<std::uint32_t>(env.to));
       return true;
     }
     if (env.from != env.to && plan_.severed(env.from, env.to, now_)) {
-      ++dropped_;
-      ++lost_partition_;
-      obs_dropped_->inc();
-      obs_lost_partition_->inc();
+      dropped_.inc();
+      lost_partition_.inc();
       sink_.event(now_, obs::EventKind::BusFaultPartitionLoss,
                   static_cast<std::uint32_t>(env.from), static_cast<std::uint32_t>(env.to));
       return true;
     }
   }
-  ++delivered_;
-  obs_delivered_->inc();
+  delivered_.inc();
   endpoints_[env.to](env);
   return true;
 }
@@ -154,23 +151,24 @@ double MessageBus::next_event_time() const {
 
 QuiesceStats MessageBus::run_until_idle(std::size_t max_messages) {
   QuiesceStats stats;
-  const std::uint64_t delivered0 = delivered_;
+  const std::uint64_t delivered0 = delivered_.value();
   std::size_t count = 0;
   while (step()) {
     if (++count > max_messages) {
       throw InternalError(
           "message bus did not quiesce (possible message loop): queue depth " +
           std::to_string(queue_.size()) + " at sim time " + std::to_string(now_) + ", " +
-          std::to_string(delivered_ - delivered0) + " delivered, " +
-          std::to_string(dropped_ - drain_dropped_) + " dropped, " +
-          std::to_string(duplicated_ - drain_duplicated_) + " duplicated since last drain");
+          std::to_string(delivered_.value() - delivered0) + " delivered, " +
+          std::to_string(dropped_.value() - drain_dropped_) + " dropped, " +
+          std::to_string(duplicated_.value() - drain_duplicated_) +
+          " duplicated since last drain");
     }
   }
-  stats.delivered = static_cast<std::size_t>(delivered_ - delivered0);
-  stats.dropped = static_cast<std::size_t>(dropped_ - drain_dropped_);
-  stats.duplicated = static_cast<std::size_t>(duplicated_ - drain_duplicated_);
-  drain_dropped_ = dropped_;
-  drain_duplicated_ = duplicated_;
+  stats.delivered = static_cast<std::size_t>(delivered_.value() - delivered0);
+  stats.dropped = static_cast<std::size_t>(dropped_.value() - drain_dropped_);
+  stats.duplicated = static_cast<std::size_t>(duplicated_.value() - drain_duplicated_);
+  drain_dropped_ = dropped_.value();
+  drain_duplicated_ = duplicated_.value();
   return stats;
 }
 

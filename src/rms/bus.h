@@ -87,13 +87,13 @@ class MessageBus {
 
   double now() const { return now_; }
   std::size_t pending() const { return queue_.size(); }
-  std::uint64_t delivered() const { return delivered_; }
+  std::uint64_t delivered() const { return delivered_.value(); }
 
   /// Cumulative fault-layer accounting (all zero without a fault plan).
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t duplicated() const { return duplicated_; }
-  std::uint64_t lost_to_crash() const { return lost_crash_; }
-  std::uint64_t lost_to_partition() const { return lost_partition_; }
+  std::uint64_t dropped() const { return dropped_.value(); }
+  std::uint64_t duplicated() const { return duplicated_.value(); }
+  std::uint64_t lost_to_crash() const { return lost_crash_.value(); }
+  std::uint64_t lost_to_partition() const { return lost_partition_.value(); }
 
  private:
   struct Later {
@@ -112,7 +112,9 @@ class MessageBus {
   std::priority_queue<Envelope, std::vector<Envelope>, Later> queue_;
   double now_ = 0.0;
   std::uint64_t seq_ = 0;
-  std::uint64_t delivered_ = 0;
+  /// Delivery and fault counts, each feeding its rms.bus.* registry
+  /// counter (set_sink re-points the feeds).
+  obs::Tally delivered_;
 
   /// Fault layer.
   bool fault_active_ = false;
@@ -120,22 +122,17 @@ class MessageBus {
   Pcg32 rng_;
   std::vector<std::pair<double, EndpointId>> restarts_;  ///< sorted by time
   std::size_t next_restart_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t lost_crash_ = 0;
-  std::uint64_t lost_partition_ = 0;
+  obs::Tally dropped_;
+  obs::Tally duplicated_;
+  obs::Tally lost_crash_;
+  obs::Tally lost_partition_;
   /// Fault counters as of the end of the previous run_until_idle drain.
   std::uint64_t drain_dropped_ = 0;
   std::uint64_t drain_duplicated_ = 0;
 
-  /// Telemetry. Handles are resolved in the constructor (and again by
+  /// Telemetry. Feeds are resolved in the constructor (and again by
   /// set_sink); posting/stepping only bumps atomics.
   obs::Sink sink_ = obs::Sink::global();
-  obs::Counter* obs_delivered_ = nullptr;
-  obs::Counter* obs_dropped_ = nullptr;
-  obs::Counter* obs_duplicated_ = nullptr;
-  obs::Counter* obs_lost_crash_ = nullptr;
-  obs::Counter* obs_lost_partition_ = nullptr;
 };
 
 }  // namespace agora::rms

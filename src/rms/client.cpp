@@ -19,11 +19,11 @@ RequestClient::RequestClient(MessageBus& bus, std::vector<EndpointId> targets,
   AGORA_REQUIRE(opts_.retry_jitter >= 0.0, "jitter must be non-negative");
   AGORA_REQUIRE(opts_.deadline > 0.0, "deadline must be positive");
   AGORA_REQUIRE(opts_.send_latency >= 0.0, "latency must be non-negative");
-  obs_retries_ = &opts_.sink.counter("rms.client.retries");
-  obs_deadline_denials_ = &opts_.sink.counter("rms.client.deadline_denials");
-  obs_duplicate_replies_ = &opts_.sink.counter("rms.client.duplicate_replies");
-  obs_redirects_ = &opts_.sink.counter("rms.client.redirects");
-  obs_failovers_ = &opts_.sink.counter("rms.client.failovers");
+  retries_ = obs::Tally(opts_.sink.counter("rms.client.retries"));
+  deadline_denials_ = obs::Tally(opts_.sink.counter("rms.client.deadline_denials"));
+  duplicate_replies_ = obs::Tally(opts_.sink.counter("rms.client.duplicate_replies"));
+  redirects_ = obs::Tally(opts_.sink.counter("rms.client.redirects"));
+  failovers_ = obs::Tally(opts_.sink.counter("rms.client.failovers"));
   obs_latency_ = &opts_.sink.histogram("rms.client.request_latency.vt_seconds");
   endpoint_ = bus_.add_endpoint([this](const Envelope& env) { handle(env); });
 }
@@ -98,8 +98,7 @@ void RequestClient::handle(const Envelope& env) {
   if (const auto* reply = std::get_if<AllocationReply>(&env.payload)) {
     if (pending_.count(reply->request_id) == 0) {
       // Late or duplicated reply for an already-resolved request.
-      ++duplicate_replies_;
-      obs_duplicate_replies_->inc();
+      duplicate_replies_.inc();
       return;
     }
     finalize(reply->request_id, *reply);
@@ -120,8 +119,7 @@ void RequestClient::on_not_leader(const NotLeader& nl) {
   if (it == pending_.end()) return;  // resolved in the meantime
   Pending& p = it->second;
   p.responded = true;
-  ++redirects_;
-  obs_redirects_->inc();
+  redirects_.inc();
   if (nl.leader_known) {
     // The follower named the leader: adopt it, and resend right away if it
     // actually changes where we point. The resend budget bounds the
@@ -160,8 +158,7 @@ void RequestClient::on_timer(std::uint64_t token) {
 
   if (now >= p.deadline_at - 1e-12) {
     // Deadline: resolve locally instead of hanging.
-    ++deadline_denials_;
-    obs_deadline_denials_->inc();
+    deadline_denials_.inc();
     opts_.sink.event(now, obs::EventKind::ClientDeadline, static_cast<std::uint32_t>(endpoint_),
                      0, static_cast<double>(p.attempts));
     AllocationReply reply;
@@ -176,13 +173,11 @@ void RequestClient::on_timer(std::uint64_t token) {
     // a redirect -- assume the node is dead or cut off and try the next.
     if (targets_.size() > 1 && !p.responded && target_ == p.sent_to) {
       target_ = (target_ + 1) % targets_.size();
-      ++failovers_;
-      obs_failovers_->inc();
+      failovers_.inc();
     }
     ++p.attempts;
     p.redirect_sends = 0;
-    ++retries_;
-    obs_retries_->inc();
+    retries_.inc();
     opts_.sink.event(now, obs::EventKind::GrmRetry, static_cast<std::uint32_t>(endpoint_),
                      static_cast<std::uint32_t>(targets_[target_]),
                      static_cast<double>(p.attempts));

@@ -77,11 +77,11 @@ class RequestClient {
   std::size_t outstanding() const { return pending_.size(); }
 
   /// Robustness statistics.
-  std::uint64_t retries() const { return retries_; }
-  std::uint64_t deadline_denials() const { return deadline_denials_; }
-  std::uint64_t duplicate_replies() const { return duplicate_replies_; }
-  std::uint64_t redirects() const { return redirects_; }
-  std::uint64_t failovers() const { return failovers_; }
+  std::uint64_t retries() const { return retries_.value(); }
+  std::uint64_t deadline_denials() const { return deadline_denials_.value(); }
+  std::uint64_t duplicate_replies() const { return duplicate_replies_.value(); }
+  std::uint64_t redirects() const { return redirects_.value(); }
+  std::uint64_t failovers() const { return failovers_.value(); }
 
  private:
   struct Pending {
@@ -118,17 +118,13 @@ class RequestClient {
   std::unordered_map<std::uint64_t, std::size_t> done_;  ///< id -> order_ index
   std::vector<Outcome> order_;
   std::uint64_t next_token_ = 1;
-  std::uint64_t retries_ = 0;
-  std::uint64_t deadline_denials_ = 0;
-  std::uint64_t duplicate_replies_ = 0;
-  std::uint64_t redirects_ = 0;
-  std::uint64_t failovers_ = 0;
+  /// Robustness counts, each feeding its rms.client.* registry counter.
+  obs::Tally retries_;
+  obs::Tally deadline_denials_;
+  obs::Tally duplicate_replies_;
+  obs::Tally redirects_;
+  obs::Tally failovers_;
   /// Cached registry handles (see obs/metrics.h).
-  obs::Counter* obs_retries_ = nullptr;
-  obs::Counter* obs_deadline_denials_ = nullptr;
-  obs::Counter* obs_duplicate_replies_ = nullptr;
-  obs::Counter* obs_redirects_ = nullptr;
-  obs::Counter* obs_failovers_ = nullptr;
   obs::LogHistogram* obs_latency_ = nullptr;
 };
 

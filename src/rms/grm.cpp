@@ -33,7 +33,7 @@ Grm::Grm(MessageBus& bus, std::vector<agree::AgreementSystem> systems,
       grm_opts_(grm_opts),
       sm_(std::move(systems), opts, grm_opts.state_machine_options()),
       emitter_(bus, emitter_options(grm_opts, decision_latency)) {
-  obs_forwards_ = &grm_opts_.sink.counter("rms.grm.forwards");
+  forwards_ = obs::Tally(grm_opts_.sink.counter("rms.grm.forwards"));
   lrm_endpoints_.assign(sm_.num_sites(), 0);
   endpoint_ = bus_.add_endpoint([this](const Envelope& env) { handle(env); });
   sm_.set_actor(static_cast<std::uint32_t>(endpoint_));
@@ -108,8 +108,7 @@ void Grm::decide(const AllocationRequest& req, EndpointId reply_to) {
   switch (d.kind) {
     case GrmStateMachine::Decision::Kind::Unsatisfied:
       // Escalate: the parent sees the full system.
-      ++forwards_;
-      obs_forwards_->inc();
+      forwards_.inc();
       forwarded_[req.request_id] = reply_to;
       bus_.post(endpoint_, *parent_, req, decision_latency_);
       return;

@@ -132,7 +132,7 @@ class Grm {
   /// Statistics.
   std::uint64_t decisions() const { return sm_.decisions(); }
   std::uint64_t grants() const { return sm_.grants(); }
-  std::uint64_t forwards() const { return forwards_; }
+  std::uint64_t forwards() const { return forwards_.value(); }
   /// Degradation/robustness statistics.
   std::uint64_t unknown_queries() const { return sm_.unknown_queries(); }
   std::uint64_t stale_masked() const { return sm_.stale_masked(); }
@@ -161,8 +161,7 @@ class Grm {
   std::optional<EndpointId> parent_;
   /// Requests forwarded to the parent: remember who to reply to.
   std::unordered_map<std::uint64_t, EndpointId> forwarded_;
-  std::uint64_t forwards_ = 0;
-  obs::Counter* obs_forwards_ = nullptr;
+  obs::Tally forwards_;
 };
 
 }  // namespace agora::rms

@@ -63,7 +63,7 @@ bool ReplicatedGrm::converged() const {
 RaftStats ReplicatedGrm::stats() const {
   RaftStats sum;
   for (const auto& n : nodes_) {
-    const RaftStats& s = n->stats();
+    const RaftStats s = n->stats();
     sum.elections_started += s.elections_started;
     sum.elections_won += s.elections_won;
     sum.votes_granted += s.votes_granted;

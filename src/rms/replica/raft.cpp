@@ -51,9 +51,9 @@ RaftNode::RaftNode(MessageBus& bus, std::size_t id,
   sm_.set_actor(static_cast<std::uint32_t>(endpoint_));
   lrm_endpoints_.assign(sm_.num_sites(), 0);
   emitter_.bind(endpoint_, &lrm_endpoints_);
-  obs_elections_ = &grm_opts_.sink.counter("rms.replica.elections");
+  elections_started_ = obs::Tally(grm_opts_.sink.counter("rms.replica.elections"));
   obs_commits_ = &grm_opts_.sink.counter("rms.replica.commits");
-  obs_redirects_ = &grm_opts_.sink.counter("rms.replica.redirects");
+  redirects_ = obs::Tally(grm_opts_.sink.counter("rms.replica.redirects"));
   obs_term_ = &grm_opts_.sink.gauge("rms.replica." + std::to_string(id_) + ".term");
   obs_commit_index_ =
       &grm_opts_.sink.gauge("rms.replica." + std::to_string(id_) + ".commit_index");
@@ -160,8 +160,7 @@ void RaftNode::start_election() {
   leader_.reset();
   votes_.assign(group_.size(), false);
   votes_[id_] = true;
-  ++stats_.elections_started;
-  obs_elections_->inc();
+  elections_started_.inc();
   obs_term_->set(static_cast<double>(term_));
   election_deadline_ = bus_.now() + draw_timeout();
   ensure_election_timer();
@@ -497,8 +496,7 @@ void RaftNode::on_client_request(const AllocationRequest& req, EndpointId from) 
     nl.term = term_;
     nl.leader_known = leader_.has_value() && *leader_ != id_;
     nl.leader = nl.leader_known ? group_[*leader_] : 0;
-    ++stats_.redirects;
-    obs_redirects_->inc();
+    redirects_.inc();
     bus_.post(endpoint_, from, nl, decision_latency_);
     return;
   }

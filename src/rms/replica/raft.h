@@ -84,7 +84,14 @@ class RaftNode {
 
   const GrmStateMachine& machine() const { return sm_; }
   std::uint64_t digest() const { return sm_.digest(); }
-  const RaftStats& stats() const { return stats_; }
+  /// elections_started and redirects are the counts rms.replica.elections
+  /// and rms.replica.redirects are fed.
+  RaftStats stats() const {
+    RaftStats s = stats_;
+    s.elections_started = elections_started_.value();
+    s.redirects = redirects_.value();
+    return s;
+  }
 
  private:
   void handle(const Envelope& env);
@@ -172,10 +179,10 @@ class RaftNode {
   std::uint64_t heartbeat_token_ = 0;
   std::uint64_t next_token_ = 2;
 
-  RaftStats stats_;
-  obs::Counter* obs_elections_ = nullptr;
+  RaftStats stats_;  ///< every count but the two Tallies below
+  obs::Tally elections_started_;
+  obs::Tally redirects_;
   obs::Counter* obs_commits_ = nullptr;
-  obs::Counter* obs_redirects_ = nullptr;
   obs::Gauge* obs_term_ = nullptr;
   obs::Gauge* obs_commit_index_ = nullptr;
 };

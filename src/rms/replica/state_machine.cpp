@@ -27,13 +27,13 @@ GrmStateMachine::GrmStateMachine(std::vector<agree::AgreementSystem> systems,
   const std::size_t n = systems[0].size();
   for (const auto& s : systems)
     AGORA_REQUIRE(s.size() == n, "all resource systems must cover the same sites");
-  obs_decisions_ = &sm_opts_.sink.counter("rms.grm.decisions");
-  obs_grants_ = &sm_opts_.sink.counter("rms.grm.grants");
-  obs_stale_masked_ = &sm_opts_.sink.counter("rms.grm.stale_masked");
-  obs_duplicate_requests_ = &sm_opts_.sink.counter("rms.grm.duplicate_requests");
-  obs_stale_reports_ = &sm_opts_.sink.counter("rms.grm.stale_reports");
-  obs_resyncs_ = &sm_opts_.sink.counter("rms.grm.resyncs");
-  obs_decided_evictions_ = &sm_opts_.sink.counter("rms.grm.decided_evictions");
+  decisions_ = obs::Tally(sm_opts_.sink.counter("rms.grm.decisions"));
+  grants_ = obs::Tally(sm_opts_.sink.counter("rms.grm.grants"));
+  stale_masked_ = obs::Tally(sm_opts_.sink.counter("rms.grm.stale_masked"));
+  duplicate_requests_ = obs::Tally(sm_opts_.sink.counter("rms.grm.duplicate_requests"));
+  stale_reports_ = obs::Tally(sm_opts_.sink.counter("rms.grm.stale_reports"));
+  resyncs_ = obs::Tally(sm_opts_.sink.counter("rms.grm.resyncs"));
+  decided_evictions_ = obs::Tally(sm_opts_.sink.counter("rms.grm.decided_evictions"));
   known_.reserve(systems.size());
   for (const auto& s : systems) known_.emplace_back(s.capacity);  // declared capacities
   rebuild_allocators(std::move(systems));
@@ -75,8 +75,7 @@ bool GrmStateMachine::apply_report(const AvailabilityReport& rep, double now) {
   // Sequenced reports deduplicate and reject reordered stale data; an
   // unsequenced report (seq 0, e.g. hand-posted in tests) always lands.
   if (rep.report_seq != 0 && rep.report_seq <= report_seq_[rep.lrm]) {
-    ++stale_reports_;
-    obs_stale_reports_->inc();
+    stale_reports_.inc();
     return false;
   }
   report_seq_[rep.lrm] = rep.report_seq;
@@ -89,8 +88,7 @@ bool GrmStateMachine::apply_report(const AvailabilityReport& rep, double now) {
 void GrmStateMachine::apply_resync(const LrmResync& rs, double now) {
   AGORA_REQUIRE(rs.available.size() == allocators_.size(), "resync resource count mismatch");
   AGORA_REQUIRE(rs.lrm < registered_.size(), "resync from unknown site");
-  ++resyncs_;
-  obs_resyncs_->inc();
+  resyncs_.inc();
   sm_opts_.sink.event(now, obs::EventKind::GrmResync, actor_,
                       static_cast<std::uint32_t>(rs.lrm));
   reported_[rs.lrm] = true;
@@ -114,8 +112,7 @@ const AllocationReply* GrmStateMachine::cached(std::uint64_t request_id) const {
 }
 
 void GrmStateMachine::note_duplicate() {
-  ++duplicate_requests_;
-  obs_duplicate_requests_->inc();
+  duplicate_requests_.inc();
 }
 
 void GrmStateMachine::record(std::uint64_t request_id, const AllocationReply& reply) {
@@ -129,8 +126,7 @@ void GrmStateMachine::record(std::uint64_t request_id, const AllocationReply& re
   while (decided_.size() > sm_opts_.decided_cache_capacity) {
     decided_.erase(decided_order_.front());
     decided_order_.pop_front();
-    ++decided_evictions_;
-    obs_decided_evictions_->inc();
+    decided_evictions_.inc();
   }
 }
 
@@ -151,8 +147,7 @@ GrmStateMachine::Decision GrmStateMachine::decide(const AllocationRequest& req, 
     return out;
   }
 
-  ++decisions_;
-  obs_decisions_->inc();
+  decisions_.inc();
   AGORA_REQUIRE(req.amounts.size() == allocators_.size(),
                 "request must name an amount per resource");
   AGORA_REQUIRE(req.principal < registered_.size(), "unknown principal");
@@ -172,8 +167,7 @@ GrmStateMachine::Decision GrmStateMachine::decide(const AllocationRequest& req, 
     else if (ttl_active && (!reported_[s] || now - report_time_[s] > sm_opts_.staleness_ttl))
       masked[s] = true;
     if (masked[s]) {
-      ++stale_masked_;
-      obs_stale_masked_->inc();
+      stale_masked_.inc();
     }
   }
   std::vector<std::vector<double>> caps(allocators_.size());
@@ -228,8 +222,7 @@ GrmStateMachine::Decision GrmStateMachine::decide(const AllocationRequest& req, 
     alloc::next_capacities(known_[r], {alloc::CapacityWrite::Kind::Draw, reserved[r], {}},
                            known[r]);
   known_ = std::move(known);
-  ++grants_;
-  obs_grants_->inc();
+  grants_.inc();
 
   out.kind = Decision::Kind::Granted;
   out.reply.request_id = req.request_id;
@@ -252,12 +245,12 @@ GrmSnapshot GrmStateMachine::snapshot() const {
   snap.scope = scope_;
   snap.decided.reserve(decided_order_.size());
   for (std::uint64_t id : decided_order_) snap.decided.emplace_back(id, decided_.at(id));
-  snap.decisions = decisions_;
-  snap.grants = grants_;
-  snap.stale_masked = stale_masked_;
-  snap.stale_reports = stale_reports_;
-  snap.resyncs = resyncs_;
-  snap.decided_evictions = decided_evictions_;
+  snap.decisions = decisions_.value();
+  snap.grants = grants_.value();
+  snap.stale_masked = stale_masked_.value();
+  snap.stale_reports = stale_reports_.value();
+  snap.resyncs = resyncs_.value();
+  snap.decided_evictions = decided_evictions_.value();
   return snap;
 }
 
@@ -279,12 +272,12 @@ void GrmStateMachine::restore(const GrmSnapshot& snap) {
     decided_.emplace(id, reply);
     decided_order_.push_back(id);
   }
-  decisions_ = snap.decisions;
-  grants_ = snap.grants;
-  stale_masked_ = snap.stale_masked;
-  stale_reports_ = snap.stale_reports;
-  resyncs_ = snap.resyncs;
-  decided_evictions_ = snap.decided_evictions;
+  decisions_.restore(snap.decisions);
+  grants_.restore(snap.grants);
+  stale_masked_.restore(snap.stale_masked);
+  stale_reports_.restore(snap.stale_reports);
+  resyncs_.restore(snap.resyncs);
+  decided_evictions_.restore(snap.decided_evictions);
 }
 
 std::uint64_t GrmStateMachine::digest() const {
@@ -329,12 +322,12 @@ std::uint64_t GrmStateMachine::digest() const {
     mix(reply.reason.size());
     for (char c : reply.reason) mix(static_cast<unsigned char>(c));
   }
-  mix(decisions_);
-  mix(grants_);
-  mix(stale_masked_);
-  mix(stale_reports_);
-  mix(resyncs_);
-  mix(decided_evictions_);
+  mix(decisions_.value());
+  mix(grants_.value());
+  mix(stale_masked_.value());
+  mix(stale_reports_.value());
+  mix(resyncs_.value());
+  mix(decided_evictions_.value());
   return h;
 }
 

@@ -133,15 +133,16 @@ class GrmStateMachine {
   std::uint64_t digest() const;
 
   /// Statistics (replicated unless noted otherwise).
-  std::uint64_t decisions() const { return decisions_; }
-  std::uint64_t grants() const { return grants_; }
-  std::uint64_t stale_masked() const { return stale_masked_; }
-  std::uint64_t stale_reports() const { return stale_reports_; }
-  std::uint64_t resyncs() const { return resyncs_; }
-  std::uint64_t decided_evictions() const { return decided_evictions_; }
+  std::uint64_t decisions() const { return decisions_.value(); }
+  std::uint64_t grants() const { return grants_.value(); }
+  std::uint64_t stale_masked() const { return stale_masked_.value(); }
+  std::uint64_t stale_reports() const { return stale_reports_.value(); }
+  std::uint64_t resyncs() const { return resyncs_.value(); }
+  std::uint64_t decided_evictions() const { return decided_evictions_.value(); }
   std::size_t decided_size() const { return decided_.size(); }
-  std::uint64_t duplicate_requests() const { return duplicate_requests_; }  ///< edge-driven
-  std::uint64_t unknown_queries() const { return unknown_queries_; }        ///< edge-driven
+  /// Edge-driven, not replicated.
+  std::uint64_t duplicate_requests() const { return duplicate_requests_.value(); }
+  std::uint64_t unknown_queries() const { return unknown_queries_; }
 
  private:
   void rebuild_allocators(std::vector<agree::AgreementSystem> systems);
@@ -158,21 +159,17 @@ class GrmStateMachine {
   std::vector<bool> scope_;  ///< empty = all sites
   std::unordered_map<std::uint64_t, AllocationReply> decided_;
   std::deque<std::uint64_t> decided_order_;  ///< insertion order (FIFO eviction)
-  std::uint64_t decisions_ = 0;
-  std::uint64_t grants_ = 0;
-  std::uint64_t stale_masked_ = 0;
-  std::uint64_t stale_reports_ = 0;
-  std::uint64_t resyncs_ = 0;
-  std::uint64_t decided_evictions_ = 0;
-  std::uint64_t duplicate_requests_ = 0;
+  /// Counts, each feeding its rms.grm.* registry counter. The replicated
+  /// ones are snapshot state: restore() sets them without feeding the
+  /// registry, and digest() hashes them.
+  obs::Tally decisions_;
+  obs::Tally grants_;
+  obs::Tally stale_masked_;
+  obs::Tally stale_reports_;
+  obs::Tally resyncs_;
+  obs::Tally decided_evictions_;
+  obs::Tally duplicate_requests_;
   mutable std::uint64_t unknown_queries_ = 0;
-  obs::Counter* obs_decisions_ = nullptr;
-  obs::Counter* obs_grants_ = nullptr;
-  obs::Counter* obs_stale_masked_ = nullptr;
-  obs::Counter* obs_duplicate_requests_ = nullptr;
-  obs::Counter* obs_stale_reports_ = nullptr;
-  obs::Counter* obs_resyncs_ = nullptr;
-  obs::Counter* obs_decided_evictions_ = nullptr;
 };
 
 }  // namespace agora::rms

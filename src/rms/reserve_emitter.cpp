@@ -11,8 +11,8 @@ ReserveEmitter::ReserveEmitter(MessageBus& bus, ReserveEmitterOptions opts)
                 "reserve backoff must be positive");
   AGORA_REQUIRE(opts_.jitter >= 0.0, "jitter must be non-negative");
   AGORA_REQUIRE(opts_.token_stride >= 1, "token stride must be positive");
-  obs_retries_ = &opts_.sink.counter("rms.grm.reserve_retries");
-  obs_failures_ = &opts_.sink.counter("rms.grm.reserve_failures");
+  retries_ = obs::Tally(opts_.sink.counter("rms.grm.reserve_retries"));
+  failures_ = obs::Tally(opts_.sink.counter("rms.grm.reserve_failures"));
 }
 
 void ReserveEmitter::bind(EndpointId self, const std::vector<EndpointId>* lrm_endpoints) {
@@ -55,15 +55,13 @@ bool ReserveEmitter::on_timer(std::uint64_t token) {
   if (pr.attempts >= opts_.attempts) {
     // Give up: the LRM is unreachable. The availability decrement stands
     // until the site's next report/resync reconciles it; count the loss.
-    ++failures_;
-    obs_failures_->inc();
+    failures_.inc();
     tokens_.erase({pr.cmd.request_id, pr.site});
     pending_.erase(it);
     return true;
   }
   ++pr.attempts;
-  ++retries_;
-  obs_retries_->inc();
+  retries_.inc();
   opts_.sink.event(bus_.now(), obs::EventKind::GrmReserveRetry,
                    static_cast<std::uint32_t>(self_), static_cast<std::uint32_t>(pr.site),
                    static_cast<double>(pr.attempts));

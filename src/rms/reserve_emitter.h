@@ -60,8 +60,8 @@ class ReserveEmitter {
   void abandon_all();
 
   std::size_t pending() const { return pending_.size(); }
-  std::uint64_t retries() const { return retries_; }
-  std::uint64_t failures() const { return failures_; }
+  std::uint64_t retries() const { return retries_.value(); }
+  std::uint64_t failures() const { return failures_.value(); }
   std::uint64_t abandoned() const { return abandoned_; }
 
  private:
@@ -82,11 +82,10 @@ class ReserveEmitter {
   std::unordered_map<std::uint64_t, PendingReserve> pending_;  ///< by timer token
   std::map<std::pair<std::uint64_t, std::size_t>, std::uint64_t> tokens_;
   std::uint64_t next_token_ = 1;
-  std::uint64_t retries_ = 0;
-  std::uint64_t failures_ = 0;
+  /// Each feeds its rms.grm.reserve_* registry counter.
+  obs::Tally retries_;
+  obs::Tally failures_;
   std::uint64_t abandoned_ = 0;
-  obs::Counter* obs_retries_ = nullptr;
-  obs::Counter* obs_failures_ = nullptr;
 };
 
 }  // namespace agora::rms

@@ -1,12 +1,8 @@
 // task_queue.h -- the blocking MPMC/MPSC queue underneath every worker
-// thread in agora.
+// thread in agora: the enforcement engine's shard workers and the wire
+// service's backend pump. Two ways to wait:
 //
-// Historically this machinery lived inline in ThreadPool (whose only client
-// was multi_resource); the enforcement engine's submit() path needs the same
-// primitive with one more way to wait, so it is generalized here and
-// ThreadPool is now one of its users:
-//
-//   * wait_pop      -- classic one-item blocking pop (ThreadPool workers),
+//   * wait_pop      -- classic one-item blocking pop (the service's pump),
 //   * wait_nonempty -- block until there is work, but take nothing. An
 //                      engine shard's worker waits with it, then takes the
 //                      shard's run lock and only then takes the items with

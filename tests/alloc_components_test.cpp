@@ -191,7 +191,9 @@ TEST(AllocComponents, DecomposedConsultsMatchTheWholeSystemModel) {
             EXPECT_TRUE(p.certified) << where;
             ASSERT_EQ(p.draw.size(), n);
             for (std::size_t i = 0; i < n; ++i) {
-              if (comp_of[i] != comp_of[a]) EXPECT_EQ(p.draw[i], 0.0) << where << " at " << i;
+              if (comp_of[i] != comp_of[a]) {
+                EXPECT_EQ(p.draw[i], 0.0) << where << " at " << i;
+              }
             }
             EXPECT_NEAR(p.total_drawn(), amount, kTol * (1.0 + amount)) << where;
             if (alloc.fastpath_granted() > granted_before) {

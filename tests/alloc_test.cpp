@@ -429,12 +429,10 @@ TEST(MultiResource, IndependentLpsPerResource) {
   MultiRequest req;
   req.principal = 0;
   req.amounts = {4.0, 8.0};
-  for (bool parallel : {false, true}) {
-    const MultiPlan plan = mra.allocate(req, parallel);
-    ASSERT_TRUE(plan.satisfied());
-    EXPECT_NEAR(plan.per_resource[0].draw[1], 4.0, 1e-9);
-    EXPECT_NEAR(plan.per_resource[1].draw[1], 8.0, 1e-9);
-  }
+  const MultiPlan plan = mra.allocate(req);
+  ASSERT_TRUE(plan.satisfied());
+  EXPECT_NEAR(plan.per_resource[0].draw[1], 4.0, 1e-9);
+  EXPECT_NEAR(plan.per_resource[1].draw[1], 8.0, 1e-9);
 }
 
 TEST(MultiResource, AllOrNothing) {

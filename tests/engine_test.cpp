@@ -177,8 +177,8 @@ TEST(EngineSerial, PlansAreBitIdenticalToDirectAllocator) {
   for (const auto& ev : ee) EXPECT_NE(ev.kind, obs::EventKind::EngineBatch);
 
   // And the aggregated solve-chain telemetry matches the direct pipeline.
-  const lp::PipelineStats* es = eng.solver_stats();
-  ASSERT_NE(es, nullptr);
+  const std::optional<lp::PipelineStats> es = eng.solver_stats();
+  ASSERT_TRUE(es.has_value());
   EXPECT_EQ(es->solves, direct.solver_stats()->solves);
   EXPECT_EQ(es->certified, direct.solver_stats()->certified);
 }
@@ -493,10 +493,39 @@ TEST(EngineCertify, CertificationStaysOnByDefault) {
   const alloc::AllocationPlan plan = eng.consult(1, 3.0);
   ASSERT_TRUE(plan.satisfied());
   EXPECT_TRUE(plan.certified);  // no uncertified grant through the engine
-  const lp::PipelineStats* st = eng.solver_stats();
-  ASSERT_NE(st, nullptr);
+  const std::optional<lp::PipelineStats> st = eng.solver_stats();
+  ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->certified, st->solves);
   EXPECT_EQ(st->exhausted, 0u);
+}
+
+TEST(EngineCertify, ConcurrentSolverStatsReadersEachGetACopy) {
+  // Two threads aggregate the solve-chain telemetry while this one
+  // consults. Each reader owns the copy it is handed, so under
+  // ThreadSanitizer neither races the other reader nor the consults.
+  EngineOptions eopts;
+  eopts.sink = obs::Sink::none();
+  eopts.alloc.sink = obs::Sink::none();
+  EnforcementEngine eng(connected_economy(8, 0.1), eopts);
+  std::atomic<bool> done{false};
+  const auto reader = [&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const std::optional<lp::PipelineStats> st = eng.solver_stats();
+      ASSERT_TRUE(st.has_value());
+      EXPECT_GE(st->solves, last);
+      EXPECT_EQ(st->certified + st->exhausted, st->solves);
+      last = st->solves;
+    }
+  };
+  std::thread r1(reader);
+  std::thread r2(reader);
+  for (std::size_t i = 0; i < 200; ++i)
+    EXPECT_TRUE(eng.consult(i % 8, 1.0 + static_cast<double>(i % 5)).satisfied());
+  done.store(true);
+  r1.join();
+  r2.join();
+  EXPECT_EQ(eng.solver_stats()->certified, 200u);
 }
 
 // ---------------------------------------------------------------- shutdown ---
@@ -555,7 +584,7 @@ TEST(EngineShutdown, IsIdempotentAndRejectsLateTraffic) {
   EXPECT_EQ(late.status.code(), StatusCode::Unavailable);
   EXPECT_THROW(eng.consult(0, 1.0), PreconditionError);
   EXPECT_EQ(eng.stats().shard[0].consults, 1u);  // refused without solving
-  EXPECT_EQ(eng.solver_stats(), nullptr);
+  EXPECT_FALSE(eng.solver_stats().has_value());
   // A mutation after shutdown is a caller bug and touches no shard.
   EXPECT_THROW(eng.set_capacities(std::vector<double>(eng.size(), 3.0)), InternalError);
   EXPECT_EQ(eng.epoch(), 0u);

@@ -261,7 +261,7 @@ TEST(AllocatorWarmstart, InfeasibleConsultKeepsTheWarmBasis) {
   EXPECT_TRUE(denied.certified);
   EXPECT_EQ(denied.lp_iterations, 0u);  // closed form: no LP
   ASSERT_TRUE(alloc.allocate(1, 0.6 * avail).satisfied());
-  const lp::PipelineStats& s = *alloc.solver_stats();
+  const lp::PipelineStats s = *alloc.solver_stats();
   constexpr int kWarm = static_cast<int>(lp::PipelineStage::WarmRevised);
   constexpr int kCold = static_cast<int>(lp::PipelineStage::ColdRevised);
   EXPECT_EQ(s.attempts[kWarm], 1u);  // the consult after the denial
@@ -280,7 +280,7 @@ TEST(AllocatorWarmstart, DefaultAllocatorWarmStartsTheSecondConsultOnAComponent)
   Allocator alloc(sys, opts);
   ASSERT_TRUE(alloc.allocate(1, 0.5 * alloc.available_to(1)).satisfied());
   ASSERT_TRUE(alloc.allocate(3, 0.4 * alloc.available_to(3)).satisfied());
-  const lp::PipelineStats& s = *alloc.solver_stats();
+  const lp::PipelineStats s = *alloc.solver_stats();
   constexpr int kWarm = static_cast<int>(lp::PipelineStage::WarmRevised);
   EXPECT_GT(s.attempts[kWarm], 0u);
   EXPECT_EQ(s.failures[kWarm], 0u);

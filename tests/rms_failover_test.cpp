@@ -120,7 +120,9 @@ struct FailoverRig {
     EXPECT_EQ(client.outstanding(), 0u);
     EXPECT_EQ(client.outcomes().size(), submitted);
     for (const RequestClient::Outcome& out : client.outcomes()) {
-      if (!out.reply.granted) EXPECT_FALSE(out.reply.reason.empty());
+      if (!out.reply.granted) {
+        EXPECT_FALSE(out.reply.reason.empty());
+      }
     }
     EXPECT_TRUE(grp.converged()) << "replica state diverged after quiesce";
     // The converged machine decided each id at most once: no dual-leader

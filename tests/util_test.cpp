@@ -16,7 +16,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/task_queue.h"
-#include "util/threadpool.h"
 
 namespace agora {
 namespace {
@@ -370,35 +369,6 @@ TEST(Table, PrettyHasHeaderAndRows) {
   t.write_pretty(ss, 2);
   EXPECT_NE(ss.str().find("col"), std::string::npos);
   EXPECT_NE(ss.str().find("1.25"), std::string::npos);
-}
-
-// ------------------------------------------------------------ ThreadPool ---
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForPropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(10, [](std::size_t i) {
-        if (i == 5) throw std::runtime_error("boom");
-      }),
-      std::runtime_error);
-}
-
-TEST(ThreadPool, ZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
 }
 
 // --------------------------------------------------- vectorized kernels ---

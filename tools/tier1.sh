@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, run the full test suite, then
-# rebuild the rms/chaos-sensitive tests under ASan+UBSan and run them.
+# Tier-1 verification: configure, build and run the full test suite twice,
+# with the observability layer compiled in and compiled out, warnings
+# failing both builds; then rebuild the rms/chaos-sensitive tests under
+# ASan+UBSan and the multithreaded ones under TSan, and run them.
 # Usage: tools/tier1.sh   (from the repository root)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-cmake -B build -S .
+cmake -B build -S . -DAGORA_WERROR=ON
 cmake --build build -j
 # Two lanes that together run every test exactly once. The fast lane skips
 # the suites labelled tier2-* (stress, soak, chaos, and the golden figures);
@@ -17,6 +19,15 @@ cmake --build build -j
 # solver behaviour. Plain `ctest` still runs everything in one go.
 (cd build && ctest --output-on-failure -j"$(nproc)" -LE '^tier2-')
 (cd build && ctest --output-on-failure -L '^tier2-')
+
+# The same two lanes with the observability layer compiled out
+# (AGORA_OBS=OFF). Every stats() struct keeps counting there while the
+# registry reads 0 (facade_test checks both), and the obs-only tests skip
+# themselves.
+cmake -B build-noobs -S . -DAGORA_OBS=OFF -DAGORA_WERROR=ON
+cmake --build build-noobs -j
+(cd build-noobs && ctest --output-on-failure -j"$(nproc)" -LE '^tier2-')
+(cd build-noobs && ctest --output-on-failure -L '^tier2-')
 
 # Sanitizer pass over the message-layer tests (the fault-injection code
 # paths -- drops, duplicate frees of envelopes, restart handlers -- are the
@@ -126,7 +137,8 @@ cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
 ./build-tsan/tests/federation_chaos_test
 # net_service_test joins the TSan pass: the poll-loop thread's connection
 # state races client threads and the engine's shard workers through the
-# admission queue, in-flight futures, and the atomic stats cells.
+# admission queue, in-flight futures, and the relaxed-atomic counts behind
+# stats().
 ./build-tsan/tests/net_service_test
 
 echo "tier1: all green"
