@@ -2,10 +2,10 @@
 //
 // Three classes decide allocations today: the flat LP Allocator, the
 // two-level HierarchicalAllocator, and the sharded engine::EnforcementEngine
-// that fronts either at scale. Call sites (SchedulerBridge, the GRM, the fig
-// binaries, user code reaching in through agora/agora.h) used to hard-code
-// one concrete class each; AllocatorBase lets them take any of the three
-// polymorphically.
+// that fronts either at scale. Call sites that serve more than one backend
+// (net::AgoraService, user code reaching in through agora/agora.h) take any
+// of the three polymorphically; callers with one backend (the simulator's
+// SchedulerBridge, the GRM) hold a concrete Allocator.
 //
 // Contract (all of it inherited from Allocator's documented semantics):
 //   * allocate() is logically const: it decides but does not commit. Commit

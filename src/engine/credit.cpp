@@ -76,13 +76,6 @@ double CreditLedger::outstanding_from(std::size_t lender) const {
   return out;
 }
 
-double CreditLedger::inbound_to(std::size_t borrower) const {
-  double in = 0.0;
-  for (const Credit& c : credits_)
-    if (c.borrower == borrower) in += c.remaining();
-  return in;
-}
-
 CreditLedger::Totals CreditLedger::totals() const {
   Totals t;
   for (const Credit& c : credits_) {

@@ -109,8 +109,6 @@ class CreditLedger {
 
   /// Total un-spent, un-revoked loan volume currently debited from `lender`.
   double outstanding_from(std::size_t lender) const;
-  /// Total remaining loan volume earmarked for `borrower`'s bank.
-  double inbound_to(std::size_t borrower) const;
 
   struct Totals {
     double granted = 0.0;

@@ -44,8 +44,8 @@
 //     them and the new snapshot epoch is published.
 //
 // EnforcementEngine implements alloc::AllocatorBase, so call sites written
-// against the interface (SchedulerBridge, the GRM) run on the engine or a
-// direct allocator interchangeably.
+// against the interface (net::AgoraService, user code reaching in through
+// agora/agora.h) run on the engine or a direct allocator interchangeably.
 #pragma once
 
 #include <atomic>

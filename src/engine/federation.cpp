@@ -10,6 +10,9 @@ namespace agora::engine {
 
 namespace {
 constexpr std::size_t kNoBank = std::numeric_limits<std::size_t>::max();
+/// Cap on the total fraction of a lender's capacity on loan at once; the
+/// rest stays home so the lender's own shard keeps admitting locally.
+constexpr double kLendCap = 0.5;
 }  // namespace
 
 std::vector<BorderEdge> find_border_edges(const agree::AgreementSystem& sys,
@@ -65,10 +68,10 @@ std::vector<double> Federation::targets(std::span<const double> capacity) const 
     t[c.id] = std::max(0.0, ent);
     per_lender[c.lender] += t[c.id];
   }
-  // Keep at least (1 - lend_cap) of every lender home: scale its loans
-  // pro-rata when their sum would exceed lend_cap * V_l.
+  // Keep at least (1 - kLendCap) of every lender home: scale its loans
+  // pro-rata when their sum would exceed kLendCap * V_l.
   for (const Credit& c : ledger_.credits()) {
-    const double cap = opts_.lend_cap * capacity[c.lender];
+    const double cap = kLendCap * capacity[c.lender];
     const double want = per_lender[c.lender];
     if (want > cap && want > 0.0) t[c.id] *= cap / want;
   }

@@ -58,9 +58,6 @@ struct FederationOptions {
   /// are split by edge-scored partitioning with border credits instead of
   /// running on one exact shard.
   bool enabled = false;
-  /// Cap on the total fraction of a lender's capacity on loan at once; the
-  /// rest stays home so the lender's own shard keeps admitting locally.
-  double lend_cap = 0.5;
   /// How many of the epoch's decisions each settlement re-solves against
   /// the exact global LP to measure the optimality gap. 0 disables the
   /// probe (and the gap telemetry).
@@ -109,7 +106,8 @@ class Federation {
 
   /// Policy: the per-credit loan balance the next settlement steers toward,
   /// given global capacities -- the cut edge's global entitlement, scaled
-  /// down pro-rata where a lender's total would exceed lend_cap * V_lender.
+  /// down pro-rata where a lender's total would exceed kLendCap * V_lender
+  /// (federation.cpp).
   std::vector<double> targets(std::span<const double> capacity) const;
 
   /// What one settlement round hands each shard.

@@ -49,16 +49,6 @@ struct SimConfig {
   Matrix agreements;
   /// Allocator options: transitivity level (Figures 8-11), formulation, ...
   alloc::AllocatorOptions alloc_opts;
-  /// LP scheme backend: 0 (default) consults the in-process Allocator
-  /// directly; >= 1 routes every consult through a sharded
-  /// engine::EnforcementEngine with this many worker threads (agora_sim
-  /// --threads N). threads=1 is decision-identical to the direct path.
-  std::size_t scheduler_threads = 0;
-  /// Epoch-keyed decision cache in front of the engine's shard queues
-  /// (engine/plan_cache.h; agora_sim --plan-cache). Repeated consult shapes
-  /// are answered in the caller's thread after a certified residual
-  /// re-check. Only meaningful when scheduler_threads >= 1.
-  bool engine_plan_cache = false;
 
   /// Consult the global scheduler when a proxy's queued demand (in
   /// unit-power service seconds) exceeds this.
@@ -81,9 +71,6 @@ struct SimConfig {
   /// queue is short -- which is what throttles load from cascading through
   /// busy intermediaries under direct-only agreements (Figures 9-11).
   double planning_window = 600.0;
-  /// After redirection the proxy keeps this fraction of the threshold
-  /// queued locally.
-  double keep_local_fraction = 0.5;
 
   // --- Ablation switches (see DESIGN.md, "Scheduler semantics") -----------
   /// Include each proxy's own expected arrivals in its reported spare

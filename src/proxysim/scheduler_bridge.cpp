@@ -2,58 +2,36 @@
 
 #include <algorithm>
 
-#include "engine/engine.h"
 #include "obs/timer.h"
 
 namespace agora::proxysim {
 
 SchedulerBridge::SchedulerBridge(const SimConfig& cfg)
-    : kind_(cfg.scheduler), n_(cfg.num_proxies), agreements_(cfg.agreements),
-      retained_(cfg.num_proxies, 1.0) {
-  // Static per-epoch processing budget per proxy: the only capacity view
-  // the *endpoint* scheme is allowed to use (it has no availability
-  // information -- that is the point of the Figure 13 comparison).
-  static_budget_.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k)
-    static_budget_[k] = cfg.planning_window * cfg.proxy_power(k);
+    : kind_(cfg.scheduler), n_(cfg.num_proxies) {
   AGORA_REQUIRE(kind_ == SchedulerKind::None ||
-                    (agreements_.rows() == n_ && agreements_.cols() == n_),
+                    (cfg.agreements.rows() == n_ && cfg.agreements.cols() == n_),
                 "agreement matrix must be num_proxies x num_proxies");
   obs_plan_seconds_ = &cfg.alloc_opts.sink.histogram("proxysim.bridge.plan.seconds");
   obs_plans_ = &cfg.alloc_opts.sink.counter("proxysim.bridge.plans");
-  obs_masked_donors_ = &cfg.alloc_opts.sink.counter("proxysim.bridge.masked_donors");
   if (kind_ == SchedulerKind::Lp) {
     agree::AgreementSystem sys(n_);
-    sys.relative = agreements_;
-    if (cfg.scheduler_threads >= 1) {
-      engine::EngineOptions eng;
-      eng.threads = cfg.scheduler_threads;
-      eng.plan_cache = cfg.engine_plan_cache;
-      eng.alloc = cfg.alloc_opts;
-      eng.sink = cfg.alloc_opts.sink;
-      allocator_ =
-          std::make_unique<engine::EnforcementEngine>(std::move(sys), std::move(eng));
-    } else {
-      allocator_ = std::make_unique<alloc::Allocator>(std::move(sys), cfg.alloc_opts);
-    }
+    sys.relative = cfg.agreements;
+    allocator_ = std::make_unique<alloc::Allocator>(std::move(sys), cfg.alloc_opts);
   } else if (kind_ == SchedulerKind::Endpoint) {
+    // Static per-epoch processing budget per proxy: the only capacity view
+    // the *endpoint* scheme is allowed to use (it has no availability
+    // information -- that is the point of the Figure 13 comparison).
     endpoint_sys_ = agree::AgreementSystem(n_);
-    endpoint_sys_.relative = agreements_;
+    endpoint_sys_.relative = cfg.agreements;
+    for (std::size_t k = 0; k < n_; ++k)
+      endpoint_sys_.capacity[k] = cfg.planning_window * cfg.proxy_power(k);
   }
 }
 
 RedirectDecision SchedulerBridge::plan(std::size_t origin, double overflow,
                                        const std::vector<double>& spare) {
-  return plan(origin, overflow, spare, {});
-}
-
-RedirectDecision SchedulerBridge::plan(std::size_t origin, double overflow,
-                                       const std::vector<double>& spare,
-                                       const std::vector<bool>& reachable) {
   AGORA_REQUIRE(origin < n_, "unknown proxy");
   AGORA_REQUIRE(spare.size() == n_, "spare capacity vector size mismatch");
-  AGORA_REQUIRE(reachable.empty() || reachable.size() == n_,
-                "reachability mask size mismatch");
   obs::ScopedTimer plan_timer(obs_plan_seconds_);
   obs_plans_->inc();
   RedirectDecision dec;
@@ -63,26 +41,9 @@ RedirectDecision SchedulerBridge::plan(std::size_t origin, double overflow,
     return dec;
   }
 
-  // Graceful degradation: a proxy whose availability is stale/unreachable
-  // must not be planned as a donor -- its spare is treated as zero rather
-  // than trusting phantom capacity. The origin always plans itself.
-  usable_ = spare;
-  budget_ = static_budget_;
-  if (!reachable.empty()) {
-    for (std::size_t k = 0; k < n_; ++k) {
-      if (k == origin || reachable[k]) continue;
-      usable_[k] = 0.0;
-      budget_[k] = 0.0;
-      ++dec.masked_donors;
-    }
-    obs_masked_donors_->inc(dec.masked_donors);
-  }
-
   if (kind_ == SchedulerKind::Lp) {
-    if (usable_ != last_caps_) {
-      allocator_->set_capacities(std::span<const double>(usable_));
-      last_caps_ = usable_;
-    }
+    // Only components whose spare moved are refreshed (Allocator::commit).
+    allocator_->set_capacities(spare);
     // Partial redirection: place as much of the overflow as transitive
     // agreements allow; the LP decides the local/remote split (the origin's
     // own spare enters as d_origin) and minimizes the global perturbation.
@@ -117,7 +78,6 @@ RedirectDecision SchedulerBridge::plan(std::size_t origin, double overflow,
   // the paper ("the non-linear scheme tends to redistribute requests to
   // nearby ISPs no matter whether they are busy or not"). Remainder stays
   // local (endpoint_allocate puts it into draw[origin]).
-  endpoint_sys_.capacity = budget_;  // structure persists; only V changes
   const alloc::AllocationPlan plan = alloc::endpoint_allocate(endpoint_sys_, origin, overflow);
   dec.absorb = plan.draw;
   return dec;

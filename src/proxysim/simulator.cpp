@@ -257,7 +257,10 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
     ++metrics.scheduler_consults;
     ++metrics.consults_by_slot[slot_of(now)];
 
-    const double keep = cfg_.keep_local_fraction * cfg_.queue_threshold * power;
+    // After redirection the proxy keeps this fraction of the threshold
+    // queued locally.
+    constexpr double kKeepLocalFraction = 0.5;
+    const double keep = kKeepLocalFraction * cfg_.queue_threshold * power;
     const double overflow = st.queued_demand - keep;
     if (overflow <= 0.0) return;
     sink.event(now, obs::EventKind::ConsultStarted, static_cast<std::uint32_t>(p), 0, overflow);

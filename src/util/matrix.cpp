@@ -205,17 +205,6 @@ double linf_distance(std::span<const double> a, std::span<const double> b) {
 
 #if defined(AGORA_SIMD_AVX2) && defined(__AVX2__)
 
-double vdot(const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (; i < n; ++i) lane[i & 3] += a[i] * b[i];
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
 DotAbs vdot_abs(const double* a, const double* x, std::size_t n) {
   const __m256d sign_mask = _mm256_set1_pd(-0.0);
   __m256d acc = _mm256_setzero_pd();
@@ -249,20 +238,6 @@ void vaxpy(double alpha, const double* x, double* y, std::size_t n) {
 
 #else  // scalar fallback, lane-for-lane identical to the AVX2 path
 
-double vdot(const double* a, const double* b, std::size_t n) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    l0 += a[i] * b[i];
-    l1 += a[i + 1] * b[i + 1];
-    l2 += a[i + 2] * b[i + 2];
-    l3 += a[i + 3] * b[i + 3];
-  }
-  double lane[4] = {l0, l1, l2, l3};
-  for (; i < n; ++i) lane[i & 3] += a[i] * b[i];
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
 DotAbs vdot_abs(const double* a, const double* x, std::size_t n) {
   double vlane[4] = {0.0, 0.0, 0.0, 0.0};
   double mlane[4] = {0.0, 0.0, 0.0, 0.0};
@@ -288,11 +263,6 @@ void vaxpy(double alpha, const double* x, double* y, std::size_t n) {
 }
 
 #endif  // AGORA_SIMD_AVX2
-
-void gemv(const Matrix& a, std::span<const double> x, std::span<double> y) {
-  AGORA_REQUIRE(a.cols() == x.size() && a.rows() == y.size(), "gemv: shape mismatch");
-  for (std::size_t i = 0; i < a.rows(); ++i) y[i] = vdot(a.row(i), x);
-}
 
 double gather_dot(const double* row, const std::size_t* idx, const double* val,
                   std::size_t nnz) {

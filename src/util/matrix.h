@@ -163,13 +163,6 @@ double linf_distance(std::span<const double> a, std::span<const double> b);
 // counterparts: every call site is an inner loop that has already validated
 // its shapes once per solve, not once per element.
 
-/// Dot product, 4-lane accumulation. NOT bit-identical to `dot` (different
-/// summation order); identical across the SIMD and fallback builds.
-double vdot(const double* a, const double* b, std::size_t n);
-inline double vdot(std::span<const double> a, std::span<const double> b) {
-  return vdot(a.data(), b.data(), a.size());
-}
-
 /// Fused pass computing both sum(a[i]*x[i]) and sum(|a[i]*x[i]|) -- the
 /// activity and the magnitude scale a relative residual test needs, in one
 /// sweep (lp::Verifier admission checks).
@@ -188,10 +181,6 @@ void vaxpy(double alpha, const double* x, double* y, std::size_t n);
 inline void vaxpy(double alpha, std::span<const double> x, std::span<double> y) {
   vaxpy(alpha, x.data(), y.data(), x.size());
 }
-
-/// Dense row-major matrix-vector product y = A x using vdot per row
-/// (y must already have A.rows() elements).
-void gemv(const Matrix& a, std::span<const double> x, std::span<double> y);
 
 /// Sparse gather dot: sum_t row[idx[t]] * val[t]. The revised simplex ftran
 /// iterates basis-inverse rows against a CSC column with this.

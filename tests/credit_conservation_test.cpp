@@ -71,7 +71,7 @@ Model random_model(std::mt19937_64& rng, std::size_t n, std::size_t shards,
 }
 
 /// Random settlement targets, each bounded so no lender can be asked to
-/// loan more than it owns in total (matching Federation's lend_cap role).
+/// loan more than it owns in total (matching Federation's kLendCap role).
 std::vector<double> random_targets(std::mt19937_64& rng, const Model& m) {
   std::vector<double> t(m.ledger.size(), 0.0);
   std::vector<double> headroom = m.capacity;

@@ -1,10 +1,10 @@
 // Tests for the sharded enforcement engine (DESIGN.md §11): partitioning,
 // threads=1 decision identity against the direct Allocator path (including
-// byte-identical trace-event streams and same-seed simulator runs),
-// component-exact sharded decisions, concurrent applies that can never
-// grant the same capacity twice, the unified Status surface of submit(),
-// snapshot epochs and which shards a mutation touches, per-shard FIFO
-// across submit() and blocking calls, and certification inheritance.
+// byte-identical trace-event streams), component-exact sharded decisions,
+// concurrent applies that can never grant the same capacity twice, the
+// unified Status surface of submit(), snapshot epochs and which shards a
+// mutation touches, per-shard FIFO across submit() and blocking calls, and
+// certification inheritance.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,8 +18,6 @@
 #include "engine/engine.h"
 #include "engine/partition.h"
 #include "obs/event_ring.h"
-#include "proxysim/simulator.h"
-#include "trace/generator.h"
 #include "util/error.h"
 
 namespace agora::engine {
@@ -142,7 +140,7 @@ TEST(EngineSerial, PlansAreBitIdenticalToDirectAllocator) {
   EnforcementEngine eng(sys, eopts);
   EXPECT_EQ(eng.num_shards(), 1u);
 
-  // The scheduler-bridge call sequence: epoch refresh, availability query,
+  // A trace-driven caller's sequence: epoch refresh, availability query,
   // consult, commit, release -- repeated.
   std::vector<double> caps = sys.capacity;
   for (int round = 0; round < 6; ++round) {
@@ -181,43 +179,6 @@ TEST(EngineSerial, PlansAreBitIdenticalToDirectAllocator) {
   ASSERT_TRUE(es.has_value());
   EXPECT_EQ(es->solves, direct.solver_stats()->solves);
   EXPECT_EQ(es->certified, direct.solver_stats()->certified);
-}
-
-TEST(EngineSerial, SimulatorTracesAreByteIdenticalSameSeed) {
-  trace::GeneratorConfig gc;
-  gc.peak_rate = 6.0;
-  const trace::Generator gen(gc, trace::DiurnalProfile::flat(1.0, 3000.0, 10));
-  const std::vector<std::vector<trace::TraceRequest>> traces{
-      gen.generate(1), gen.generate(2), gen.generate(3)};
-
-  auto run = [&](std::size_t threads) {
-    proxysim::SimConfig cfg;
-    cfg.num_proxies = 3;
-    cfg.horizon = 3000.0;
-    cfg.slot_width = 300.0;
-    cfg.scheduler = proxysim::SchedulerKind::Lp;
-    cfg.agreements = agree::complete_graph(3, 0.3);
-    cfg.scheduler_threads = threads;
-    cfg.event_ring_capacity = 1 << 16;
-    cfg.sink = obs::Sink::none();
-    cfg.alloc_opts.sink = obs::Sink::none();
-    proxysim::Simulator sim(cfg);
-    return sim.run(traces);
-  };
-
-  const proxysim::SimMetrics direct = run(0);
-  const proxysim::SimMetrics engine = run(1);
-  EXPECT_EQ(direct.total_requests, engine.total_requests);
-  EXPECT_EQ(direct.redirected_requests, engine.redirected_requests);
-  EXPECT_EQ(direct.scheduler_consults, engine.scheduler_consults);
-  EXPECT_EQ(direct.certified_consults, engine.certified_consults);
-  EXPECT_EQ(direct.lp_iterations, engine.lp_iterations);
-  EXPECT_DOUBLE_EQ(direct.mean_wait(), engine.mean_wait());
-  EXPECT_EQ(direct.requests_by_slot, engine.requests_by_slot);
-  EXPECT_EQ(direct.redirected_by_slot, engine.redirected_by_slot);
-  ASSERT_EQ(direct.events.size(), engine.events.size());
-  for (std::size_t i = 0; i < direct.events.size(); ++i)
-    EXPECT_TRUE(direct.events[i] == engine.events[i]) << "event " << i << " differs";
 }
 
 // ----------------------------------------------------- sharded exactness ---

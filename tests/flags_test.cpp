@@ -140,6 +140,11 @@ TEST(ToolCli, ServeRejectsOutOfRangeValues) {
   const RunResult r2 =
       run_tool(std::string(AGORA_SERVE_BIN) + " --connect=localhost:not-a-port");
   EXPECT_EQ(r2.exit_code, 2) << r2.output;
+  // A negative count is refused as itself, before an unsigned cast could
+  // wrap it past the check.
+  const RunResult r3 = run_tool(std::string(AGORA_SERVE_BIN) + " --participants=-1");
+  EXPECT_EQ(r3.exit_code, 2) << r3.output;
+  EXPECT_NE(r3.output.find("--participants must be >= 1"), std::string::npos) << r3.output;
 }
 
 TEST(ToolCli, SimRejectsBadEnumAndRangeValues) {
@@ -149,6 +154,13 @@ TEST(ToolCli, SimRejectsBadEnumAndRangeValues) {
   const RunResult r2 = run_tool(std::string(AGORA_SIM_BIN) +
                                 " --grm-replicas=1 --rms-drop=1.5 --rms-requests=1");
   EXPECT_EQ(r2.exit_code, 2) << r2.output;
+}
+
+TEST(ToolCli, SimAcceptsAFractionalZipfExponent) {
+  // The README's own example: --zipf is a real exponent, not an integer.
+  const RunResult r = run_tool(std::string(AGORA_SIM_BIN) +
+                               " --proxies=2 --peak-rate=0.5 --zipf=1.1");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
 }  // namespace

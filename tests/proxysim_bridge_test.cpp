@@ -102,33 +102,5 @@ TEST(SchedulerBridge, TransitivityLevelLimitsReach) {
   EXPECT_GT(d2.absorb[2], 0.0);  // now reachable via 2->1->0
 }
 
-TEST(SchedulerBridge, ReachabilityMaskExcludesStaleDonors) {
-  SchedulerBridge bridge(lp_config(3, 0.4));
-  // All reachable: both donors absorb.
-  const RedirectDecision all = bridge.plan(0, 6.0, {0.0, 100.0, 100.0},
-                                           {true, true, true});
-  EXPECT_GT(all.absorb[1], 0.0);
-  EXPECT_GT(all.absorb[2], 0.0);
-  EXPECT_EQ(all.masked_donors, 0u);
-
-  // Donor 2's availability is stale: it must not be planned as a donor
-  // even though its reported spare is huge (graceful degradation -- no
-  // phantom capacity). The overflow shifts to donor 1 / stays local.
-  const RedirectDecision masked = bridge.plan(0, 6.0, {0.0, 100.0, 100.0},
-                                              {true, true, false});
-  EXPECT_DOUBLE_EQ(masked.absorb[2], 0.0);
-  EXPECT_EQ(masked.masked_donors, 1u);
-  EXPECT_NEAR(masked.absorb[0] + masked.absorb[1], 6.0, 1e-6);
-
-  // A masked *origin* is still planned (it can always keep its own work).
-  const RedirectDecision self = bridge.plan(0, 6.0, {0.0, 0.0, 0.0},
-                                            {false, false, false});
-  EXPECT_DOUBLE_EQ(self.absorb[0], 6.0);
-  EXPECT_EQ(self.masked_donors, 2u);
-
-  EXPECT_THROW(bridge.plan(0, 1.0, {1.0, 1.0, 1.0}, {true, true}),
-               PreconditionError);
-}
-
 }  // namespace
 }  // namespace agora::proxysim

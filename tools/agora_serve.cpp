@@ -67,22 +67,28 @@ std::vector<net::Endpoint> parse_endpoints(Flags& flags, const std::string& spec
 }
 
 int run_server(Flags& flags) {
+  // Counts and the port are range-checked while still signed: a negative
+  // value cast to an unsigned type would wrap past the check.
+  if (flags.get_int("participants") < 1) flags.usage_error("--participants must be >= 1");
+  const std::int64_t port = flags.get_int("port");
+  if (port < 0 || port > 65535) flags.usage_error("--port must be in [0, 65535]");
+  if (flags.get_int("max-queue") < 1) flags.usage_error("--max-queue must be >= 1");
+  if (flags.get_int("max-inflight") < 1) flags.usage_error("--max-inflight must be >= 1");
+  if (flags.get_int("min-deadline-us") < 0) flags.usage_error("--min-deadline-us must be >= 0");
+  if (flags.get_int("threads") < 0) flags.usage_error("--threads must be >= 0");
   const auto participants = static_cast<std::size_t>(flags.get_int("participants"));
   const double share = flags.get_double("share");
   const double capacity = flags.get_double("capacity");
-  if (participants < 1) flags.usage_error("--participants must be >= 1");
   if (capacity <= 0.0) flags.usage_error("--capacity must be > 0");
   if (participants > 1 && share * static_cast<double>(participants - 1) > 1.0)
     flags.usage_error("--share too large: share * (participants - 1) must be <= 1");
 
   net::ServiceOptions sopts;
-  sopts.port = static_cast<std::uint16_t>(flags.get_int("port"));
+  sopts.port = static_cast<std::uint16_t>(port);
   sopts.max_queue = static_cast<std::size_t>(flags.get_int("max-queue"));
   sopts.max_inflight = static_cast<std::size_t>(flags.get_int("max-inflight"));
   sopts.min_deadline_us = static_cast<std::uint64_t>(flags.get_int("min-deadline-us"));
   sopts.drain_grace_ms = static_cast<int>(flags.get_int("drain-grace-ms"));
-  if (sopts.max_queue < 1) flags.usage_error("--max-queue must be >= 1");
-  if (sopts.max_inflight < 1) flags.usage_error("--max-inflight must be >= 1");
 
   agree::AgreementSystem sys(participants);
   sys.relative = agree::complete_graph(participants, share);
@@ -147,13 +153,14 @@ int run_server(Flags& flags) {
 
 int run_client(Flags& flags) {
   const std::vector<net::Endpoint> endpoints = parse_endpoints(flags, flags.get("connect"));
+  if (flags.get_int("requests") < 0) flags.usage_error("--requests must be >= 0");
+  if (flags.get_int("concurrency") < 1) flags.usage_error("--concurrency must be >= 1");
+  if (flags.get_int("deadline-ms") < 1) flags.usage_error("--deadline-ms must be >= 1");
   const auto requests = static_cast<std::uint64_t>(flags.get_int("requests"));
   const auto concurrency = static_cast<std::size_t>(flags.get_int("concurrency"));
   const int deadline_ms = static_cast<int>(flags.get_int("deadline-ms"));
   const double amount_max = flags.get_double("amount-max");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  if (concurrency < 1) flags.usage_error("--concurrency must be >= 1");
-  if (deadline_ms < 1) flags.usage_error("--deadline-ms must be >= 1");
   if (amount_max <= 0.0) flags.usage_error("--amount-max must be > 0");
 
   // One probe to learn the participant count (and fail fast if nobody

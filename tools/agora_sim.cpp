@@ -41,6 +41,10 @@ namespace {
 
 /// RMS service mode: replicated GRM + per-site LRMs + failover client.
 int run_rms_service(const Flags& flags) {
+  // Counts are range-checked while still signed: a negative value cast to
+  // an unsigned count would wrap past the check.
+  if (flags.get_int("rms-sites") < 1) flags.usage_error("--rms-sites must be >= 1");
+  if (flags.get_int("rms-requests") < 0) flags.usage_error("--rms-requests must be >= 0");
   const auto replicas = static_cast<std::size_t>(flags.get_int("grm-replicas"));
   const auto sites = static_cast<std::size_t>(flags.get_int("rms-sites"));
   const auto requests = static_cast<std::uint64_t>(flags.get_int("rms-requests"));
@@ -48,7 +52,6 @@ int run_rms_service(const Flags& flags) {
   const double share = flags.get_double("share");
   const double drop = flags.get_double("rms-drop");
   const bool crash_leader = flags.get_int("rms-crash-leader") != 0;
-  if (sites < 1) flags.usage_error("--rms-sites must be >= 1");
   if (!(drop >= 0.0 && drop < 1.0)) flags.usage_error("--rms-drop must be in [0, 1)");
 
   // One resource; site s has capacity 5 * (s + 1), every pair shares `share`.
@@ -166,17 +169,10 @@ int main(int argc, char** argv) {
   flags.define_double("threshold", "5", "queued seconds that trigger a scheduler consult");
   flags.define_double("cooldown", "5", "minimum seconds between consults per proxy");
   flags.define_double("window", "600", "scheduling epoch for spare-capacity reports (s)");
-  flags.define_int("threads", "0",
-               "LP scheduler worker threads: 0 = direct in-process allocator, >= 1 = "
-               "sharded enforcement engine (1 is decision-identical to direct)");
-  flags.define_int("plan-cache", "0",
-               "1 = epoch-keyed decision cache in front of the engine: repeated consult "
-               "shapes answered without the LP after a certified residual re-check "
-               "(requires --threads >= 1)");
-  flags.define_int("zipf", "0",
-               "Zipf(s) response-popularity exponent: responses drawn from a fixed "
-               "512-object catalog with Zipf-ranked popularity; 0 = fresh "
-               "lognormal/Pareto length per request");
+  flags.define_double("zipf", "0",
+                      "Zipf(s) response-popularity exponent: responses drawn from a fixed "
+                      "512-object catalog with Zipf-ranked popularity; 0 = fresh "
+                      "lognormal/Pareto length per request");
   flags.define_int("grm-replicas", "0",
                "0 = proxy simulator (default); >= 1 switches to the RMS service mode: "
                "a quorum-replicated GRM with this many replicas plus per-site LRMs");
@@ -195,6 +191,7 @@ int main(int argc, char** argv) {
 
   try {
     if (flags.get_int("grm-replicas") >= 1) return run_rms_service(flags);
+    if (flags.get_int("proxies") < 1) flags.usage_error("--proxies must be >= 1");
     const auto n = static_cast<std::size_t>(flags.get_int("proxies"));
     const double share = flags.get_double("share");
 
@@ -205,10 +202,6 @@ int main(int argc, char** argv) {
     cfg.consult_cooldown = flags.get_double("cooldown");
     cfg.planning_window = flags.get_double("window");
     cfg.power.assign(n, flags.get_double("capacity"));
-    cfg.scheduler_threads = static_cast<std::size_t>(flags.get_int("threads"));
-    cfg.engine_plan_cache = flags.get_int("plan-cache") != 0;
-    if (cfg.engine_plan_cache && cfg.scheduler_threads == 0)
-      flags.usage_error("--plan-cache requires --threads >= 1 (engine backend)");
 
     const std::string sched = flags.get("scheduler");
     if (sched == "lp") cfg.scheduler = proxysim::SchedulerKind::Lp;

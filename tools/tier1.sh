@@ -61,7 +61,10 @@ cmake --build build-noobs -j
 # rule shows up here), and the trace suite (trace_test: the generator
 # orders each slot with a radix sort over packed (draw, index) keys and
 # gathers records through those indices, index arithmetic where an
-# off-by-one would read past a slot). The sanitizer build
+# off-by-one would read past a slot), and the input-parser suite (io_test:
+# the in-process parsers of outside input, Flags over argv and
+# core::read_economy over spec files, where a malformed token is exactly
+# what would read past a buffer). The sanitizer build
 # compiles with -ffp-contract=off so its floating-point results match the
 # tier-1 build bit for bit.
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
@@ -70,7 +73,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   lp_adversarial_test lp_sparse_test lp_warmstart_test alloc_test alloc_property_test \
   alloc_components_test engine_test engine_stress_test engine_cache_test \
   engine_federation_test credit_conservation_test federation_chaos_test net_frame_test net_service_test \
-  net_soak_test proxysim_test proxysim_bridge_test facade_test trace_test
+  net_soak_test proxysim_test proxysim_bridge_test facade_test trace_test io_test
 ./build-asan/tests/rms_test
 ./build-asan/tests/rms_chaos_test
 ./build-asan/tests/rms_replica_test
@@ -106,6 +109,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 ./build-asan/tests/proxysim_bridge_test
 ./build-asan/tests/facade_test
 ./build-asan/tests/trace_test
+./build-asan/tests/io_test
 
 # ThreadSanitizer pass over the deliberately multithreaded code: the
 # concurrent observability substrate (metrics registry, lock-free EventRing
