@@ -1,18 +1,24 @@
-// micro_certify -- the acceptance measurement for certified enforcement:
-// the same Figure-13-like warm consult sequence as micro_warmstart, run with
-// solution certification off (the historical trust-the-solver behavior) vs
-// on (every LP answer re-verified against the original problem, staged
-// fallback chain armed). The PR's acceptance bound is that certification
-// plus residual-triggered refactorization costs <= 10% on this sequence.
+// micro_certify -- the price of certification at the LP level: the same
+// Figure-13-like warm consult sequence as micro_warmstart, each consult's
+// compact model (alloc::AllocationModelCache, patched for the request)
+// solved warm by a bare lp::solve (off) and by the certified solve chain,
+// lp::SolvePipeline (on: every answer re-verified against the problem, the
+// staged fallback chain armed). An Allocator always certifies, so the off
+// arm exists only here. Both arms patch and solve their own copy of the
+// same model from the same precomputed availability reports, so the
+// overhead is the chain's and the Verifier's alone: refreshing availability
+// and assembling the plan sit outside both arms.
 //
-// main() runs an A/B timing pass (best-of-R over the full sequence, so
-// allocator construction and cache warmup are excluded) and prints one line
+// main() first runs the sequence through a default alloc::Allocator and
+// checks that every grant it issues is certified and that certificates were
+// issued at all, then runs the A/B timing pass (best per chunk over the
+// reps, so model build and warmup are excluded) and prints one line
 //
 //   CERTIFY overhead_pct=... certified_solves=... fallbacks=... uncertified_grants=...
 //
 // consumed by tools/bench.sh into BENCH_lp.json. uncertified_grants must be
 // zero by construction: a satisfied plan without a certificate is the
-// failure mode this PR exists to eliminate.
+// failure mode certification exists to eliminate.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,7 +32,10 @@
 
 #include "agree/topology.h"
 #include "alloc/allocator.h"
+#include "alloc/model_cache.h"
 #include "fig_common.h"
+#include "lp/solve.h"
+#include "lp/solve_pipeline.h"
 #include "util/rng.h"
 
 namespace {
@@ -68,57 +77,82 @@ Scenario make_scenario() {
   return sc;
 }
 
-alloc::AllocatorOptions engine_opts(bool certify) {
-  alloc::AllocatorOptions opts;
-  opts.reuse_context = true;  // the warm path is where overhead would hide
-  opts.certify = certify;
-  return opts;
+double request(const alloc::Allocator& al, const Consult& c) {
+  const double reachable = al.available_to(c.origin);
+  return std::max(0.0, std::min(c.overflow, reachable * (1.0 - 1e-9)));
 }
 
-alloc::AllocationPlan consult(const alloc::Allocator& al, const Consult& c) {
-  const double reachable = al.available_to(c.origin);
-  const double x = std::min(c.overflow, reachable * (1.0 - 1e-9));
-  return al.allocate(c.origin, std::max(0.0, x));
+/// Each consult's availability report and clamped request, precomputed so
+/// the timed arms only patch and solve.
+struct Prepared {
+  std::vector<agree::CapacityReport> reports;
+  std::vector<double> amounts;
+};
+
+Prepared prepare(const Scenario& sc) {
+  Prepared prep;
+  alloc::Allocator al(sc.sys);
+  for (const Consult& c : sc.consults) {
+    al.set_capacities(std::span<const double>(c.spare));
+    prep.reports.push_back(al.capacities());
+    prep.amounts.push_back(request(al, c));
+  }
+  return prep;
 }
+
+/// One arm of the A/B: its own model of the scenario's (single-component)
+/// system, solved warm consult after consult.
+struct Arm {
+  bool certified = false;
+  alloc::AllocationModelCache model;
+  lp::SolvePipeline pipeline;
+
+  Arm(const Scenario& sc, const Prepared& prep, bool on) : certified(on) {
+    model.build(sc.sys, prep.reports.front());
+  }
+
+  void consult(const Scenario& sc, const Prepared& prep, std::size_t i) {
+    model.patch(prep.reports[i], sc.consults[i].origin, prep.amounts[i]);
+    if (certified) {
+      const lp::PipelineResult r = pipeline.solve(model.problem(), &model.workspace());
+      benchmark::DoNotOptimize(r.result.objective);
+    } else {
+      const lp::SolveResult r = lp::solve(model.problem(), {}, &model.workspace());
+      benchmark::DoNotOptimize(r.objective);
+    }
+  }
+};
 
 struct SequenceOutcome {
-  double best_seconds = 0.0;
   std::uint64_t certified = 0;
   std::uint64_t fallbacks = 0;
   std::uint64_t uncertified_grants = 0;
   std::uint64_t satisfied = 0;
 };
 
-/// One untimed pass over the full consult sequence against a persistent
-/// allocator. `check`, when given, records the certification outcome of
-/// every plan.
-void outcome_pass(alloc::Allocator& al, const Scenario& sc, bool certify,
-                  SequenceOutcome* check) {
+/// The gate pass: the consult sequence through a default Allocator,
+/// recording the certification outcome of every plan.
+SequenceOutcome gate_pass(const Scenario& sc) {
+  SequenceOutcome out;
+  alloc::Allocator al(sc.sys);
   for (const Consult& c : sc.consults) {
     al.set_capacities(std::span<const double>(c.spare));
-    const alloc::AllocationPlan plan = consult(al, c);
-    benchmark::DoNotOptimize(plan.theta);
-    if (check) {
-      if (plan.certified) ++check->certified;
-      check->fallbacks += plan.solver_fallbacks;
-      if (plan.satisfied()) {
-        ++check->satisfied;
-        if (certify && !plan.certified) ++check->uncertified_grants;
-      }
+    const alloc::AllocationPlan plan = al.allocate(c.origin, request(al, c));
+    if (plan.certified) ++out.certified;
+    out.fallbacks += plan.solver_fallbacks;
+    if (plan.satisfied()) {
+      ++out.satisfied;
+      if (!plan.certified) ++out.uncertified_grants;
     }
   }
+  return out;
 }
 
-/// Time `kChunk` consecutive consults starting at `begin`.
-double timed_chunk(alloc::Allocator& al, const Scenario& sc, std::size_t begin,
+/// Time `count` consecutive consults starting at `begin`.
+double timed_chunk(Arm& arm, const Scenario& sc, const Prepared& prep, std::size_t begin,
                    std::size_t count) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = begin; i < begin + count; ++i) {
-    const Consult& c = sc.consults[i];
-    al.set_capacities(std::span<const double>(c.spare));
-    const alloc::AllocationPlan plan = consult(al, c);
-    benchmark::DoNotOptimize(plan.theta);
-  }
+  for (std::size_t i = begin; i < begin + count; ++i) arm.consult(sc, prep, i);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
 }
@@ -133,14 +167,15 @@ double timed_chunk(alloc::Allocator& al, const Scenario& sc, std::size_t begin,
 /// back, so both arms see the same frequency environment to within ~100 us.
 /// Best-of-kReps per arm; the first (untimed) passes pay model build and
 /// warmup for both.
-void run_ab(const Scenario& sc, SequenceOutcome& off, SequenceOutcome& on) {
+void run_ab(const Scenario& sc, double& off_seconds, double& on_seconds) {
   constexpr std::size_t kChunk = 32;
   constexpr std::size_t kChunks = kConsults / kChunk;
   static_assert(kConsults % kChunk == 0);
-  alloc::Allocator al_off(sc.sys, engine_opts(false));
-  alloc::Allocator al_on(sc.sys, engine_opts(true));
-  outcome_pass(al_off, sc, false, nullptr);
-  outcome_pass(al_on, sc, true, &on);
+  const Prepared prep = prepare(sc);
+  Arm off(sc, prep, /*on=*/false);
+  Arm on(sc, prep, /*on=*/true);
+  timed_chunk(off, sc, prep, 0, kConsults);
+  timed_chunk(on, sc, prep, 0, kConsults);
   // Per-chunk minima across reps: drift is slow relative to one off/on
   // chunk pair, so the pair is an apples-to-apples sample, and taking the
   // minimum per chunk *position* (rather than per whole rep) discards
@@ -154,34 +189,30 @@ void run_ab(const Scenario& sc, SequenceOutcome& off, SequenceOutcome& on) {
       const std::size_t begin = ci * kChunk;
       double t_off, t_on;
       if (rep % 2 == 0) {
-        t_off = timed_chunk(al_off, sc, begin, kChunk);
-        t_on = timed_chunk(al_on, sc, begin, kChunk);
+        t_off = timed_chunk(off, sc, prep, begin, kChunk);
+        t_on = timed_chunk(on, sc, prep, begin, kChunk);
       } else {
-        t_on = timed_chunk(al_on, sc, begin, kChunk);
-        t_off = timed_chunk(al_off, sc, begin, kChunk);
+        t_on = timed_chunk(on, sc, prep, begin, kChunk);
+        t_off = timed_chunk(off, sc, prep, begin, kChunk);
       }
       best_off[ci] = std::min(best_off[ci], t_off);
       best_on[ci] = std::min(best_on[ci], t_on);
     }
   }
-  off.best_seconds = 0.0;
-  on.best_seconds = 0.0;
+  off_seconds = 0.0;
+  on_seconds = 0.0;
   for (std::size_t ci = 0; ci < kChunks; ++ci) {
-    off.best_seconds += best_off[ci];
-    on.best_seconds += best_on[ci];
+    off_seconds += best_off[ci];
+    on_seconds += best_on[ci];
   }
 }
 
 void bench_sequence(benchmark::State& state, bool certify) {
   const Scenario sc = make_scenario();
-  alloc::Allocator al(sc.sys, engine_opts(certify));
+  const Prepared prep = prepare(sc);
+  Arm arm(sc, prep, certify);
   std::size_t step = 0;
-  for (auto _ : state) {
-    const Consult& c = sc.consults[step++ % sc.consults.size()];
-    al.set_capacities(std::span<const double>(c.spare));
-    const alloc::AllocationPlan plan = consult(al, c);
-    benchmark::DoNotOptimize(plan.theta);
-  }
+  for (auto _ : state) arm.consult(sc, prep, step++ % sc.consults.size());
 }
 
 void BM_UncertifiedConsult(benchmark::State& state) { bench_sequence(state, false); }
@@ -192,10 +223,10 @@ BENCHMARK(BM_CertifiedConsult);
 
 bool verify_and_summarize() {
   const Scenario sc = make_scenario();
-  SequenceOutcome off, on;
-  run_ab(sc, off, on);
-  const double overhead_pct =
-      off.best_seconds > 0.0 ? (on.best_seconds / off.best_seconds - 1.0) * 100.0 : 0.0;
+  const SequenceOutcome on = gate_pass(sc);
+  double off_seconds = 0.0, on_seconds = 0.0;
+  run_ab(sc, off_seconds, on_seconds);
+  const double overhead_pct = off_seconds > 0.0 ? (on_seconds / off_seconds - 1.0) * 100.0 : 0.0;
   std::printf(
       "CERTIFY overhead_pct=%.2f certified_solves=%llu fallbacks=%llu uncertified_grants=%llu\n",
       overhead_pct, static_cast<unsigned long long>(on.certified),

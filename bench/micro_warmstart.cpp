@@ -1,10 +1,11 @@
-// micro_warmstart -- the tentpole measurement for the amortized solve path:
-// a Figure-13-like trace-driven consult sequence (spare capacities refresh,
-// then the LP scheme allocates an overflow) run through the Revised engine
-// cold (reuse_context = false: model rebuilt and solver state reallocated
-// per request, the historical behavior) vs warm (reuse_context = true: the
-// model structure is patched in place and each solve warm-starts from the
-// previous optimal basis).
+// micro_warmstart -- the measurement for the amortized solve path: a
+// Figure-13-like trace-driven consult sequence (spare capacities refresh,
+// then the LP scheme allocates an overflow) run through the certified chain
+// cold (reuse_context = false: the cached component model is patched in
+// place and solved cold, with no solver workspace, as the GRM's replicated
+// decisions are) vs warm (reuse_context = true: the same patched model, each
+// solve warm-starting from the previous optimal basis). Both arms share the
+// model structure, so the difference is the warm start alone.
 //
 // Reported per benchmark:
 //   lp_iters_per_solve  -- simplex pivots per allocate()

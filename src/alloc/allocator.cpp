@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "lp/model_builder.h"
-#include "lp/solve.h"
 #include "obs/timer.h"
 
 namespace agora::alloc {
@@ -108,16 +106,18 @@ void Allocator::commit(const CapacityWrite& write) {
   obs_clamp_u_->inc(u_clamps);
 }
 
-lp::SolveResult Allocator::run_solver(const lp::Problem& p) const {
-  return lp::solve(p, opts_.solve);
-}
-
 lp::SolveResult Allocator::run_certified(const lp::Problem& p, lp::SolveWorkspace* ws,
                                          AllocationPlan& plan) const {
-  lp::PipelineResult pr = ws ? pipeline_.solve(p, ws) : pipeline_.solve(p);
-  plan.certified = pr.certified();
-  plan.solver_fallbacks = pr.fallbacks;
-  return std::move(pr.result);
+  lp::PipelineResult solved = pipeline_.solve(p, ws);
+  plan.certified = solved.certified();
+  plan.solver_fallbacks = solved.fallbacks;
+  plan.lp_iterations = solved.result.iterations;
+  // An answer the chain could not certify is denied, never granted. A
+  // certified answer is never an iteration limit.
+  if (!plan.certified) plan.status = PlanStatus::Denied;
+  else if (solved.result.status == lp::Status::Optimal) plan.status = PlanStatus::Satisfied;
+  else plan.status = PlanStatus::Insufficient;
+  return std::move(solved.result);
 }
 
 AllocationPlan Allocator::allocate(std::size_t a, double amount) const {
@@ -126,8 +126,7 @@ AllocationPlan Allocator::allocate(std::size_t a, double amount) const {
 
   obs::ScopedTimer plan_timer(obs_plan_seconds_);
   const bool exact = opts_.equality == EqualityMode::Exact;
-  if (opts_.fast_path && !exact && opts_.formulation == Formulation::Compact &&
-      opts_.reuse_context) {
+  if (opts_.fast_path && !exact && opts_.formulation == Formulation::Compact) {
     AllocationPlan fast;
     if (try_fast_path(a, amount, fast)) {
       if constexpr (obs::kEnabled) obs_plans_satisfied_->inc();
@@ -238,83 +237,33 @@ bool Allocator::try_closed_form_denial(std::size_t a, double amount,
 }
 
 AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact) const {
-  const std::size_t n = sys_.size();
   AllocationPlan plan;
-
-  // Variables are the draws of `members`, in member order, then theta, so
-  // the extraction after the solve is shared by both branches below.
-  lp::SolveResult r;
-  std::vector<std::size_t> all;  // the rebuild path's members: everyone
-  std::span<const std::size_t> members;
-  if (!exact && opts_.reuse_context) {
-    // Amortized path: one model structure per component, built once per
-    // Allocator; each request only patches the draw bounds (U_kA) and the
-    // demand rhs of its requester's component.
-    AllocationModelCache& model = component_model(a, amount);
-    if (try_closed_form_denial(a, amount, model, plan)) return plan;
-    members = model.members();
-    if (opts_.certify) {
-      r = run_certified(model.problem(), &model.workspace(), plan);
-    } else {
-      r = lp::solve(model.problem(), opts_.solve, &model.workspace());
-    }
-  } else {
-    all.resize(n);
-    std::iota(all.begin(), all.end(), 0);
-    members = all;
-    lp::ModelBuilder mb(lp::Sense::Minimize);
-    // Draw variables bounded by A's entitlement at each node (U_kA; the own
-    // node's bound is retained_a * V_a, i.e. entitlement(a, a)).
-    std::vector<lp::Var> d(n);
-    for (std::size_t k = 0; k < n; ++k)
-      d[k] = mb.add_var("d[" + std::to_string(k) + "]", 0.0, report_.entitlement(k, a));
-    const lp::Var theta = mb.add_var("theta", 0.0);
-
-    mb.add(lp::sum(d) == amount, "demand");
-
-    // Capacity drop at each principal i:  sum_k d_k * That_ki <= theta.
-    for (std::size_t i = 0; i < n; ++i) {
-      lp::LinExpr drop;
-      for (std::size_t k = 0; k < n; ++k) {
-        const double coeff = k == i ? sys_.retained[i] : report_.shares(k, i);
-        if (coeff > 0.0) drop += coeff * d[k];
-      }
-      mb.add(drop - 1.0 * theta <= 0.0, "perturb[" + std::to_string(i) + "]");
-    }
-
-    if (exact) {
-      // Paper constraint (3): the requester's capacity drops by exactly x.
-      lp::LinExpr drop_a;
-      for (std::size_t k = 0; k < n; ++k) {
-        const double coeff = k == a ? sys_.retained[a] : report_.shares(k, a);
-        if (coeff > 0.0) drop_a += coeff * d[k];
-      }
-      mb.add(drop_a == amount, "exact_drop_at_requester");
-    }
-
-    mb.minimize(lp::LinExpr(theta));
-    r = opts_.certify ? run_certified(mb.problem(), nullptr, plan) : run_solver(mb.problem());
-  }
-
-  plan.lp_iterations = r.iterations;
-  if (opts_.certify && !plan.certified) {
-    // The staged chain could not produce a verifiable answer: deny rather
-    // than grant on an unchecked solution.
-    plan.status = PlanStatus::Denied;
-    return plan;
-  }
-  if (r.status == lp::Status::IterationLimit) {
-    plan.status = PlanStatus::SolverFailed;
-    return plan;
-  }
-  if (r.status != lp::Status::Optimal) {
-    plan.status = PlanStatus::Insufficient;
-    return plan;
-  }
-
-  plan.status = PlanStatus::Satisfied;
+  // One model structure per component, built once per Allocator; each
+  // request only patches the draw bounds (U_kA) and the demand rhs of its
+  // requester's component.
+  AllocationModelCache& model = component_model(a, amount);
+  const std::vector<std::size_t>& members = model.members();
   const std::size_t m = members.size();
-  plan.draw.assign(n, 0.0);
+  lp::SolveResult r;
+  if (exact) {
+    // Paper constraint (3) on a copy of the model, solved cold: the
+    // requester's capacity drops by exactly the amount,
+    // sum_k That_ka * d_k == amount.
+    lp::Problem p = model.problem();
+    std::vector<double> drop_a(m, 0.0);
+    for (std::size_t l = 0; l < m; ++l)
+      drop_a[l] = members[l] == a ? sys_.retained[a] : report_.shares(members[l], a);
+    p.add_constraint(std::move(drop_a), lp::Relation::Equal, amount, "exact_drop_at_requester");
+    r = run_certified(p, nullptr, plan);
+  } else {
+    if (try_closed_form_denial(a, amount, model, plan)) return plan;
+    r = run_certified(model.problem(), opts_.reuse_context ? &model.workspace() : nullptr,
+                      plan);
+  }
+  if (!plan.satisfied()) return plan;
+
+  // Variables are the draws of `members`, in member order, then theta.
+  plan.draw.assign(sys_.size(), 0.0);
   for (std::size_t l = 0; l < m; ++l) plan.draw[members[l]] = std::max(0.0, r.x[l]);
   plan.theta = r.x[m];
   return plan;
@@ -377,23 +326,9 @@ AllocationPlan Allocator::solve_full(std::size_t a, double amount, bool exact) c
 
   mb.minimize(lp::LinExpr(theta));
 
-  const lp::SolveResult r =
-      opts_.certify ? run_certified(mb.problem(), nullptr, plan) : run_solver(mb.problem());
-  plan.lp_iterations = r.iterations;
-  if (opts_.certify && !plan.certified) {
-    plan.status = PlanStatus::Denied;
-    return plan;
-  }
-  if (r.status == lp::Status::IterationLimit) {
-    plan.status = PlanStatus::SolverFailed;
-    return plan;
-  }
-  if (r.status != lp::Status::Optimal) {
-    plan.status = PlanStatus::Insufficient;
-    return plan;
-  }
+  const lp::SolveResult r = run_certified(mb.problem(), nullptr, plan);
+  if (!plan.satisfied()) return plan;
 
-  plan.status = PlanStatus::Satisfied;
   plan.draw.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i)
     plan.draw[i] = std::max(0.0, sys_.capacity[i] - r.x[vprime[i].index]);

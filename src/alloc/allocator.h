@@ -16,12 +16,12 @@
 //   * Compact: n draw variables + theta. The capacity drop at i is the
 //     linear map  drop_i = sum_k d_k * That_ki  with That_ii = retained_i
 //     and That_ki = K_ki, so the whole model is (n+1) variables and (n+1)
-//     rows. This is what the simulator uses. With reuse_context on (the
-//     default) each consult solves it over the requester's connected
-//     agreement component only -- (m+1) variables and rows for a component
-//     of m -- which has the same optimum (see AllocationModelCache). On
-//     that path a request above C_A is denied in closed form, without an
-//     LP, and the denial is certified by a Farkas vector.
+//     rows. This is what the simulator uses. Every consult solves it over
+//     the requester's connected agreement component only -- (m+1) variables
+//     and rows for a component of m -- which has the same optimum (see
+//     AllocationModelCache). In relaxed mode a request above C_A is denied
+//     in closed form, without an LP, and the denial is certified by a
+//     Farkas vector.
 //   * FullPaper: the paper's verbatim variable set -- I'_ij, C'_i, V'_i and
 //     theta, i.e. n^2 + n + 1 variables with constraints (1)-(6). Useful
 //     for fidelity and as a stress test for the LP substrate.
@@ -30,11 +30,14 @@
 // (5) whenever capacity is drawn over an agreement with share < 1 (see
 // DESIGN.md). EqualityMode::Relaxed (default) drops (3); Exact keeps it and
 // falls back to Relaxed when it renders the program infeasible.
+//
+// Every answer comes from the certified solve chain (lp::SolvePipeline): an
+// answer the chain cannot certify is an explicit PlanStatus::Denied, never
+// an uncertified grant.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "agree/capacity.h"
 #include "agree/matrices.h"
@@ -55,29 +58,22 @@ struct AllocatorOptions {
   agree::TransitiveOptions transitive;  ///< level limit etc. (Figs 8-11)
   Formulation formulation = Formulation::Compact;
   EqualityMode equality = EqualityMode::Relaxed;
-  /// Every LP knob in one struct (see lp/solve.h): backend choice and
-  /// tolerances. The backend is lp::SolveOptions' own, the revised simplex.
+  /// LP tolerances (see lp/solve.h), shared by the solve chain and the
+  /// Verifier. The allocator reads only `solve.tols`: each stage of the
+  /// chain sets its own backend.
   lp::SolveOptions solve;
-  /// Reuse the compact model structure and the previous optimal basis, as
-  /// a warm start, across allocate() calls, one model per connected
-  /// agreement component, each consult solving only its requester's. Off,
-  /// every consult rebuilds the whole-system model and solves it cold. The
-  /// decisions agree either way in status and in the certified optimal
-  /// theta, but not in their last bits: a warm solve reaches the same
-  /// vertex with different round-off, so with reuse on a plan depends on
-  /// the allocator's past consults too (DESIGN.md section 11.4). This
-  /// removes per-request model rebuilding, solver allocations, and the
-  /// variables and rows a requester's entitlements cannot touch. The reuse
-  /// state is per Allocator and not synchronized: turn this off if one
-  /// Allocator instance must serve concurrent allocate() calls. Compact
-  /// relaxed solves only (exact mode always takes the rebuild path).
+  /// Warm-start each consult from the previous optimal basis of its
+  /// requester's component model. Off, every consult solves that model
+  /// cold, with no solver workspace, so a plan depends only on the current
+  /// system and the request, never on the allocator's past consults (what a
+  /// replicated decision core restored from a snapshot needs). The decisions
+  /// agree either way in status and in the certified optimal theta, but not
+  /// in their last bits: a warm solve reaches the same vertex with
+  /// different round-off (DESIGN.md section 11.4). Either way the model
+  /// structure is built once per component and patched per request. An
+  /// Allocator is not synchronized: one instance must not serve concurrent
+  /// allocate() calls.
   bool reuse_context = true;
-  /// Verify every LP answer against the original problem (lp::Verifier) and
-  /// escalate through the staged solve chain (lp::SolvePipeline) until one
-  /// certifies. A consult whose chain is exhausted yields an explicit
-  /// PlanStatus::Denied -- never an uncertified grant. Certification always
-  /// checks against the problem actually posed.
-  bool certify = true;
   /// Admission fast path: a request that fits inside the requester's own
   /// retained entitlement (U_aa) is granted as the self-draw plan
   /// d = amount * e_a with theta = amount * max_i That_ai, skipping the LP
@@ -86,8 +82,8 @@ struct AllocatorOptions {
   /// uncertified grant" invariant holds, but theta is the self-draw
   /// perturbation, not the LP minimum (the LP may spread the draw thinner).
   /// Off by default; turn on where throughput beats perturbation optimality
-  /// (see DESIGN.md section 13). Requires the Compact/Relaxed reuse_context
-  /// configuration; other configurations ignore the flag.
+  /// (see DESIGN.md section 13). Requires the Compact/Relaxed configuration;
+  /// other configurations ignore the flag.
   bool fast_path = false;
   /// Telemetry destination, propagated into the solve pipeline. Metric
   /// handles are resolved once at Allocator construction.
@@ -112,7 +108,6 @@ class Allocator : public AllocatorBase {
 
   /// Degradation telemetry of the certified solve chain (attempts,
   /// certification failures, fallback depth, solver health counters).
-  /// All-zero when `certify` is off.
   std::optional<lp::PipelineStats> solver_stats() const override { return pipeline_.stats(); }
 
   /// Fast-path telemetry (zero unless AllocatorOptions::fast_path), the same
@@ -144,9 +139,11 @@ class Allocator : public AllocatorBase {
   AllocationModelCache& component_model(std::size_t a, double amount) const;
   AllocationPlan solve_compact(std::size_t a, double amount, bool exact) const;
   AllocationPlan solve_full(std::size_t a, double amount, bool exact) const;
-  lp::SolveResult run_solver(const lp::Problem& p) const;
-  /// Certified path: run the staged pipeline and record certification
-  /// outcome + fallback depth on the plan.
+  /// Run the certified chain on `p` (warm from `ws` when given) and record
+  /// on `plan` its certification, fallback depth, pivots and status: an
+  /// answer the chain could not certify is Denied, a certified optimum
+  /// Satisfied, a certified infeasibility Insufficient. Returns the answer;
+  /// its x holds the draws when the plan is Satisfied.
   lp::SolveResult run_certified(const lp::Problem& p, lp::SolveWorkspace* ws,
                                 AllocationPlan& plan) const;
   /// The store behind apply, release and set_capacities: run the capacity

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "lp/model_builder.h"
-#include "lp/solve.h"
 #include "obs/timer.h"
 
 namespace agora::alloc {
@@ -147,7 +146,6 @@ AllocationPlan HierarchicalAllocator::allocate(std::size_t a, double amount) con
   const AllocationPlan coarse_plan = coarse_allocator().allocate(ga, amount);
   plan.lp_iterations += coarse_plan.lp_iterations;
   plan.solver_fallbacks += coarse_plan.solver_fallbacks;
-  bool all_certified = coarse_plan.certified;
   if (!coarse_plan.satisfied()) {
     obs_flat_fallbacks_->inc();
     // The coarse model under-approximates reachable capacity (it collapses
@@ -177,18 +175,10 @@ AllocationPlan HierarchicalAllocator::allocate(std::size_t a, double amount) con
     for (std::size_t m = 0; m < members.size(); ++m) mb.add(1.0 * d[m] - 1.0 * t <= 0.0);
     mb.minimize(lp::LinExpr(t));
     obs_fine_solves_->inc();
-    lp::SolveResult r;
-    if (opts_.certify) {
-      lp::PipelineResult pr = fine_pipeline_.solve(mb.problem());
-      plan.solver_fallbacks += pr.fallbacks;
-      all_certified = all_certified && pr.certified();
-      r = std::move(pr.result);
-      if (!pr.certified()) r.status = lp::Status::IterationLimit;  // force fallback below
-    } else {
-      r = lp::solve(mb.problem(), opts_.solve);
-    }
-    plan.lp_iterations += r.iterations;
-    if (r.status != lp::Status::Optimal) {
+    const lp::PipelineResult fine = fine_pipeline_.solve(mb.problem());
+    plan.solver_fallbacks += fine.fallbacks;
+    plan.lp_iterations += fine.result.iterations;
+    if (!fine.certified() || fine.result.status != lp::Status::Optimal) {
       // Member entitlements cannot cover the coarse assignment (or its
       // answer did not certify); flat solve.
       obs_flat_fallbacks_->inc();
@@ -196,11 +186,12 @@ AllocationPlan HierarchicalAllocator::allocate(std::size_t a, double amount) con
       flat_plan.lp_iterations += plan.lp_iterations;
       return flat_plan;
     }
-    for (std::size_t m = 0; m < members.size(); ++m) plan.draw[members[m]] = r.x[d[m].index];
+    for (std::size_t m = 0; m < members.size(); ++m)
+      plan.draw[members[m]] = fine.result.x[d[m].index];
   }
 
   plan.status = PlanStatus::Satisfied;
-  plan.certified = all_certified;
+  plan.certified = coarse_plan.certified;
   price_globally();
   return plan;
 }

@@ -19,8 +19,7 @@ void AllocationModelCache::build(const agree::AgreementSystem& sys,
                                  std::vector<std::size_t> members) {
   const std::size_t m = members.size();
   lp::ModelBuilder mb(lp::Sense::Minimize);
-  // Same variable and row order as the historical per-request build in
-  // Allocator::solve_compact, but unnamed. Bounds/rhs are placeholders.
+  // Unnamed variables and rows; bounds and rhs are placeholders.
   std::vector<lp::Var> d = mb.add_vars(m, 0.0, 0.0);
   const lp::Var theta = mb.add_var(0.0);
 

@@ -14,17 +14,19 @@
 // member order, then theta; its rows are demand, then one perturbation row
 // per member. A requester's entitlements are zero outside its component and
 // no member's capacity drop involves a non-member, so the component model
-// has the whole-system model's optimum (DESIGN.md section 8). Built over
-// every principal, it is coefficient-identical to the per-request
-// ModelBuilder path in Allocator::solve_compact, so any engine run on it
-// yields bit-identical results to that path.
+// has the whole-system model's optimum (DESIGN.md section 8). It is the only
+// builder of the compact LP: Allocator::solve_compact solves every consult
+// on its requester's component model (exact mode on a copy with one more
+// row), and the tests build the whole-system model as a reference by
+// passing every principal.
 //
-// The cache also owns the lp::SolveWorkspace threaded into lp::solve
-// (Backend::Revised), so successive solves of the patched model warm-start
-// from the previous optimal basis.
+// The cache also owns the lp::SolveWorkspace the certified chain
+// (lp::SolvePipeline) threads into its revised stages, so successive solves
+// of the patched model warm-start from the previous optimal basis; an
+// Allocator with reuse_context off solves the model cold, without it.
 //
 // Not thread-safe: a cache belongs to one Allocator and must not be used by
-// concurrent solves (see AllocatorOptions::reuse_context to opt out).
+// concurrent solves.
 #pragma once
 
 #include <cstddef>

@@ -11,8 +11,9 @@ namespace agora::alloc {
 enum class PlanStatus {
   Satisfied,     ///< the full requested amount was allocated
   Insufficient,  ///< the requester's capacity C_A is below the request
-  SolverFailed,  ///< the LP solver gave up (iteration limit); should not
-                 ///< happen on well-formed systems
+  SolverFailed,  ///< the LP solver gave up (iteration limit); an Allocator
+                 ///< never issues it, because its certified chain answers
+                 ///< Denied instead
   Denied,        ///< conservative denial: the certified solve chain was
                  ///< exhausted without a verifiable answer, so no grant is
                  ///< issued (never an uncertified grant)
@@ -60,8 +61,7 @@ struct AllocationPlan {
   bool exact_mode_fell_back = false;
 
   /// True when the LP answer behind this plan (grant OR denial) carries an
-  /// lp::Certificate that survived independent verification. Always false
-  /// when the allocator runs with certification disabled.
+  /// lp::Certificate that survived independent verification.
   bool certified = false;
 
   /// Solve-chain stages tried beyond the first before an answer certified

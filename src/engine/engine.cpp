@@ -61,7 +61,9 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
       fed_init = fed_->settle(sys_.capacity);  // grant the initial loans
       if (opts_.federation.gap_probes > 0) {
         alloc::AllocatorOptions xopts = opts_.alloc;
-        xopts.certify = false;  // reference measurements, never admissions
+        // Reference measurements, never admissions: kept out of the
+        // engine's lp.pipeline.* and alloc.* counts.
+        xopts.sink = obs::Sink::none();
         xopts.fast_path = false;
         exact_ = std::make_unique<alloc::Allocator>(sys_, xopts);
       }
@@ -143,10 +145,6 @@ void EnforcementEngine::run_queued(Shard& shard, std::size_t own) const {
   if (size == 0) return;
   shard.batches.inc();
   obs_batch_size_->observe(static_cast<double>(size));
-  std::uint64_t prev = shard.max_batch.load(std::memory_order_relaxed);
-  while (size > prev &&
-         !shard.max_batch.compare_exchange_weak(prev, size, std::memory_order_relaxed)) {
-  }
   if (size > 1) {
     // Coalesced work. A serial caller never triggers this (nothing is
     // queued when its own op runs), which keeps the threads=1 event stream
@@ -564,8 +562,6 @@ EngineStats EnforcementEngine::stats() const {
     s.batches = shard->batches.value();
     s.coalesced_batches = shard->coalesced_batches.value();
     s.coalesced_ops = shard->coalesced_ops.value();
-    s.max_batch = shard->max_batch.load(std::memory_order_relaxed);
-    s.queue_depth = shard->queue.size();
     out.shard.push_back(s);
     // atomic_load pairs with the rebuild swap in mutate() (federated
     // settlements replace the allocator when bank earmarks change).

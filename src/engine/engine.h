@@ -35,9 +35,9 @@
 //   * threads=1 is decision-identical to calling the Allocator directly:
 //     one shard owning the whole system, the same Allocator performing the
 //     same call sequence (pinned byte-identical in tests/engine_test.cpp).
-//   * Certification is inherited unchanged: the per-shard allocators run
-//     the certified solve chain (AllocatorOptions::certify defaults on),
-//     so no uncertified grant is possible through the engine.
+//   * Certification is inherited unchanged: the per-shard allocators
+//     decide through the certified solve chain, the only way an Allocator
+//     solves, so no uncertified grant is possible through the engine.
 //   * Per-shard FIFO: operations on one shard take effect in the order they
 //     were called, also for a caller mixing submit() with consult() or a
 //     mutation; mutations return only after every shard they change applied
@@ -75,8 +75,8 @@ struct EngineOptions {
   /// decision-identical to the direct allocator path. Clamped to the
   /// participant count; without federation also to the component count.
   std::size_t threads = 1;
-  /// Per-shard allocator configuration. `certify` stays on by default;
-  /// `reuse_context` gives each shard its own warm-start workspace.
+  /// Per-shard allocator configuration; `reuse_context` gives each shard
+  /// its own warm-start workspace.
   alloc::AllocatorOptions alloc;
   /// Epoch-keyed decision cache fronting the shards (plan_cache.h). A
   /// repeated (participant, amount) shape within one snapshot epoch is
@@ -121,8 +121,6 @@ struct ShardStats {
   std::uint64_t batches = 0;
   std::uint64_t coalesced_batches = 0;   ///< batches with more than one op
   std::uint64_t coalesced_ops = 0;       ///< ops beyond the first per batch
-  std::uint64_t max_batch = 0;
-  std::size_t queue_depth = 0;           ///< sampled at the last enqueue
 };
 
 /// Federation telemetry: ledger totals plus the measured optimality gap
@@ -216,7 +214,6 @@ class EnforcementEngine : public alloc::AllocatorBase {
   // --- Introspection ------------------------------------------------------
   std::size_t num_shards() const { return shards_.size(); }
   bool federated() const { return fed_ != nullptr; }
-  std::size_t num_components() const { return part_.components; }
   std::size_t shard_of(std::size_t participant) const;
   /// Barrier: when this returns, every operation submitted before the call
   /// has run. Takes each shard's run lock in turn and runs what is queued.
@@ -279,7 +276,6 @@ class EnforcementEngine : public alloc::AllocatorBase {
     obs::Tally batches;
     obs::Tally coalesced_batches;
     obs::Tally coalesced_ops;
-    std::atomic<std::uint64_t> max_batch{0};
     obs::Gauge* obs_queue_depth = nullptr;
     /// Serves submit() alone; started after every field above is set.
     std::thread worker;
@@ -351,9 +347,9 @@ class EnforcementEngine : public alloc::AllocatorBase {
   /// AND produced at least one credit. Guarded by mutate_mu_ (settlement,
   /// consumption).
   std::unique_ptr<Federation> fed_;
-  /// Exact full-system reference allocator for gap probes (warm revised,
-  /// certification off: it measures, it never admits). Guarded by
-  /// mutate_mu_.
+  /// Exact full-system reference allocator for gap probes (warm revised
+  /// and certified like every Allocator; it measures, it never admits, so
+  /// its telemetry goes to an empty sink). Guarded by mutate_mu_.
   mutable std::unique_ptr<alloc::Allocator> exact_;
   /// Gap telemetry published by settlement rounds, guarded by gap_mu_ so
   /// stats() never contends with a settlement in flight: the last_gap_* and

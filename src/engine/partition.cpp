@@ -142,10 +142,4 @@ Partition partition_participants(const agree::AgreementSystem& sys,
   return part;
 }
 
-Partition partition_participants(const agree::AgreementSystem& sys, std::size_t shards) {
-  PartitionOptions opts;
-  opts.shards = shards;
-  return partition_participants(sys, opts);
-}
-
 }  // namespace agora::engine

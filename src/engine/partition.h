@@ -66,7 +66,4 @@ struct PartitionOptions {
 Partition partition_participants(const agree::AgreementSystem& sys,
                                  const PartitionOptions& opts);
 
-/// Legacy entry point: connectivity-only partitioning (never federated).
-Partition partition_participants(const agree::AgreementSystem& sys, std::size_t shards);
-
 }  // namespace agora::engine

@@ -72,13 +72,7 @@ PipelineStats SolvePipeline::stats() const {
   return s;
 }
 
-PipelineResult SolvePipeline::solve(const Problem& p) { return attempt_chain(p, nullptr); }
-
 PipelineResult SolvePipeline::solve(const Problem& p, SolveWorkspace* ws) {
-  return attempt_chain(p, ws);
-}
-
-PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws) {
   solves_.inc();
   // Event time = solve ordinal: deterministic under identical inputs.
   const std::uint64_t solve_no = solves_.value();

@@ -15,6 +15,10 @@
 // attempt plus its rejection reason, with certified() == false --
 // enforcement layers map that to an explicit conservative denial.
 //
+// It is the only way an alloc::Allocator (and the fine level of an
+// alloc::HierarchicalAllocator) solves an LP: one solve() call, warm when
+// the caller passes a workspace that holds a basis, cold otherwise.
+//
 // Per-stage telemetry (attempts, certification failures, fallback depth,
 // accumulated solver health counters) is kept in PipelineStats so operators
 // can see degradation *before* it becomes wrong answers.
@@ -96,14 +100,12 @@ class SolvePipeline {
  public:
   explicit SolvePipeline(PipelineOptions opts = {});
 
-  /// Cold solve (no workspace: the warm stage is skipped).
-  PipelineResult solve(const Problem& p);
-
-  /// Warm-capable solve. `ws` follows the revised solver's workspace
-  /// contract (lp/revised.h); when a warm answer fails certification the
-  /// workspace is invalidated before the cold retry, so a poisoned basis
-  /// cannot survive into later solves.
-  PipelineResult solve(const Problem& p, SolveWorkspace* ws);
+  /// Run the chain on `p`. Without a workspace (or with one that holds no
+  /// warm basis) the warm stage is skipped and the solve is cold. `ws`
+  /// follows the revised solver's workspace contract (lp/revised.h); when a
+  /// warm answer fails certification the workspace is invalidated before
+  /// the cold retry, so a poisoned basis cannot survive into later solves.
+  PipelineResult solve(const Problem& p, SolveWorkspace* ws = nullptr);
 
   /// The telemetry so far. Each counted field reads the Tally that also
   /// feeds its lp.pipeline.* registry counter.
@@ -111,8 +113,6 @@ class SolvePipeline {
   const PipelineOptions& options() const { return opts_; }
 
  private:
-  PipelineResult attempt_chain(const Problem& p, SolveWorkspace* ws);
-
   /// Per-stage counts and timer, their registry handles resolved at
   /// construction so the solve path is allocation-free (see obs/metrics.h:
   /// references are stable for the registry's lifetime).

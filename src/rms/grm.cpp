@@ -10,21 +10,17 @@ StateMachineOptions GrmOptions::state_machine_options() const {
   return o;
 }
 
-namespace {
-
-ReserveEmitterOptions emitter_options(const GrmOptions& g, double send_latency) {
+ReserveEmitterOptions GrmOptions::reserve_emitter_options(double send_latency) const {
   ReserveEmitterOptions o;
-  o.attempts = g.reserve_attempts;
-  o.backoff = g.reserve_backoff;
-  o.backoff_cap = g.reserve_backoff_cap;
-  o.jitter = g.reserve_jitter;
-  o.jitter_seed = g.reserve_jitter_seed;
+  o.attempts = reserve_attempts;
+  o.backoff = reserve_backoff;
+  o.backoff_cap = reserve_backoff_cap;
+  o.jitter = reserve_jitter;
+  o.jitter_seed = reserve_jitter_seed;
   o.send_latency = send_latency;
-  o.sink = g.sink;
+  o.sink = sink;
   return o;
 }
-
-}  // namespace
 
 Grm::Grm(MessageBus& bus, std::vector<agree::AgreementSystem> systems,
          alloc::AllocatorOptions opts, double decision_latency, GrmOptions grm_opts)
@@ -32,7 +28,7 @@ Grm::Grm(MessageBus& bus, std::vector<agree::AgreementSystem> systems,
       decision_latency_(decision_latency),
       grm_opts_(grm_opts),
       sm_(std::move(systems), opts, grm_opts.state_machine_options()),
-      emitter_(bus, emitter_options(grm_opts, decision_latency)) {
+      emitter_(bus, grm_opts.reserve_emitter_options(decision_latency)) {
   forwards_ = obs::Tally(grm_opts_.sink.counter("rms.grm.forwards"));
   lrm_endpoints_.assign(sm_.num_sites(), 0);
   endpoint_ = bus_.add_endpoint([this](const Envelope& env) { handle(env); });

@@ -96,6 +96,9 @@ struct GrmOptions {
   /// The decision state machine's share of these options, the same for a
   /// plain Grm and a replicated one.
   StateMachineOptions state_machine_options() const;
+  /// The reserve emitter's share, sending with `send_latency` per command.
+  /// A replicated node narrows the emitter's token space on its copy.
+  ReserveEmitterOptions reserve_emitter_options(double send_latency) const;
 };
 
 class Grm {

@@ -8,18 +8,11 @@ namespace agora::rms::replica {
 namespace {
 
 ReserveEmitterOptions emitter_options(const GrmOptions& g, double send_latency) {
-  ReserveEmitterOptions o;
-  o.attempts = g.reserve_attempts;
-  o.backoff = g.reserve_backoff;
-  o.backoff_cap = g.reserve_backoff_cap;
-  o.jitter = g.reserve_jitter;
-  o.jitter_seed = g.reserve_jitter_seed;
-  o.send_latency = send_latency;
+  ReserveEmitterOptions o = g.reserve_emitter_options(send_latency);
   // Raft timers use the even tokens (next_raft_token); the emitter owns the
-  // odd ones, so one endpoint can demultiplex both timer streams.
-  o.first_token = 1;
+  // odd ones (it starts at token 1), so one endpoint can demultiplex both
+  // timer streams.
   o.token_stride = 2;
-  o.sink = g.sink;
   return o;
 }
 

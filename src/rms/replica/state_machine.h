@@ -8,8 +8,10 @@
 // what makes N replicas applying the same committed log converge to
 // bit-identical state (checked with digest()). That includes a replica
 // restored from a snapshot: the allocators run with reuse_context off, so
-// every decision solves cold and carries no solver history (a warm start's
-// last bits depend on the consults before it). The single-GRM `rms::Grm`
+// every decision solves its component's cached model cold and carries no
+// solver history (a warm start's last bits depend on the consults before
+// it). The model structure is built once per allocator, not per decision,
+// and depends only on the agreements. The single-GRM `rms::Grm`
 // wraps one instance directly; `replica::RaftNode` applies committed log
 // entries to one.
 //

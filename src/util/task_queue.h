@@ -99,11 +99,6 @@ class BlockingQueue {
     return closed_;
   }
 
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
   /// Lock-free depth estimate for telemetry gauges on hot submit paths --
   /// may lag concurrent pushes/pops by a step, never takes the queue lock.
   std::size_t size_approx() const { return count_.load(std::memory_order_relaxed); }

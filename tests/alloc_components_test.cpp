@@ -4,21 +4,25 @@
 // Invariants under test:
 //   * a consult on a many-island economy is bit-identical to the same
 //     consult on an Allocator built over the requester's island alone;
-//   * against the whole-system model (reuse_context = false) every consult
-//     reaches the same status and optimal theta, draws only inside the
-//     requester's component, and every grant is certified -- across island,
+//   * against the whole-system model (AllocationModelCache built over every
+//     principal, solved cold by the certified chain) every consult reaches
+//     the same status and optimal theta, draws only inside the requester's
+//     component, and every grant is certified -- across island,
 //     absolute-bridged and agreement-free economies, transitivity levels,
-//     both LP backends, and the fast path on and off;
+//     and the fast path on and off;
 //   * the simplex pivot count per consult stays bounded by the component
 //     size, not the system size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "agree/matrices.h"
 #include "alloc/allocator.h"
+#include "alloc/model_cache.h"
+#include "lp/solve_pipeline.h"
 #include "util/rng.h"
 
 namespace agora::alloc {
@@ -145,6 +149,30 @@ AgreementSystem random_economy(Shape shape, Pcg32& rng) {
   return sys;
 }
 
+/// The plan of the whole-system compact model -- AllocationModelCache built
+/// over every principal of `ref`'s current report -- solved cold by the
+/// certified chain: the reference the component-local consults must match.
+AllocationPlan whole_system_plan(const Allocator& ref, std::size_t a, double amount) {
+  AllocationModelCache model;
+  model.build(ref.system(), ref.capacities());
+  model.patch(ref.capacities(), a, amount);
+  lp::PipelineOptions po;
+  po.sink = obs::Sink::none();
+  lp::SolvePipeline pipeline(po);
+  const lp::PipelineResult r = pipeline.solve(model.problem());
+  AllocationPlan plan;
+  plan.certified = r.certified();
+  if (!r.certified()) plan.status = PlanStatus::Denied;
+  else if (r.result.status != lp::Status::Optimal) plan.status = PlanStatus::Insufficient;
+  else plan.status = PlanStatus::Satisfied;
+  if (!plan.satisfied()) return plan;
+  const std::size_t n = ref.size();
+  plan.draw.assign(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) plan.draw[i] = std::max(0.0, r.result.x[i]);
+  plan.theta = r.result.x[n];
+  return plan;
+}
+
 TEST(AllocComponents, DecomposedConsultsMatchTheWholeSystemModel) {
   constexpr double kTol = 1e-7;
   std::size_t fast_grants = 0, lp_grants = 0;
@@ -164,10 +192,10 @@ TEST(AllocComponents, DecomposedConsultsMatchTheWholeSystemModel) {
 
           AllocatorOptions opts = options(backend, /*reuse=*/true, fast);
           opts.transitive.max_level = level;
-          AllocatorOptions ref_opts = opts;
-          ref_opts.reuse_context = false;
           Allocator alloc(sys, opts);
-          Allocator ref(sys, ref_opts);
+          // Tracks the capacities and availability report the reference
+          // model is built over.
+          Allocator ref(sys, opts);
 
           for (int step = 0; step < 40; ++step) {
             const std::string where = "seed " + std::to_string(seed) + " step " +
@@ -185,7 +213,7 @@ TEST(AllocComponents, DecomposedConsultsMatchTheWholeSystemModel) {
             const double amount = rng.uniform(0.0, 1.3) * ref.available_to(a);
             const std::uint64_t granted_before = alloc.fastpath_granted();
             const AllocationPlan p = alloc.allocate(a, amount);
-            const AllocationPlan want = ref.allocate(a, amount);
+            const AllocationPlan want = whole_system_plan(ref, a, amount);
             ASSERT_EQ(p.status, want.status) << where;
             if (!p.satisfied()) continue;
             EXPECT_TRUE(p.certified) << where;

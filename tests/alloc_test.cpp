@@ -274,6 +274,22 @@ TEST(ClosedFormDenial, ExactModeAndFullPaperKeepTheLp) {
   }
 }
 
+TEST(ClosedFormDenial, ColdConsultsAreDeniedWithoutAnLpToo) {
+  // reuse_context off (the GRM's cold solves) patches the same component
+  // model, so it takes the same Farkas-certified denial.
+  AllocatorOptions opts;
+  opts.reuse_context = false;
+  opts.sink = obs::Sink::none();
+  Allocator alloc(two_islands(), opts);
+  for (std::size_t a = 0; a < 4; ++a) {
+    const AllocationPlan denied = alloc.allocate(a, 2.0 * alloc.available_to(a) + 1.0);
+    EXPECT_EQ(denied.status, PlanStatus::Insufficient) << "principal " << a;
+    EXPECT_TRUE(denied.certified) << "principal " << a;
+    EXPECT_EQ(denied.lp_iterations, 0u) << "principal " << a;
+  }
+  EXPECT_EQ(alloc.solver_stats()->solves, 0u);
+}
+
 TEST(Allocator, ExactModeFeasibleWithFullShares) {
   // With 100% shares the paper's constraint (3) is satisfiable exactly.
   AgreementSystem sys(2);

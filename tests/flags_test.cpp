@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "util/flags.h"
 
@@ -154,6 +155,17 @@ TEST(ToolCli, SimRejectsBadEnumAndRangeValues) {
   const RunResult r2 = run_tool(std::string(AGORA_SIM_BIN) +
                                 " --grm-replicas=1 --rms-drop=1.5 --rms-requests=1");
   EXPECT_EQ(r2.exit_code, 2) << r2.output;
+  // Signed values are checked before they are cast to a size.
+  const std::pair<const char*, const char*> bad[] = {
+      {"--level=-1", "--level must be"},
+      {"--topology=ring --skip=-1", "--skip must be"},
+      {"--topology=sparse --degree=-1", "--degree must be"}};
+  for (const auto& [args, message] : bad) {
+    const RunResult r3 =
+        run_tool(std::string(AGORA_SIM_BIN) + " --proxies=3 --peak-rate=0.5 " + args);
+    EXPECT_EQ(r3.exit_code, 2) << args << ": " << r3.output;
+    EXPECT_NE(r3.output.find(message), std::string::npos) << args << ": " << r3.output;
+  }
 }
 
 TEST(ToolCli, SimAcceptsAFractionalZipfExponent) {

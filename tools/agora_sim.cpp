@@ -211,17 +211,24 @@ int main(int argc, char** argv) {
 
     const std::string topo = flags.get("topology");
     if (cfg.scheduler != proxysim::SchedulerKind::None) {
+      const std::int64_t skip = flags.get_int("skip");
+      const std::int64_t degree = flags.get_int("degree");
+      if (topo == "ring" && (skip < 1 || skip >= flags.get_int("proxies")))
+        flags.usage_error("--skip must be in [1, --proxies)");
+      if (topo == "sparse" && (degree < 0 || degree >= flags.get_int("proxies")))
+        flags.usage_error("--degree must be in [0, --proxies)");
       if (topo == "complete") cfg.agreements = agree::complete_graph(n, share);
       else if (topo == "ring")
-        cfg.agreements = agree::ring(n, share, static_cast<std::size_t>(flags.get_int("skip")));
+        cfg.agreements = agree::ring(n, share, static_cast<std::size_t>(skip));
       else if (topo == "decay")
         cfg.agreements = agree::distance_decay(n, {2 * share, share, share / 2, share / 4});
       else if (topo == "sparse")
         cfg.agreements = agree::sparse_random(
-            n, static_cast<std::size_t>(flags.get_int("degree")), share,
+            n, static_cast<std::size_t>(degree), share,
             static_cast<std::uint64_t>(flags.get_int("seed")));
       else flags.usage_error("unknown --topology: " + topo);
     }
+    if (flags.get_int("level") < 0) flags.usage_error("--level must be >= 0");
     const auto level = static_cast<std::size_t>(flags.get_int("level"));
     if (level > 0) cfg.alloc_opts.transitive.max_level = level;
 
