@@ -11,6 +11,14 @@ namespace {
 using namespace agora;
 using namespace agora::core;
 
+/// `prefix` followed by the decimal index, built by appending: GCC 12 at -O3
+/// reports a false -Wrestrict overlap for `"p" + std::to_string(i)`.
+std::string numbered(const char* prefix, std::size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 /// Economy with n principals, each funding its currency and issuing 3
 /// relative agreements; one virtual currency per 4 principals.
 Economy make_economy(std::size_t n) {
@@ -19,7 +27,7 @@ Economy make_economy(std::size_t n) {
   const ResourceTypeId cpu = e.add_resource_type("cpu");
   std::vector<PrincipalId> ps;
   for (std::size_t i = 0; i < n; ++i)
-    ps.push_back(e.add_principal("p" + std::to_string(i), 100.0));
+    ps.push_back(e.add_principal(numbered("p", i), 100.0));
   for (std::size_t i = 0; i < n; ++i)
     e.fund_with_resource(e.default_currency(ps[i]), cpu, rng.uniform(5.0, 50.0));
   for (std::size_t i = 0; i < n; ++i) {
@@ -31,7 +39,7 @@ Economy make_economy(std::size_t n) {
     }
   }
   for (std::size_t i = 0; i + 3 < n; i += 4) {
-    const CurrencyId vc = e.create_virtual_currency(ps[i], "v" + std::to_string(i), 100.0);
+    const CurrencyId vc = e.create_virtual_currency(ps[i], numbered("v", i), 100.0);
     e.issue_relative(e.default_currency(ps[i]), vc, 10.0, cpu);
     e.issue_relative(vc, e.default_currency(ps[i + 1]), 50.0, cpu);
   }

@@ -1,20 +1,13 @@
 // scale_hotpath -- admission hot-path sweep for the EnforcementEngine
 // (DESIGN.md §13): the same 64-participant, 8-island economy as
 // scale_shards, held at 8 shards, driven by a Zipf(s=1.1) request mix over
-// a 512-shape catalog, measured in three configurations:
+// a 512-shape catalog, measured in two configurations:
 //
 //   * baseline -- every consult solves (warm-started) in its shard's LP,
 //                 on the calling thread under the shard's run lock,
-//   * fastpath -- the theta<=1 allocator fast path alone: trivially
-//                 feasible requests skip the simplex (certified residual
-//                 check instead), the rest solve as in the baseline,
 //   * cache    -- epoch-keyed plan cache in front of the shards; hits are
 //                 re-certified against the live snapshot and answered
 //                 without a run lock or an LP.
-//
-// Cache and fast path are not combined: at the cache's hit rate nearly
-// every consult is a hit, so the fast path behind it sees almost no traffic
-// and a combined phase would only measure the cache again.
 //
 // The driver is SERIAL blocking consult() on purpose: the hot path's win is
 // that a hit never takes a run lock or solves an LP, and serial calls
@@ -61,17 +54,15 @@ struct PhaseResult {
   std::uint64_t uncertified = 0;  ///< satisfied grants without a certificate
   double consults_per_sec = 0.0;
   double cache_hit_rate = 0.0;   ///< hits / consults
-  double fastpath_share = 0.0;   ///< fast-path grants / consults
   std::uint64_t cache_stale = 0;
   std::uint64_t cache_rejects = 0;
 };
 
 PhaseResult measure(const agora::agree::AgreementSystem& sys, const std::string& name,
-                    bool plan_cache, bool fast_path) {
+                    bool plan_cache) {
   agora::engine::EngineOptions opts;
   opts.threads = kThreads;
   opts.plan_cache = plan_cache;
-  opts.alloc.fast_path = fast_path;
   opts.sink = agora::obs::Sink::none();
   opts.alloc.sink = agora::obs::Sink::none();
   agora::engine::EnforcementEngine eng(sys, opts);
@@ -111,8 +102,6 @@ PhaseResult measure(const agora::agree::AgreementSystem& sys, const std::string&
   const std::uint64_t served_hits = (st.plan_cache.hits - st.plan_cache.certify_rejects) -
                                     (warm.plan_cache.hits - warm.plan_cache.certify_rejects);
   r.cache_hit_rate = static_cast<double>(served_hits) / total;
-  r.fastpath_share =
-      static_cast<double>(st.fastpath_granted - warm.fastpath_granted) / total;
   r.cache_stale = st.plan_cache.stale;
   r.cache_rejects = st.plan_cache.certify_rejects;
   return r;
@@ -125,22 +114,18 @@ int main(int argc, char** argv) {
   const agora::agree::AgreementSystem sys = island_economy();
 
   std::vector<PhaseResult> phases;
-  phases.push_back(measure(sys, "baseline", /*plan_cache=*/false, /*fast_path=*/false));
-  phases.push_back(measure(sys, "fastpath", /*plan_cache=*/false, /*fast_path=*/true));
-  phases.push_back(measure(sys, "cache", /*plan_cache=*/true, /*fast_path=*/false));
+  phases.push_back(measure(sys, "baseline", /*plan_cache=*/false));
+  phases.push_back(measure(sys, "cache", /*plan_cache=*/true));
 
   std::uint64_t uncertified = 0;
   for (const PhaseResult& r : phases) {
-    std::printf("%-15s %12.0f consults/s  hit-rate %5.1f%%  fast-path %5.1f%%\n",
-                r.name.c_str(), r.consults_per_sec, 100.0 * r.cache_hit_rate,
-                100.0 * r.fastpath_share);
+    std::printf("%-15s %12.0f consults/s  hit-rate %5.1f%%\n", r.name.c_str(),
+                r.consults_per_sec, 100.0 * r.cache_hit_rate);
     uncertified += r.uncertified;
   }
   const double base = phases.front().consults_per_sec;
-  const double speedup_fast = phases[1].consults_per_sec / base;
-  const double speedup_cache = phases[2].consults_per_sec / base;
-  std::printf("speedup vs baseline: fastpath %.1fx, cache %.1fx\n", speedup_fast,
-              speedup_cache);
+  const double speedup_cache = phases[1].consults_per_sec / base;
+  std::printf("speedup vs baseline: cache %.1fx\n", speedup_cache);
   if (uncertified != 0) {
     std::fprintf(stderr, "scale_hotpath: %llu UNCERTIFIED GRANTS -- invariant broken\n",
                  static_cast<unsigned long long>(uncertified));
@@ -166,18 +151,17 @@ int main(int argc, char** argv) {
     const PhaseResult& r = phases[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"consults\": %llu, \"consults_per_sec\": %.1f, "
-                 "\"cache_hit_rate\": %.4f, \"fastpath_share\": %.4f, "
+                 "\"cache_hit_rate\": %.4f, "
                  "\"cache_stale\": %llu, \"cache_certify_rejects\": %llu, "
                  "\"uncertified_grants\": %llu}%s\n",
                  r.name.c_str(), static_cast<unsigned long long>(r.consults),
-                 r.consults_per_sec, r.cache_hit_rate, r.fastpath_share,
+                 r.consults_per_sec, r.cache_hit_rate,
                  static_cast<unsigned long long>(r.cache_stale),
                  static_cast<unsigned long long>(r.cache_rejects),
                  static_cast<unsigned long long>(r.uncertified),
                  i + 1 < phases.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"speedup_fastpath_vs_baseline\": %.3f,\n", speedup_fast);
   std::fprintf(f, "  \"speedup_cache_vs_baseline\": %.3f,\n", speedup_cache);
   std::fprintf(f, "  \"certified_grant_pct\": 100.0\n}\n");
   std::fclose(f);

@@ -5,7 +5,9 @@
 // job requests.
 //
 // Build & run:  ./build/examples/grid_scheduler
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "agree/matrices.h"
 #include "rms/bus.h"
@@ -27,8 +29,8 @@ void print_reply(const AllocationReply& r) {
   }
   std::printf("  request %llu granted:\n", static_cast<unsigned long long>(r.request_id));
   const char* res[] = {"cpu", "disk"};
-  for (std::size_t rr = 0; rr < r.draws.size(); ++rr)
-    for (std::size_t s = 0; s < r.draws[rr].size(); ++s)
+  for (std::size_t rr = 0; rr < std::min(r.draws.size(), std::size(res)); ++rr)
+    for (std::size_t s = 0; s < std::min(r.draws[rr].size(), std::size(kSites)); ++s)
       if (r.draws[rr][s] > 1e-9)
         std::printf("    %5.1f %s from %s\n", r.draws[rr][s], res[rr], kSites[s]);
 }

@@ -32,8 +32,6 @@ Allocator::Allocator(agree::AgreementSystem sys, AllocatorOptions opts)
   obs_plans_denied_ = &opts_.sink.counter("alloc.plans.denied");
   obs_plans_failed_ = &opts_.sink.counter("alloc.plans.solver_failed");
   obs_closed_form_denials_ = &opts_.sink.counter("alloc.plans.closed_form_denials");
-  fastpath_granted_ = obs::Tally(opts_.sink.counter("alloc.fastpath.granted"));
-  fastpath_fallthrough_ = obs::Tally(opts_.sink.counter("alloc.fastpath.fallthrough"));
   // The expensive part (simple-path enumeration) depends only on S; do it
   // once and keep the K matrix cached across capacity updates.
   Matrix t = agree::transitive_shares(sys_.relative, opts_.transitive);
@@ -126,13 +124,6 @@ AllocationPlan Allocator::allocate(std::size_t a, double amount) const {
 
   obs::ScopedTimer plan_timer(obs_plan_seconds_);
   const bool exact = opts_.equality == EqualityMode::Exact;
-  if (opts_.fast_path && !exact && opts_.formulation == Formulation::Compact) {
-    AllocationPlan fast;
-    if (try_fast_path(a, amount, fast)) {
-      if constexpr (obs::kEnabled) obs_plans_satisfied_->inc();
-      return fast;
-    }
-  }
   AllocationPlan plan = opts_.formulation == Formulation::Compact
                             ? solve_compact(a, amount, exact)
                             : solve_full(a, amount, exact);
@@ -166,54 +157,6 @@ AllocationModelCache& Allocator::component_model(std::size_t a, double amount) c
   }
   model.patch(report_, a, amount);
   return model;
-}
-
-bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan) const {
-  // Self-draw feasibility test: d = amount * e_a respects its bound exactly
-  // when the amount fits inside the requester's retained entitlement U_aa.
-  if (amount > report_.entitlement(a, a)) {
-    fastpath_fallthrough_.inc();
-    return false;
-  }
-
-  // Certify admission against the CURRENT compact model of a's component --
-  // the same problem object the LP would have solved -- so a grant from this
-  // path carries the same "independently verified against the problem data"
-  // guarantee as a pipeline answer (minus optimality, which this path
-  // deliberately trades).
-  AllocationModelCache& model = component_model(a, amount);
-  const std::vector<std::size_t>& members = model.members();
-  const std::size_t m = members.size();
-
-  // theta for the self-draw plan: the drop at i is amount * That_ai with
-  // That_aa = retained_a and That_ai = K_ai, every coefficient <= 1 (clamped
-  // transitive shares, retained in [0,1]), hence "theta <= 1 per unit" --
-  // the perturbation never exceeds the request itself. K_ai is zero outside
-  // a's component.
-  double maxcoeff = sys_.retained[a];
-  const double* row = report_.shares.row(a).data();
-  for (const std::size_t i : members)
-    if (i != a && row[i] > maxcoeff) maxcoeff = row[i];
-  const double theta = amount * maxcoeff;
-
-  fast_x_.assign(m + 1, 0.0);
-  fast_x_[local_of_[a]] = amount;
-  fast_x_[m] = theta;
-  const lp::Certificate cert =
-      verifiers_[component_of_[a]].certify_admission(model.problem(), fast_x_, theta);
-  if (!cert.certified) {
-    fastpath_fallthrough_.inc();
-    return false;
-  }
-
-  plan.status = PlanStatus::Satisfied;
-  plan.certified = true;
-  plan.theta = theta;
-  plan.lp_iterations = 0;
-  plan.draw.assign(sys_.size(), 0.0);
-  plan.draw[a] = amount;
-  fastpath_granted_.inc();
-  return true;
 }
 
 bool Allocator::try_closed_form_denial(std::size_t a, double amount,

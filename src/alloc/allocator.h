@@ -74,17 +74,6 @@ struct AllocatorOptions {
   /// Allocator is not synchronized: one instance must not serve concurrent
   /// allocate() calls.
   bool reuse_context = true;
-  /// Admission fast path: a request that fits inside the requester's own
-  /// retained entitlement (U_aa) is granted as the self-draw plan
-  /// d = amount * e_a with theta = amount * max_i That_ai, skipping the LP
-  /// entirely. The plan is still certified -- lp::Verifier::certify_admission
-  /// proves it feasible against the current compact model -- so the "no
-  /// uncertified grant" invariant holds, but theta is the self-draw
-  /// perturbation, not the LP minimum (the LP may spread the draw thinner).
-  /// Off by default; turn on where throughput beats perturbation optimality
-  /// (see DESIGN.md section 13). Requires the Compact/Relaxed configuration;
-  /// other configurations ignore the flag.
-  bool fast_path = false;
   /// Telemetry destination, propagated into the solve pipeline. Metric
   /// handles are resolved once at Allocator construction.
   obs::Sink sink = obs::Sink::global();
@@ -110,22 +99,7 @@ class Allocator : public AllocatorBase {
   /// certification failures, fallback depth, solver health counters).
   std::optional<lp::PipelineStats> solver_stats() const override { return pipeline_.stats(); }
 
-  /// Fast-path telemetry (zero unless AllocatorOptions::fast_path), the same
-  /// counts alloc.fastpath.* is fed. Readable from other threads (the
-  /// engine aggregates these into EngineStats).
-  std::uint64_t fastpath_granted() const { return fastpath_granted_.value(); }
-  std::uint64_t fastpath_fallthrough() const { return fastpath_fallthrough_.value(); }
-  /// Continue `retired`'s fast-path counts (an engine shard whose allocator
-  /// is rebuilt keeps its history).
-  void carry_fastpath_counts(const Allocator& retired) {
-    fastpath_granted_ = retired.fastpath_granted_;
-    fastpath_fallthrough_ = retired.fastpath_fallthrough_;
-  }
-
  private:
-  /// Attempt the theta<=1 self-draw grant; true when `plan` was filled with a
-  /// certified Satisfied plan, false to fall through to the LP.
-  bool try_fast_path(std::size_t a, double amount, AllocationPlan& plan) const;
   /// Closed-form denial on `model` (a's component, patched for the request):
   /// the relaxed compact LP is feasible exactly when amount <= C_a =
   /// sum_k U_ka (DESIGN.md section 3). When the amount exceeds C_a by more
@@ -190,16 +164,13 @@ class Allocator : public AllocatorBase {
   mutable std::vector<AllocationModelCache> models_;
   /// Certified solve chain (statistics mutate behind const allocate()).
   mutable lp::SolvePipeline pipeline_;
-  /// Verifier of the fast path's admissions and the closed-form denials,
-  /// one per component model: a Verifier repatches its standard form only
-  /// while it keeps checking the same Problem, so sharing one across
-  /// components would rebuild it on every switch.
+  /// Verifier of the closed-form denials, one per component model: a
+  /// Verifier repatches its standard form only while it keeps checking the
+  /// same Problem, so sharing one across components would rebuild it on
+  /// every switch.
   mutable std::vector<lp::Verifier> verifiers_;
-  mutable std::vector<double> fast_x_;
   /// Scratch for the capacity vector commit() stores.
   std::vector<double> next_capacity_;
-  mutable obs::Tally fastpath_granted_;
-  mutable obs::Tally fastpath_fallthrough_;
 };
 
 }  // namespace agora::alloc

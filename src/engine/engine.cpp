@@ -64,7 +64,6 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
         // Reference measurements, never admissions: kept out of the
         // engine's lp.pipeline.* and alloc.* counts.
         xopts.sink = obs::Sink::none();
-        xopts.fast_path = false;
         exact_ = std::make_unique<alloc::Allocator>(sys_, xopts);
       }
     }
@@ -80,14 +79,14 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
     for (std::size_t l = 0; l < shard->members.size(); ++l)
       shard->local_of[shard->members[l]] = l;
     if (fed_) {
-      shard->alloc = std::make_shared<alloc::Allocator>(
+      shard->alloc = std::make_unique<alloc::Allocator>(
           fed_->local_system(s, sys_.capacity), opts_.alloc);
       shard->bank = fed_->bank_index(s);
       shard->credits = std::move(fed_init[s].credits);
     } else {
       // Connectivity mode: a shard's members are whole components, so the
       // induced sub-economy loses no entitlement.
-      shard->alloc = std::make_shared<alloc::Allocator>(
+      shard->alloc = std::make_unique<alloc::Allocator>(
           agree::induced_system(sys_, shard->members), opts_.alloc);
     }
     shard->consults = obs::Tally(*obs_consults_);
@@ -362,12 +361,11 @@ std::optional<alloc::AllocationPlan> EnforcementEngine::cached_decision(
 
 bool EnforcementEngine::recertify(const PlanCache::Entry& e,
                                   const CapacitySnapshot& snap) const {
-  // Residual admission check, the engine-level mirror of
-  // lp::Verifier::certify_admission run against SNAPSHOT data instead of a
-  // Problem object: every nonzero draw within the drawer's current
-  // entitlement to `a`, demand met exactly, theta covering the capacity
-  // drop it induces anywhere. O(nnz) bound checks + O(nnz * n) drop
-  // accumulation on the vectorized kernels.
+  // Residual feasibility check of a stored plan against SNAPSHOT data:
+  // every nonzero draw within the drawer's current entitlement to `a`,
+  // demand met exactly, theta covering the capacity drop it induces
+  // anywhere. O(nnz) bound checks + O(nnz * n) drop accumulation on the
+  // vectorized vaxpy kernel.
   const double tol = opts_.alloc.solve.tols.feasibility;
   const std::size_t a = e.participant;
   thread_local std::vector<double> drop;
@@ -452,11 +450,7 @@ void EnforcementEngine::mutate(const std::vector<double>& global,
     run_queued(shard, 1);
     if (rebuild) {
       lp::accumulate(shard.carried, *shard.alloc->solver_stats());
-      auto replacement = std::make_shared<alloc::Allocator>(*rebuild, opts_.alloc);
-      replacement->carry_fastpath_counts(*shard.alloc);
-      // atomic_store: stats() may be snapshotting the old allocator's
-      // counters from another thread while we swap it out.
-      std::atomic_store(&shard.alloc, std::move(replacement));
+      shard.alloc = std::make_unique<alloc::Allocator>(*rebuild, opts_.alloc);
     } else {
       shard.alloc->set_capacities(std::span<const double>(slice));
     }
@@ -563,11 +557,6 @@ EngineStats EnforcementEngine::stats() const {
     s.coalesced_batches = shard->coalesced_batches.value();
     s.coalesced_ops = shard->coalesced_ops.value();
     out.shard.push_back(s);
-    // atomic_load pairs with the rebuild swap in mutate() (federated
-    // settlements replace the allocator when bank earmarks change).
-    const std::shared_ptr<alloc::Allocator> a = std::atomic_load(&shard->alloc);
-    out.fastpath_granted += a->fastpath_granted();
-    out.fastpath_fallthrough += a->fastpath_fallthrough();
   }
   if (pcache_) out.plan_cache = pcache_->stats();
   return out;

@@ -150,8 +150,9 @@ struct EngineStats {
   FederationStats federation;
   /// Decision-cache counters (all zero when EngineOptions::plan_cache off).
   PlanCacheStats plan_cache;
-  /// Theta<=1 fast-path grants/fallthroughs summed over the per-shard
-  /// allocators (zero unless EngineOptions::alloc.fast_path).
+  /// Always 0: the allocator grants only the certified LP optimum and has
+  /// no fast path. Kept because the benchmark harness (perfbench/harness)
+  /// still reads them; they go with its next change.
   std::uint64_t fastpath_granted = 0;
   std::uint64_t fastpath_fallthrough = 0;
 };
@@ -236,12 +237,10 @@ class EnforcementEngine : public alloc::AllocatorBase {
     /// Held by whoever runs this shard's work (see the file comment). Guards
     /// the allocator and every field below marked "run lock".
     std::mutex run_mu;
-    /// The shard's allocator (run lock). shared_ptr (not unique_ptr) because
-    /// a federated settlement can REPLACE it (earmark changes force a
-    /// rebuild) while stats() reads its counters without the run lock: the
-    /// swap goes through std::atomic_store and those readers take a
-    /// std::atomic_load snapshot.
-    std::shared_ptr<alloc::Allocator> alloc;
+    /// The shard's allocator (run lock). A federated settlement that moves
+    /// the bank's earmarks replaces it under the run lock; nothing reads it
+    /// without that lock once the workers run.
+    std::unique_ptr<alloc::Allocator> alloc;
     BlockingQueue<Op> queue;
     std::vector<Op> batch;      ///< ops taken off `queue` (run lock)
     std::uint64_t ordinal = 0;  ///< ops run (run lock; event time)
@@ -265,10 +264,9 @@ class EnforcementEngine : public alloc::AllocatorBase {
     /// next settlement for gap probing.
     std::vector<GapSample> gap_samples;
     std::size_t gap_next = 0;
-    /// Telemetry carried across allocator rebuilds (a settlement that moves
-    /// bank earmarks replaces the allocator; its pipeline counters land
-    /// here so solver_stats() never loses history, and the replacement
-    /// starts from its fast-path counts so stats() never goes backwards).
+    /// Solve-chain counts of the allocators a settlement retired (one that
+    /// moves bank earmarks replaces the allocator), so solver_stats() never
+    /// loses history.
     lp::PipelineStats carried;
     // Telemetry (relaxed atomics; readable without quiescence). Each count
     // feeds the engine.* registry counter of its ShardStats field.

@@ -25,9 +25,9 @@ std::uint64_t mix(std::uint64_t x) {
 
 constexpr std::uint8_t kHotRef = 3;
 /// Negative entries start colder than grants: when a grant and a denial
-/// compete for the same probe window, the denial is evicted first -- a
-/// replayed denial only saves a solve, a replayed grant saves a solve AND
-/// keeps the certified fast path hot.
+/// compete for the same probe window, the denial is evicted first -- most
+/// denials are decided in closed form without an LP, while every replayed
+/// grant saves an LP solve.
 constexpr std::uint8_t kNegRef = 1;
 
 }  // namespace

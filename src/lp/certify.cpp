@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/matrix.h"
-
 namespace agora::lp {
 
 namespace {
@@ -245,70 +243,6 @@ Certificate Verifier::certify_optimal(const Problem& p, const std::vector<double
     cert.reject = "complementary slackness violated";
   else if (cert.objective_gap > tols_.objective_gap)
     cert.reject = "primal-dual objective gap too large";
-  cert.certified = cert.reject == nullptr;
-  return cert;
-}
-
-Certificate Verifier::certify_admission(const Problem& p, const std::vector<double>& x,
-                                        double objective) {
-  Certificate cert;
-  cert.claim = Certificate::Claim::Optimal;
-  cert.primal_only = true;
-
-  const std::size_t nv = p.num_variables();
-  if (x.size() != nv) {
-    cert.reject = "solution vector has the wrong dimension";
-    return cert;
-  }
-  if (!std::isfinite(objective)) {
-    cert.reject = "non-finite entry in claimed solution";
-    return cert;
-  }
-
-  const std::vector<double>& lob = p.lower_bounds();
-  const std::vector<double>& hib = p.upper_bounds();
-  const std::vector<double>& cost = p.objective();
-
-  double primal_residual = 0.0;
-  double cx = 0.0;
-  double xmag = 0.0;
-  for (std::size_t j = 0; j < nv; ++j) {
-    const double lo = lob[j];
-    const double hi = hib[j];
-    xmag += std::fabs(x[j]);
-    bump_ratio(primal_residual, lo - x[j], 1.0 + std::fabs(lo) + std::fabs(x[j]));
-    bump_ratio(primal_residual, x[j] - hi, 1.0 + std::fabs(hi) + std::fabs(x[j]));
-    cx += cost[j] * x[j];
-  }
-  if (!std::isfinite(xmag)) {
-    cert.reject = "non-finite entry in claimed solution";
-    return cert;
-  }
-
-  const std::size_t nc = p.num_constraints();
-  const Constraint* rows = p.constraints().data();
-  const double* xp = x.data();
-  for (std::size_t i = 0; i < nc; ++i) {
-    const Constraint& con = rows[i];
-    const std::size_t width = std::min(con.coeffs.size(), nv);
-    const DotAbs row = vdot_abs(con.coeffs.data(), xp, width);
-    double viol = 0.0;
-    switch (con.rel) {
-      case Relation::LessEqual: viol = row.value - con.rhs; break;
-      case Relation::GreaterEqual: viol = con.rhs - row.value; break;
-      case Relation::Equal: viol = std::fabs(row.value - con.rhs); break;
-    }
-    bump_ratio(primal_residual, viol, 1.0 + std::fabs(con.rhs) + row.magnitude);
-  }
-  cert.primal_residual = primal_residual;
-
-  bump_ratio(cert.objective_gap, std::fabs(cx - objective),
-             1.0 + std::fabs(cx) + std::fabs(objective));
-
-  if (cert.primal_residual > tols_.feasibility)
-    cert.reject = "claimed-optimal point is primal infeasible";
-  else if (cert.objective_gap > tols_.objective_gap)
-    cert.reject = "reported objective disagrees with c'x";
   cert.certified = cert.reject == nullptr;
   return cert;
 }

@@ -100,18 +100,6 @@ class Verifier {
   Certificate certify_optimal(const Problem& p, const std::vector<double>& x,
                               const std::vector<double>& duals, double objective);
 
-  /// Admission fast path: certify that (x, objective) is a FEASIBLE answer to
-  /// `p` -- bounds, every constraint row, and objective consistency -- without
-  /// any of the dual/stationarity machinery. This is the check backing plan-
-  /// cache hits and theta<=1 fast-path grants: the "no uncertified grant"
-  /// invariant needs the allocation to be provably admissible against the
-  /// CURRENT problem, while optimality of a reused plan is already pinned by
-  /// the epoch key (same problem => same optimum). The certificate is marked
-  /// `primal_only`, claim Optimal. Roughly 3x cheaper than certify_optimal
-  /// with duals; the row pass runs on the vectorized vdot_abs kernel.
-  Certificate certify_admission(const Problem& p, const std::vector<double>& x,
-                                double objective);
-
   /// Check a Farkas certificate (standard-form row multipliers) for a
   /// claimed-infeasible problem. The certificate need not come from a
   /// solver: the allocator's closed-form denials pass a vector built from

@@ -199,33 +199,9 @@ double linf_distance(std::span<const double> a, std::span<const double> b) {
 //
 // The AVX2 path uses explicit mul+add (never fmadd), so -ffp-contract
 // settings cannot make the sanitizer builds drift from the tier-1 build,
-// and the fallback's four scalar accumulators replay the exact lane
-// arithmetic of the 4-wide register. Tail elements are folded into lane
-// (i % 4) in both paths.
+// and the scalar fallback computes every element the same way.
 
 #if defined(AGORA_SIMD_AVX2) && defined(__AVX2__)
-
-DotAbs vdot_abs(const double* a, const double* x, std::size_t n) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  __m256d acc = _mm256_setzero_pd();
-  __m256d mag = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d p = _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(x + i));
-    acc = _mm256_add_pd(acc, p);
-    mag = _mm256_add_pd(mag, _mm256_andnot_pd(sign_mask, p));
-  }
-  alignas(32) double vlane[4], mlane[4];
-  _mm256_store_pd(vlane, acc);
-  _mm256_store_pd(mlane, mag);
-  for (; i < n; ++i) {
-    const double p = a[i] * x[i];
-    vlane[i & 3] += p;
-    mlane[i & 3] += std::fabs(p);
-  }
-  return {(vlane[0] + vlane[1]) + (vlane[2] + vlane[3]),
-          (mlane[0] + mlane[1]) + (mlane[2] + mlane[3])};
-}
 
 void vaxpy(double alpha, const double* x, double* y, std::size_t n) {
   const __m256d va = _mm256_set1_pd(alpha);
@@ -236,27 +212,7 @@ void vaxpy(double alpha, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-#else  // scalar fallback, lane-for-lane identical to the AVX2 path
-
-DotAbs vdot_abs(const double* a, const double* x, std::size_t n) {
-  double vlane[4] = {0.0, 0.0, 0.0, 0.0};
-  double mlane[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t l = 0; l < 4; ++l) {
-      const double p = a[i + l] * x[i + l];
-      vlane[l] += p;
-      mlane[l] += std::fabs(p);
-    }
-  }
-  for (; i < n; ++i) {
-    const double p = a[i] * x[i];
-    vlane[i & 3] += p;
-    mlane[i & 3] += std::fabs(p);
-  }
-  return {(vlane[0] + vlane[1]) + (vlane[2] + vlane[3]),
-          (mlane[0] + mlane[1]) + (mlane[2] + mlane[3])};
-}
+#else  // scalar fallback, element for element identical to the AVX2 path
 
 void vaxpy(double alpha, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];

@@ -150,30 +150,16 @@ double linf_distance(std::span<const double> a, std::span<const double> b);
 
 // --- Vectorized kernels (hot-path math; see AGORA_SIMD in CMakeLists) -----
 //
-// The admission fast path and the revised-simplex inner loops spend nearly
-// all their time in dot/axpy-shaped passes over contiguous doubles. These
-// kernels are written as four independent accumulator lanes with a scalar
-// tail, which is exactly the shape an AVX2 register holds -- the intrinsic
-// path (compiled when AGORA_SIMD is on and the compiler targets AVX2) and
-// the portable fallback therefore produce bit-identical results: same lane
-// assignment, same combine order, no FMA contraction. `vaxpy` is elementwise
-// and bit-identical to `axpy` as well, so callers may switch freely.
+// The plan cache's re-certification accumulates capacity drops with
+// `vaxpy`, and the revised simplex prices columns with `gather_dot`.
+// `vaxpy` has an AVX2 path (compiled when AGORA_SIMD is on and the compiler
+// targets AVX2) with explicit multiplies and adds, no FMA contraction; it is
+// elementwise, so it is bit-identical to `axpy` and to the portable
+// fallback, and callers may switch freely.
 //
 // They deliberately skip the length AGORA_REQUIREs of their scalar
 // counterparts: every call site is an inner loop that has already validated
 // its shapes once per solve, not once per element.
-
-/// Fused pass computing both sum(a[i]*x[i]) and sum(|a[i]*x[i]|) -- the
-/// activity and the magnitude scale a relative residual test needs, in one
-/// sweep (lp::Verifier admission checks).
-struct DotAbs {
-  double value = 0.0;
-  double magnitude = 0.0;
-};
-DotAbs vdot_abs(const double* a, const double* x, std::size_t n);
-inline DotAbs vdot_abs(std::span<const double> a, std::span<const double> x) {
-  return vdot_abs(a.data(), x.data(), a.size());
-}
 
 /// y += alpha * x, vector-width strides. Elementwise, hence bit-identical
 /// to `axpy` and across builds.

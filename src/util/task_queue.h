@@ -94,11 +94,6 @@ class BlockingQueue {
     cv_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
   /// Lock-free depth estimate for telemetry gauges on hot submit paths --
   /// may lag concurrent pushes/pops by a step, never takes the queue lock.
   std::size_t size_approx() const { return count_.load(std::memory_order_relaxed); }
@@ -115,7 +110,7 @@ class BlockingQueue {
     --waiters_;
   }
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> items_;
   std::atomic<std::size_t> count_{0};

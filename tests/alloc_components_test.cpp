@@ -8,8 +8,8 @@
 //     principal, solved cold by the certified chain) every consult reaches
 //     the same status and optimal theta, draws only inside the requester's
 //     component, and every grant is certified -- across island,
-//     absolute-bridged and agreement-free economies, transitivity levels,
-//     and the fast path on and off;
+//     absolute-bridged and agreement-free economies and transitivity
+//     levels;
 //   * the simplex pivot count per consult stays bounded by the component
 //     size, not the system size.
 #include <gtest/gtest.h>
@@ -62,11 +62,10 @@ AgreementSystem induce(const AgreementSystem& sys, const std::vector<std::size_t
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-AllocatorOptions options(lp::Backend backend, bool reuse, bool fast) {
+AllocatorOptions options(lp::Backend backend, bool reuse) {
   AllocatorOptions o;
   o.solve.backend = backend;
   o.reuse_context = reuse;
-  o.fast_path = fast;
   o.sink = obs::Sink::none();
   return o;
 }
@@ -76,7 +75,7 @@ AllocatorOptions options(lp::Backend backend, bool reuse, bool fast) {
 TEST(AllocComponents, ConsultIsBitIdenticalToTheIslandAlone) {
   const AgreementSystem sys = island_economy();
   for (const lp::Backend backend : {lp::Backend::Revised}) {
-    const AllocatorOptions opts = options(backend, /*reuse=*/true, /*fast=*/false);
+    const AllocatorOptions opts = options(backend, /*reuse=*/true);
     Allocator global(sys, opts);
     for (std::size_t g = 0; g < kIslands; ++g) {
       std::vector<std::size_t> members(kPerIsland);
@@ -175,78 +174,68 @@ AllocationPlan whole_system_plan(const Allocator& ref, std::size_t a, double amo
 
 TEST(AllocComponents, DecomposedConsultsMatchTheWholeSystemModel) {
   constexpr double kTol = 1e-7;
-  std::size_t fast_grants = 0, lp_grants = 0;
+  std::size_t grants = 0;
   for (const Shape shape : {Shape::Islands, Shape::AbsoluteBridges, Shape::NoAgreements}) {
     for (const std::size_t level : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
       for (const lp::Backend backend : {lp::Backend::Revised}) {
-        for (const bool fast : {false, true}) {
-          const std::uint64_t seed = 1000 * static_cast<std::uint64_t>(shape) + 10 * level +
-                                     (backend == lp::Backend::Revised ? 2 : 0) + (fast ? 1 : 0);
-          Pcg32 rng(seed);
-          const AgreementSystem sys = random_economy(shape, rng);
-          const std::size_t n = sys.size();
-          std::vector<std::size_t> comp_of(n);
-          const auto comps = agree::connected_components(sys);
-          for (std::size_t c = 0; c < comps.size(); ++c)
-            for (const std::size_t i : comps[c]) comp_of[i] = c;
+        const std::uint64_t seed = 1000 * static_cast<std::uint64_t>(shape) + 10 * level +
+                                   (backend == lp::Backend::Revised ? 2 : 0);
+        Pcg32 rng(seed);
+        const AgreementSystem sys = random_economy(shape, rng);
+        const std::size_t n = sys.size();
+        std::vector<std::size_t> comp_of(n);
+        const auto comps = agree::connected_components(sys);
+        for (std::size_t c = 0; c < comps.size(); ++c)
+          for (const std::size_t i : comps[c]) comp_of[i] = c;
 
-          AllocatorOptions opts = options(backend, /*reuse=*/true, fast);
-          opts.transitive.max_level = level;
-          Allocator alloc(sys, opts);
-          // Tracks the capacities and availability report the reference
-          // model is built over.
-          Allocator ref(sys, opts);
+        AllocatorOptions opts = options(backend, /*reuse=*/true);
+        opts.transitive.max_level = level;
+        Allocator alloc(sys, opts);
+        // Tracks the capacities and availability report the reference
+        // model is built over.
+        Allocator ref(sys, opts);
 
-          for (int step = 0; step < 40; ++step) {
-            const std::string where = "seed " + std::to_string(seed) + " step " +
-                                      std::to_string(step);
-            const auto action = rng.uniform_u32(8);
-            if (action == 0) {
-              std::vector<double> back(n);
-              for (double& b : back) b = rng.uniform(0.0, 1.0);
-              alloc.release(back);
-              ref.release(back);
-              continue;
+        for (int step = 0; step < 40; ++step) {
+          const std::string where = "seed " + std::to_string(seed) + " step " +
+                                    std::to_string(step);
+          const auto action = rng.uniform_u32(8);
+          if (action == 0) {
+            std::vector<double> back(n);
+            for (double& b : back) b = rng.uniform(0.0, 1.0);
+            alloc.release(back);
+            ref.release(back);
+            continue;
+          }
+          const std::size_t a = rng.uniform_u32(static_cast<std::uint32_t>(n));
+          // Up to 1.3x availability, so some consults are infeasible.
+          const double amount = rng.uniform(0.0, 1.3) * ref.available_to(a);
+          const AllocationPlan p = alloc.allocate(a, amount);
+          const AllocationPlan want = whole_system_plan(ref, a, amount);
+          ASSERT_EQ(p.status, want.status) << where;
+          if (!p.satisfied()) continue;
+          ++grants;
+          EXPECT_TRUE(p.certified) << where;
+          ASSERT_EQ(p.draw.size(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            if (comp_of[i] != comp_of[a]) {
+              EXPECT_EQ(p.draw[i], 0.0) << where << " at " << i;
             }
-            const std::size_t a = rng.uniform_u32(static_cast<std::uint32_t>(n));
-            // Up to 1.3x availability, so some consults are infeasible.
-            const double amount = rng.uniform(0.0, 1.3) * ref.available_to(a);
-            const std::uint64_t granted_before = alloc.fastpath_granted();
-            const AllocationPlan p = alloc.allocate(a, amount);
-            const AllocationPlan want = whole_system_plan(ref, a, amount);
-            ASSERT_EQ(p.status, want.status) << where;
-            if (!p.satisfied()) continue;
-            EXPECT_TRUE(p.certified) << where;
-            ASSERT_EQ(p.draw.size(), n);
-            for (std::size_t i = 0; i < n; ++i) {
-              if (comp_of[i] != comp_of[a]) {
-                EXPECT_EQ(p.draw[i], 0.0) << where << " at " << i;
-              }
-            }
-            EXPECT_NEAR(p.total_drawn(), amount, kTol * (1.0 + amount)) << where;
-            if (alloc.fastpath_granted() > granted_before) {
-              // The self-draw plan trades optimality: theta can only be
-              // at or above the LP minimum.
-              ++fast_grants;
-              EXPECT_GE(p.theta, want.theta - kTol * (1.0 + want.theta)) << where;
-            } else {
-              ++lp_grants;
-              EXPECT_NEAR(p.theta, want.theta, kTol * (1.0 + want.theta)) << where;
-            }
-            if (action <= 3) {
-              // Commit the reference plan on both so capacities stay in
-              // lockstep even where alternative optima differ in draws.
-              alloc.apply(want);
-              ref.apply(want);
-            }
+          }
+          EXPECT_NEAR(p.total_drawn(), amount, kTol * (1.0 + amount)) << where;
+          // Every grant is the LP optimum: its theta is the whole-system
+          // model's minimum.
+          EXPECT_NEAR(p.theta, want.theta, kTol * (1.0 + want.theta)) << where;
+          if (action <= 3) {
+            // Commit the reference plan on both so capacities stay in
+            // lockstep even where alternative optima differ in draws.
+            alloc.apply(want);
+            ref.apply(want);
           }
         }
       }
     }
   }
-  // Both decision paths were exercised.
-  EXPECT_GT(fast_grants, 0u);
-  EXPECT_GT(lp_grants, 0u);
+  EXPECT_GT(grants, 0u);
 }
 
 // ----------------------------------------------------- (c) pivot ceiling ---
@@ -254,7 +243,7 @@ TEST(AllocComponents, DecomposedConsultsMatchTheWholeSystemModel) {
 TEST(AllocComponents, PivotsPerConsultScaleWithTheComponent) {
   const AgreementSystem sys = island_economy();
   for (const lp::Backend backend : {lp::Backend::Revised}) {
-    Allocator alloc(sys, options(backend, /*reuse=*/true, /*fast=*/false));
+    Allocator alloc(sys, options(backend, /*reuse=*/true));
     std::uint64_t pivots = 0, consults = 0;
     std::vector<double> held(sys.size(), 0.0);
     for (int step = 0; step < 512; ++step) {

@@ -1,7 +1,7 @@
 // Tests for the admission hot path (DESIGN.md §13): the epoch-keyed plan
-// cache, the theta<=1 allocator fast path, and their safety invariants --
-// every grant certified, no stale-epoch plan ever served, and the threads=1
-// cache-miss path bit-identical to the direct Allocator.
+// cache and its safety invariants -- every grant certified, no stale-epoch
+// plan ever served, and the threads=1 cache-miss path bit-identical to the
+// direct Allocator.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -342,75 +342,6 @@ TEST(EngineCache, MutationInvalidatesCachedDenialAndRequestCanGrant) {
   const EngineStats s = engine.stats();
   EXPECT_GE(s.plan_cache.hits, 1u);
   EXPECT_GE(s.plan_cache.stale, 1u);
-}
-
-// ------------------------------------------------------- theta<=1 fast path ---
-
-TEST(FastPath, GrantsSelfDrawCertifiedWithoutLpIterations) {
-  const auto sys = island_economy(1, 6, 0.2);
-  alloc::AllocatorOptions opts;
-  opts.fast_path = true;
-  alloc::Allocator alloc(sys, opts);
-  // Small request: fits the requester's retained entitlement.
-  const alloc::AllocationPlan plan = alloc.allocate(2, 1.0);
-  ASSERT_TRUE(plan.satisfied());
-  EXPECT_TRUE(plan.certified);
-  EXPECT_EQ(plan.lp_iterations, 0u);
-  EXPECT_DOUBLE_EQ(plan.draw[2], 1.0);
-  EXPECT_DOUBLE_EQ(plan.total_drawn(), 1.0);
-  // theta = amount * max drop coefficient <= amount ("theta <= 1 per unit").
-  EXPECT_LE(plan.theta, 1.0 + 1e-12);
-  EXPECT_GT(plan.theta, 0.0);
-  EXPECT_EQ(alloc.fastpath_granted(), 1u);
-  EXPECT_EQ(alloc.fastpath_fallthrough(), 0u);
-}
-
-TEST(FastPath, ThetaIsNeverBelowTheLpOptimum) {
-  const auto sys = island_economy(1, 6, 0.2);
-  alloc::AllocatorOptions fast_opts;
-  fast_opts.fast_path = true;
-  alloc::Allocator fast(sys, fast_opts);
-  alloc::Allocator exact(sys, alloc::AllocatorOptions{});
-  for (std::size_t a = 0; a < sys.size(); ++a) {
-    const alloc::AllocationPlan f = fast.allocate(a, 2.0);
-    const alloc::AllocationPlan o = exact.allocate(a, 2.0);
-    ASSERT_TRUE(f.satisfied());
-    ASSERT_TRUE(o.satisfied());
-    // The fast path trades optimality for latency, never feasibility: its
-    // theta is an upper bound on the LP's minimal perturbation.
-    EXPECT_GE(f.theta, o.theta - 1e-9);
-    EXPECT_NEAR(f.total_drawn(), 2.0, 1e-9);
-  }
-}
-
-TEST(FastPath, OversizedRequestFallsThroughToTheLp) {
-  const auto sys = island_economy(1, 6, 0.2);
-  alloc::AllocatorOptions opts;
-  opts.fast_path = true;
-  alloc::Allocator fast(sys, opts);
-  alloc::Allocator direct(sys, alloc::AllocatorOptions{});
-  // Larger than the requester's own retained capacity, still within its
-  // total availability: must take the LP path and spread the draw.
-  const double amount = sys.capacity[0] + 1.0;
-  const alloc::AllocationPlan f = fast.allocate(0, amount);
-  const alloc::AllocationPlan d = direct.allocate(0, amount);
-  expect_identical(f, d);
-  EXPECT_GE(fast.fastpath_fallthrough(), 1u);
-}
-
-TEST(FastPath, EngineAggregatesFastPathStats) {
-  const auto sys = island_economy(2, 4, 0.25);
-  EngineOptions opts;
-  opts.threads = 2;
-  opts.alloc.fast_path = true;
-  EnforcementEngine engine(sys, opts);
-  for (std::size_t a = 0; a < sys.size(); ++a) {
-    const alloc::AllocationPlan p = engine.consult(a, 0.5);
-    ASSERT_TRUE(p.satisfied());
-    EXPECT_TRUE(p.certified);
-  }
-  const EngineStats s = engine.stats();
-  EXPECT_EQ(s.fastpath_granted, sys.size());
 }
 
 // ---------------------------------------------------------- stale hammering ---

@@ -286,8 +286,8 @@ class PairCheck {
 };
 
 TEST(Facade, StatsAndRegistryCountEachEventOnce) {
-  // --- A federated 2-shard engine with the plan cache and the fast path,
-  // fronted by the wire service and a failover-aware client.
+  // --- A federated 2-shard engine with the plan cache, fronted by the wire
+  // service and a failover-aware client.
   obs::MetricsRegistry engine_reg, service_reg, client_reg;
   const obs::Sink engine_sink{&engine_reg, nullptr};
   agree::AgreementSystem sys(8);
@@ -296,16 +296,15 @@ TEST(Facade, StatsAndRegistryCountEachEventOnce) {
   engine::EngineOptions eopts;
   eopts.threads = 2;
   eopts.plan_cache = true;
-  eopts.alloc.fast_path = true;
   eopts.federation.enabled = true;
   eopts.sink = engine_sink;
   eopts.alloc.sink = engine_sink;
   engine::EnforcementEngine eng(sys, eopts);
   ASSERT_TRUE(eng.federated());
   for (std::size_t a = 0; a < 8; ++a) {
-    ASSERT_TRUE(eng.consult(a, 0.5).satisfied());  // fast path, then cached
+    ASSERT_TRUE(eng.consult(a, 0.5).satisfied());  // the LP, then cached
     ASSERT_TRUE(eng.consult(a, 0.5).satisfied());
-    ASSERT_TRUE(eng.consult(a, 8.0).satisfied());  // past U_aa: the LP
+    ASSERT_TRUE(eng.consult(a, 8.0).satisfied());
     EXPECT_FALSE(eng.consult(a, 1000.0).satisfied());  // a cached denial
     EXPECT_FALSE(eng.consult(a, 1000.0).satisfied());
   }
@@ -354,8 +353,6 @@ TEST(Facade, StatsAndRegistryCountEachEventOnce) {
   engine_pair("engine.plan_cache.misses", es.plan_cache.misses);
   engine_pair("engine.plan_cache.stale", es.plan_cache.stale);
   engine_pair("engine.federation.gap_probes", es.federation.gap_probes);
-  engine_pair("alloc.fastpath.granted", es.fastpath_granted);
-  engine_pair("alloc.fastpath.fallthrough", es.fastpath_fallthrough);
   const lp::PipelineStats ps = *eng.solver_stats();
   engine_pair("lp.pipeline.solves", ps.solves);
   engine_pair("lp.pipeline.certified", ps.certified);

@@ -105,7 +105,7 @@ TEST_P(DualSlope, MatchesNumericalDerivative) {
   std::vector<double> interior(n);
   for (std::size_t j = 0; j < n; ++j) {
     interior[j] = rng.uniform(0.2, 1.8);
-    p.add_variable("x" + std::to_string(j), 0.0, 2.0, rng.uniform(-3.0, 3.0));
+    p.add_variable(0.0, 2.0, rng.uniform(-3.0, 3.0));
   }
   for (std::size_t i = 0; i < m; ++i) {
     std::vector<double> coeffs(n);
@@ -162,7 +162,7 @@ TEST(Duals, BothSolversAgree) {
     Problem p;
     const std::size_t n = 4;
     for (std::size_t j = 0; j < n; ++j)
-      p.add_variable("x" + std::to_string(j), 0.0, 3.0, rng.uniform(-2.0, 2.0));
+      p.add_variable(0.0, 3.0, rng.uniform(-2.0, 2.0));
     for (std::size_t i = 0; i < 3; ++i) {
       std::vector<double> coeffs(n);
       for (auto& c : coeffs) c = rng.uniform(0.0, 1.0);

@@ -31,7 +31,7 @@ Problem make_random_lp(const RandomLpSpec& spec) {
   for (std::size_t j = 0; j < spec.vars; ++j) {
     const double lo = rng.uniform(-3.0, 1.0);
     const double hi = lo + rng.uniform(0.0, 5.0);
-    p.add_variable("x" + std::to_string(j), lo, hi, rng.uniform(-4.0, 4.0));
+    p.add_variable(lo, hi, rng.uniform(-4.0, 4.0));
   }
   for (std::size_t i = 0; i < spec.cons; ++i) {
     std::vector<double> coeffs(spec.vars);
@@ -105,7 +105,7 @@ TEST_P(LargerLpAgreement, RevisedCertifiesOptimal) {
   std::vector<double> interior(n);
   for (std::size_t j = 0; j < n; ++j) {
     interior[j] = rng.uniform(0.0, 2.0);
-    p.add_variable("x" + std::to_string(j), 0.0, 5.0, rng.uniform(-3.0, 3.0));
+    p.add_variable(0.0, 5.0, rng.uniform(-3.0, 3.0));
   }
   for (std::size_t i = 0; i < m; ++i) {
     std::vector<double> coeffs(n);

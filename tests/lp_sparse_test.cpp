@@ -59,7 +59,7 @@ Problem random_lp(Pcg32& rng, std::size_t n, std::size_t m, double mag_span = 1.
   Problem p(rng.next_double() < 0.5 ? Sense::Minimize : Sense::Maximize);
   for (std::size_t j = 0; j < n; ++j) {
     const double lo = rng.uniform(-2.0, 1.0);
-    p.add_variable("x" + std::to_string(j), lo, lo + rng.uniform(0.5, 4.0),
+    p.add_variable(lo, lo + rng.uniform(0.5, 4.0),
                    rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-mag_span, mag_span)));
   }
   for (std::size_t i = 0; i < m; ++i) {
@@ -210,7 +210,7 @@ TEST(SparseLu, EtaFileMatchesRefactorizeEveryStep) {
   std::vector<double> interior(n);
   for (std::size_t j = 0; j < n; ++j) {
     interior[j] = rng.uniform(0.0, 1.0);
-    p.add_variable("x" + std::to_string(j), 0.0, 3.0, rng.uniform(-2.0, 2.0));
+    p.add_variable(0.0, 3.0, rng.uniform(-2.0, 2.0));
   }
   for (std::size_t i = 0; i < m; ++i) {
     std::vector<double> coeffs(n);
@@ -246,7 +246,7 @@ TEST(SparseLu, WarmSequencesReuseTheFactorizationAndStayCorrect) {
   Problem p;
   const std::size_t n = 10;
   for (std::size_t j = 0; j < n; ++j)
-    p.add_variable("d" + std::to_string(j), 0.0, 1.0, 0.0);
+    p.add_variable(0.0, 1.0, 0.0);
   p.add_variable("theta", 0.0, kInfinity, 1.0);
   {
     std::vector<double> demand(n + 1, 1.0);
@@ -291,11 +291,10 @@ TEST(SparseOracle, FixedVariablesAndEmptyRowsCertify) {
     for (std::size_t j = 0; j < n; ++j) {
       if (rng.next_double() < 0.2) {
         const double v = rng.uniform(-1.0, 1.0);
-        p.add_variable("f" + std::to_string(j), v, v, rng.uniform(-2.0, 2.0));
+        p.add_variable(v, v, rng.uniform(-2.0, 2.0));
       } else {
         const double lo = rng.uniform(-2.0, 0.5);
-        p.add_variable("x" + std::to_string(j), lo, lo + rng.uniform(0.5, 3.0),
-                       rng.uniform(-2.0, 2.0));
+        p.add_variable(lo, lo + rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0));
       }
     }
     const std::size_t m = 2 + rng.uniform_u32(4);

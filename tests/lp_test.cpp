@@ -406,7 +406,7 @@ TEST(BruteForce, ZeroRowProblemTerminates) {
 
 TEST(BruteForce, RefusesHugeProblems) {
   Problem p;
-  for (int i = 0; i < 40; ++i) p.add_variable("x" + std::to_string(i), 0, 1, 1.0);
+  for (int i = 0; i < 40; ++i) p.add_variable(0.0, 1.0, 1.0);
   for (int i = 0; i < 20; ++i) {
     std::vector<double> c(40, 1.0);
     p.add_constraint(std::move(c), Relation::LessEqual, 10.0);

@@ -392,14 +392,6 @@ TEST(VectorKernels, VaxpyBitIdenticalToAxpy) {
   }
 }
 
-TEST(VectorKernels, VdotAbsValueAndMagnitude) {
-  const std::vector<double> a = {1.0, -2.0, 3.0, -4.0, 5.0};
-  const std::vector<double> x = {2.0, 2.0, 2.0, 2.0, 2.0};
-  const DotAbs r = vdot_abs(a, x);
-  EXPECT_NEAR(r.value, 6.0, 1e-12);
-  EXPECT_NEAR(r.magnitude, 30.0, 1e-12);
-}
-
 TEST(VectorKernels, GatherDotMatchesDense) {
   const auto row = ramp(10, 1.0, 1.0);  // 1..10
   const std::size_t idx[] = {0, 3, 7};

@@ -50,9 +50,8 @@ echo "bench: BENCH_lp.json written"
 # bound), its single-component federation sweep (one exact shard, then
 # federated 2/4/8 shards over the ring-bridged economy, measured optimality
 # gap per point),
-# and the admission hot-path sweep (baseline vs fast path vs plan cache on a
-# Zipf s=1.1 request mix; cache hit-rate, fast-path share,
-# 100%-certified-grants gate). The merge script nests the fragments under
+# and the admission hot-path sweep (baseline vs plan cache on a Zipf s=1.1
+# request mix; cache hit-rate, 100%-certified-grants gate). The merge script nests the fragments under
 # the schema-versioned BENCH_engine.json with a host block read from the
 # build directory, and enforces the >=10x cache-speedup and >=3x
 # federated-shard-speedup acceptance bounds.

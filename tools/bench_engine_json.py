@@ -3,8 +3,8 @@
 
 Usage: bench_engine_json.py <build_dir> <scale_shards.json> <scale_hotpath.json> <out.json>
 
-scale_shards (shard-count sweep) and scale_hotpath (plan-cache / fast-path
-sweep, DESIGN.md section 13) each write a standalone JSON fragment; this
+scale_shards (shard-count sweep) and scale_hotpath (plan-cache sweep,
+DESIGN.md section 13) each write a standalone JSON fragment; this
 script nests them under a schema-versioned top level so the repo tracks one
 engine bench file. A `host` block records where the numbers come from: the
 online CPU count, agora's CMAKE_BUILD_TYPE and C++ compiler read from

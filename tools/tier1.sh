@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build and run the full test suite twice,
 # with the observability layer compiled in and compiled out, warnings
-# failing both builds; then rebuild the rms/chaos-sensitive tests under
-# ASan+UBSan and the multithreaded ones under TSan, and run them.
+# failing both builds; build the whole tree in Release with warnings as
+# errors; then rebuild the rms/chaos-sensitive tests under ASan+UBSan and
+# the multithreaded ones under TSan, and run them.
 # Usage: tools/tier1.sh   (from the repository root)
 set -euo pipefail
 
@@ -28,6 +29,13 @@ cmake -B build-noobs -S . -DAGORA_OBS=OFF -DAGORA_WERROR=ON
 cmake --build build-noobs -j
 (cd build-noobs && ctest --output-on-failure -j"$(nproc)" -LE '^tier2-')
 (cd build-noobs && ctest --output-on-failure -L '^tier2-')
+
+# A Release build (-O3) of the whole tree, warnings failing it. This lane
+# only builds; the test lanes above stay RelWithDebInfo. Some warnings show
+# only when -O3 inlines more, and tools/bench.sh and perfbench both compile
+# in Release.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DAGORA_WERROR=ON
+cmake --build build-release -j
 
 # Sanitizer pass over the message-layer tests (the fault-injection code
 # paths -- drops, duplicate frees of envelopes, restart handlers -- are the
