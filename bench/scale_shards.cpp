@@ -5,12 +5,13 @@
 // Connectivity partitioning turns each island into its own shard. Every
 // shard's allocator solves a consult over the requester's island alone (a
 // 9-variable LP) whether it holds one island or all eight (threads=1), so
-// the sweep measures what more worker threads add on top of that:
-// parallelism and per-shard warm state.
+// the sweep measures what more shards add on top of that: callers that
+// decide in parallel, each under its own shard's run lock, and per-shard
+// warm state. The engine starts no threads, so the bench brings them.
 //
 // Two phases per shard count:
-//   * throughput -- pipelined waves of submit() (one per participant),
-//     futures drained per wave: consults/sec over >= 0.5 s of waves,
+//   * throughput -- one caller thread per shard, each calling consult() on
+//     its shard's members in turn: consults/sec over >= 0.5 s,
 //   * latency    -- serial blocking consult() calls: p50/p99 micros, with a
 //     recorded p99 regression bound (kP99BoundUs).
 //
@@ -25,8 +26,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -77,6 +78,51 @@ struct SweepPoint {
   double p99_us = 0.0;
 };
 
+/// Consults made by the throughput phase's callers.
+struct Throughput {
+  std::uint64_t consults = 0;
+  std::uint64_t granted = 0;
+  std::uint64_t certified = 0;  ///< of the granted
+  double per_sec = 0.0;
+};
+
+/// The throughput phase: one caller thread per shard, each calling
+/// consult() on its shard's members in turn until at least half a second
+/// has passed since the first caller started.
+Throughput run_callers(const agora::engine::EnforcementEngine& eng,
+                       const std::vector<double>& amounts) {
+  std::vector<std::vector<std::size_t>> members(eng.num_shards());
+  for (std::size_t i = 0; i < amounts.size(); ++i) members[eng.shard_of(i)].push_back(i);
+  std::vector<Throughput> per(members.size());
+  std::vector<std::thread> callers;
+  const auto t0 = Clock::now();
+  for (std::size_t s = 0; s < members.size(); ++s) {
+    callers.emplace_back([&, s] {
+      Throughput& t = per[s];
+      do {
+        for (const std::size_t i : members[s]) {
+          const agora::alloc::AllocationPlan plan = eng.consult(i, amounts[i]);
+          ++t.consults;
+          if (plan.satisfied()) {
+            ++t.granted;
+            if (plan.certified) ++t.certified;
+          }
+        }
+      } while (std::chrono::duration<double>(Clock::now() - t0).count() < 0.5);
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  const double elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
+  Throughput total;
+  for (const Throughput& t : per) {
+    total.consults += t.consults;
+    total.granted += t.granted;
+    total.certified += t.certified;
+  }
+  total.per_sec = static_cast<double>(total.consults) / elapsed;
+  return total;
+}
+
 /// Regression bound on the serial consult p99, checked on the one latency
 /// pass (p99_within_bound in the JSON). A blocking consult solves the
 /// requester's 9-variable island LP on the calling thread, so the bound
@@ -102,21 +148,9 @@ SweepPoint measure(const agora::agree::AgreementSystem& sys, std::size_t threads
   SweepPoint pt;
   pt.threads = threads;
   pt.shards = eng.num_shards();
-
-  // Throughput: pipelined waves, one submit per participant, drained per
-  // wave, until at least half a second has been measured.
-  std::vector<std::future<agora::engine::EngineResult>> wave;
-  wave.reserve(n);
-  const auto t0 = Clock::now();
-  double elapsed = 0.0;
-  while (elapsed < 0.5) {
-    wave.clear();
-    for (std::size_t i = 0; i < n; ++i) wave.push_back(eng.submit(i, amounts[i]));
-    for (auto& f : wave) (void)f.get();
-    pt.consults += n;
-    elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
-  }
-  pt.consults_per_sec = static_cast<double>(pt.consults) / elapsed;
+  const Throughput tp = run_callers(eng, amounts);
+  pt.consults = tp.consults;
+  pt.consults_per_sec = tp.per_sec;
 
   // Latency: serial blocking consults, round-robin over participants.
   constexpr std::size_t kProbes = 512;
@@ -172,29 +206,12 @@ FedPoint measure_single_component(const agora::agree::AgreementSystem& sys,
   pt.federated = eng.federated();
   pt.threads = threads;
   pt.shards = eng.num_shards();
-
-  std::uint64_t granted = 0, certified = 0;
-  std::vector<std::future<agora::engine::EngineResult>> wave;
-  wave.reserve(n);
-  const auto t0 = Clock::now();
-  double elapsed = 0.0;
-  while (elapsed < 0.5) {
-    wave.clear();
-    for (std::size_t i = 0; i < n; ++i) wave.push_back(eng.submit(i, amounts[i]));
-    for (auto& f : wave) {
-      const agora::engine::EngineResult res = f.get();
-      if (res.plan.satisfied()) {
-        ++granted;
-        if (res.plan.certified) ++certified;
-      }
-    }
-    pt.consults += n;
-    elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
-  }
-  pt.consults_per_sec = static_cast<double>(pt.consults) / elapsed;
-  pt.certified_pct =
-      granted == 0 ? 0.0
-                   : 100.0 * static_cast<double>(certified) / static_cast<double>(granted);
+  const Throughput tp = run_callers(eng, amounts);
+  pt.consults = tp.consults;
+  pt.consults_per_sec = tp.per_sec;
+  pt.certified_pct = tp.granted == 0 ? 0.0
+                                     : 100.0 * static_cast<double>(tp.certified) /
+                                           static_cast<double>(tp.granted);
 
   // An epoch boundary at unchanged capacities: drains the shard gap rings
   // and (federated) probes the exact global LP for the optimality gap.

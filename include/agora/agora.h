@@ -34,8 +34,9 @@
 //     LP Allocator, the two-level HierarchicalAllocator, and
 //     AllocationPlan/PlanStatus.
 //   * Enforcement at scale -- engine::EnforcementEngine: sharded,
-//     thread-safe admission (blocking consult(), future-based submit(),
-//     epoch-versioned capacity snapshots).
+//     thread-safe admission that starts no threads (consult() on the
+//     caller's thread under a per-shard run lock, epoch-versioned capacity
+//     snapshots).
 //   * Trace IO         -- the proxy-workload generator and trace
 //     reader/writer used by the case-study reproductions.
 //   * Observability    -- metrics registry, trace-event ring, and the

@@ -13,7 +13,7 @@ constexpr double kFeasTol = 1e-9;
 
 lp::PipelineOptions pipeline_options(const AllocatorOptions& opts) {
   lp::PipelineOptions po;
-  po.solve = opts.solve;
+  po.tols = opts.solve.tols;
   po.sink = opts.sink;
   return po;
 }

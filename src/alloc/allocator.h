@@ -60,7 +60,10 @@ struct AllocatorOptions {
   EqualityMode equality = EqualityMode::Relaxed;
   /// LP tolerances (see lp/solve.h), shared by the solve chain and the
   /// Verifier. The allocator reads only `solve.tols`: each stage of the
-  /// chain sets its own backend.
+  /// chain sets its own backend, so `solve.backend` is never read. It stays
+  /// an lp::SolveOptions because the benchmark harness (perfbench/harness)
+  /// writes `solve.backend`; it narrows to lp::Tolerances with that
+  /// harness's next change.
   lp::SolveOptions solve;
   /// Warm-start each consult from the previous optimal basis of its
   /// requester's component model. Off, every consult solves that model

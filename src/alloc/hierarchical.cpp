@@ -12,7 +12,7 @@ namespace agora::alloc {
 namespace {
 lp::PipelineOptions fine_pipeline_options(const AllocatorOptions& opts) {
   lp::PipelineOptions po;
-  po.solve = opts.solve;
+  po.tols = opts.solve.tols;
   po.sink = opts.sink;
   return po;
 }

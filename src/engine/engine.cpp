@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 #include <utility>
 
 #include "util/error.h"
@@ -15,6 +14,17 @@ constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 }  // namespace
 
+EngineResult resolve(const alloc::AllocatorBase& backend, std::size_t a, double amount) {
+  EngineResult res;
+  try {
+    res.plan = backend.allocate(a, amount);
+    res.status = res.plan.to_status();
+  } catch (const std::exception& e) {
+    res.status = to_status(e);
+  }
+  return res;
+}
+
 EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions opts)
     : sys_(std::move(sys)), n_(sys_.size()), opts_(std::move(opts)) {
   PartitionOptions popts;
@@ -23,11 +33,7 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
   part_ = partition_participants(sys_, popts);
 
   obs_consults_ = &opts_.sink.counter("engine.consults");
-  obs::Counter& batches = opts_.sink.counter("engine.batches");
-  obs::Counter& coalesced_batches = opts_.sink.counter("engine.batches.coalesced");
-  obs::Counter& coalesced_ops = opts_.sink.counter("engine.requests.coalesced");
   epochs_ = obs::Tally(opts_.sink.counter("engine.epochs"));
-  obs_batch_size_ = &opts_.sink.histogram("engine.batch.size");
   obs_pc_hits_ = &opts_.sink.counter("engine.plan_cache.hits");
   obs_pc_rejects_ = &opts_.sink.counter("engine.plan_cache.certify_rejects");
   obs_pc_neg_hits_ = &opts_.sink.counter("engine.plan_cache.neg_hits");
@@ -90,16 +96,11 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
           agree::induced_system(sys_, shard->members), opts_.alloc);
     }
     shard->consults = obs::Tally(*obs_consults_);
-    shard->batches = obs::Tally(batches);
-    shard->coalesced_batches = obs::Tally(coalesced_batches);
-    shard->coalesced_ops = obs::Tally(coalesced_ops);
-    shard->obs_queue_depth =
-        &opts_.sink.gauge("engine.shard." + std::to_string(s) + ".queue_depth");
     shards_.push_back(std::move(shard));
   }
 
-  // Construction-time snapshot (epoch 0), computed before the workers start
-  // so the allocators can be read without their run locks.
+  // Construction-time snapshot (epoch 0): no caller can hold a run lock
+  // before the constructor returns, so the allocators are read without them.
   std::vector<double> available(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const Shard& owner = *shards_[part_.shard_of[i]];
@@ -107,73 +108,6 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
   }
   cell_.store(std::make_shared<const CapacitySnapshot>(
       CapacitySnapshot{0, sys_.capacity, std::move(available)}));
-
-  for (auto& shard : shards_)
-    shard->worker = std::thread([this, s = shard.get()] { worker_loop(*s); });
-}
-
-EnforcementEngine::~EnforcementEngine() { shutdown(); }
-
-void EnforcementEngine::shutdown() {
-  // Order matters: the flag goes up first, then the queues close. An op run
-  // after this sees stopping_ and fails fast; a submit() racing the close
-  // either enqueues (and is failed fast by whoever runs it) or loses to the
-  // closed queue (and gets a ready Unavailable future).
-  stopping_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) shard->queue.close();
-  for (auto& shard : shards_)
-    if (shard->worker.joinable()) shard->worker.join();
-  // A blocking caller may still be running ops it took off a queue: wait
-  // for it under each run lock, so every future submit() handed out is
-  // ready when this returns.
-  drain();
-}
-
-void EnforcementEngine::worker_loop(Shard& shard) {
-  // The run lock is taken before the queue is drained (in run_queued), so a
-  // blocking caller holding it never overtakes an op queued before its own.
-  while (shard.queue.wait_nonempty()) {
-    std::lock_guard<std::mutex> run(shard.run_mu);
-    run_queued(shard, 0);
-  }
-}
-
-void EnforcementEngine::run_queued(Shard& shard, std::size_t own) const {
-  shard.queue.try_drain(shard.batch);
-  const std::size_t size = shard.batch.size() + own;
-  if (size == 0) return;
-  shard.batches.inc();
-  obs_batch_size_->observe(static_cast<double>(size));
-  if (size > 1) {
-    // Coalesced work. A serial caller never triggers this (nothing is
-    // queued when its own op runs), which keeps the threads=1 event stream
-    // byte-identical to the direct path.
-    shard.coalesced_batches.inc();
-    shard.coalesced_ops.inc(size - 1);
-    opts_.sink.event(static_cast<double>(shard.ordinal), obs::EventKind::EngineBatch,
-                     static_cast<std::uint32_t>(shard.id), 0, static_cast<double>(size));
-  }
-  shard.ordinal += size;
-  for (Op& op : shard.batch) run_op(shard, op);
-  shard.batch.clear();
-}
-
-void EnforcementEngine::run_op(Shard& shard, Op& op) const {
-  EngineResult res;
-  if (stopping_.load(std::memory_order_acquire)) {
-    // Fail-fast on shutdown: the waiting caller gets a Status instead of an
-    // LP solve nobody can act on anymore.
-    res.status = Status::unavailable("engine is shut down");
-  } else {
-    try {
-      res.plan = decide(shard, op.participant, op.amount);
-      res.status = res.plan.to_status();
-    } catch (const std::exception& e) {
-      res.plan = {};
-      res.status = to_status(e);
-    }
-  }
-  op.result.set_value(std::move(res));
 }
 
 alloc::AllocationPlan EnforcementEngine::decide(Shard& shard, std::size_t a,
@@ -269,51 +203,19 @@ void EnforcementEngine::sample_gap(Shard& shard, const alloc::AllocationPlan& pl
 alloc::AllocationPlan EnforcementEngine::consult(std::size_t a, double amount) const {
   AGORA_REQUIRE(a < n_, "unknown principal");
   AGORA_REQUIRE(amount >= 0.0 && std::isfinite(amount), "request must be non-negative");
-  if (stopping_.load(std::memory_order_acquire))
-    throw PreconditionError(Status::unavailable("engine is shut down").to_string());
   if (pcache_) {
     if (std::optional<alloc::AllocationPlan> hit = cached_decision(a, amount))
       return std::move(*hit);
   }
   Shard& shard = *shards_[part_.shard_of[a]];
   std::lock_guard<std::mutex> run(shard.run_mu);
-  run_queued(shard, 1);
   return decide(shard, a, amount);
 }
 
 std::future<EngineResult> EnforcementEngine::submit(std::size_t a, double amount) const {
-  if (a >= n_ || amount < 0.0 || !std::isfinite(amount)) {
-    std::promise<EngineResult> p;
-    p.set_value(EngineResult{
-        Status::invalid_argument(a >= n_ ? "unknown principal"
-                                                  : "request must be non-negative"),
-        {}});
-    return p.get_future();
-  }
-  if (pcache_ && !stopping_.load(std::memory_order_acquire)) {
-    if (std::optional<alloc::AllocationPlan> hit = cached_decision(a, amount)) {
-      std::promise<EngineResult> p;
-      EngineResult res;
-      res.status = hit->to_status();
-      res.plan = std::move(*hit);
-      p.set_value(std::move(res));
-      return p.get_future();
-    }
-  }
-  Shard& shard = *shards_[part_.shard_of[a]];
-  Op op;
-  op.participant = a;
-  op.amount = amount;
-  std::future<EngineResult> fut = op.result.get_future();
-  if (!shard.queue.push(std::move(op))) {
-    // The op (and the promise backing `fut`) was dropped by the closed
-    // queue; hand back a ready future instead of a broken one.
-    std::promise<EngineResult> p;
-    p.set_value(EngineResult{Status::unavailable("engine is shut down"), {}});
-    return p.get_future();
-  }
-  shard.obs_queue_depth->set(static_cast<double>(shard.queue.size_approx()));
-  return fut;
+  std::promise<EngineResult> p;
+  p.set_value(resolve(*this, a, amount));
+  return p.get_future();
 }
 
 std::optional<alloc::AllocationPlan> EnforcementEngine::cached_decision(
@@ -404,8 +306,6 @@ void EnforcementEngine::mutate(const std::vector<double>& global,
   // Caller holds mutate_mu_. `global` already passed the capacity rule, so
   // no shard's allocator can refuse its slice after another shard's epoch
   // counter has advanced.
-  AGORA_INVARIANT(!stopping_.load(std::memory_order_acquire),
-                  "mutation submitted to a shut-down engine");
   // Spend the plan's border credits first: this is the double-spend guard --
   // a stale federated plan whose loans were already consumed (or revoked by
   // a later settlement) throws here instead of drawing lender capacity the
@@ -442,12 +342,10 @@ void EnforcementEngine::mutate(const std::vector<double>& global,
       slice.resize(shard.members.size());
       for (std::size_t l = 0; l < shard.members.size(); ++l) slice[l] = global[shard.members[l]];
     }
-    // Behind everything already queued on the shard (per-shard FIFO). Every
-    // mutation arrives here reduced to "replace this shard's capacity
+    // Every mutation arrives here reduced to "replace this shard's capacity
     // slice". A settlement that moved the bank's earmarks also rebuilds the
     // local system (agreement matrices are immutable on a live allocator).
     std::lock_guard<std::mutex> run(shard.run_mu);
-    run_queued(shard, 1);
     if (rebuild) {
       lp::accumulate(shard.carried, *shard.alloc->solver_stats());
       shard.alloc = std::make_unique<alloc::Allocator>(*rebuild, opts_.alloc);
@@ -502,11 +400,9 @@ void EnforcementEngine::publish(std::vector<double> capacity, std::vector<double
 }
 
 std::optional<lp::PipelineStats> EnforcementEngine::solver_stats() const {
-  if (stopping_.load(std::memory_order_acquire)) return std::nullopt;
   lp::PipelineStats agg;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> run(shard->run_mu);
-    run_queued(*shard, 0);
     lp::accumulate(agg, shard->carried);
     lp::accumulate(agg, *shard->alloc->solver_stats());
   }
@@ -516,13 +412,6 @@ std::optional<lp::PipelineStats> EnforcementEngine::solver_stats() const {
 std::size_t EnforcementEngine::shard_of(std::size_t participant) const {
   AGORA_REQUIRE(participant < n_, "unknown principal");
   return part_.shard_of[participant];
-}
-
-void EnforcementEngine::drain() const {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> run(shard->run_mu);
-    run_queued(*shard, 0);
-  }
 }
 
 EngineStats EnforcementEngine::stats() const {
@@ -553,9 +442,6 @@ EngineStats EnforcementEngine::stats() const {
     ShardStats s;
     s.participants = shard->members.size();
     s.consults = shard->consults.value();
-    s.batches = shard->batches.value();
-    s.coalesced_batches = shard->coalesced_batches.value();
-    s.coalesced_ops = shard->coalesced_ops.value();
     out.shard.push_back(s);
   }
   if (pcache_) out.plan_cache = pcache_->stats();

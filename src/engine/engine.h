@@ -10,14 +10,12 @@
 // (lp::SolveWorkspace + alloc::AllocationModelCache), extending the
 // single-threaded reuse of the warm-start work to per-shard reuse.
 //
-// Who runs a shard's work: whoever holds the shard's run lock (flat
-// combining reduced to a mutex). A blocking consult() or mutation runs on
-// its caller's thread under that lock; before its own operation it runs
-// everything already queued on the shard, in FIFO order, as one batch.
-// submit() queues an op and wakes the shard's worker thread, which takes
-// the run lock *before* it drains the queue, so a caller holding the lock
-// can never overtake an op queued before it. The queue and the worker serve
-// only submit(), whose futures net::AgoraService polls from its loop.
+// The engine is a library that starts no threads. Every consult and every
+// mutation runs on its caller's thread under the owning shard's run lock,
+// so callers on different shards decide in parallel and callers on one
+// shard take turns. submit() is consult() with its exceptions mapped to a
+// Status in a ready future. A server that wants one executor brings its
+// own: net::AgoraService sends every consult through its serial pump.
 //
 // Lock order: mutate_mu_ first, then one run lock at a time. No thread ever
 // holds two run locks, or takes mutate_mu_ while holding a run lock.
@@ -38,10 +36,10 @@
 //   * Certification is inherited unchanged: the per-shard allocators
 //     decide through the certified solve chain, the only way an Allocator
 //     solves, so no uncertified grant is possible through the engine.
-//   * Per-shard FIFO: operations on one shard take effect in the order they
-//     were called, also for a caller mixing submit() with consult() or a
-//     mutation; mutations return only after every shard they change applied
-//     them and the new snapshot epoch is published.
+//   * One caller's operations take effect in the order it calls them, and
+//     each has taken effect when its call returns (submit() included);
+//     mutations return only after every shard they change applied them and
+//     the new snapshot epoch is published.
 //
 // EnforcementEngine implements alloc::AllocatorBase, so call sites written
 // against the interface (net::AgoraService, user code reaching in through
@@ -54,7 +52,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -66,13 +63,13 @@
 #include "obs/sink.h"
 #include "util/matrix.h"
 #include "util/status.h"
-#include "util/task_queue.h"
 
 namespace agora::engine {
 
 struct EngineOptions {
-  /// Shard count. 1 (default) = a single shard over the full system,
-  /// decision-identical to the direct allocator path. Clamped to the
+  /// Shard count (the engine starts no threads; callers on different
+  /// shards run in parallel). 1 (default) = a single shard over the full
+  /// system, decision-identical to the direct allocator path. Clamped to the
   /// participant count; without federation also to the component count.
   std::size_t threads = 1;
   /// Per-shard allocator configuration; `reuse_context` gives each shard
@@ -96,31 +93,35 @@ struct EngineOptions {
   /// certified against the shard-local problem; the optimality gap versus
   /// the exact global LP is measured per settlement round (see EngineStats).
   FederationOptions federation;
-  /// Telemetry: per-shard queue-depth gauges, batch-size histograms,
-  /// coalesce counters, EngineBatch trace events (emitted only for
-  /// coalesced batches, so a serial caller's event stream is unchanged).
+  /// Telemetry: the engine.* consult, epoch, plan-cache and federation
+  /// counts. The engine emits no trace events of its own, so a serial
+  /// caller's event stream is the direct allocator's.
   obs::Sink sink = obs::Sink::global();
 };
 
-/// Outcome of a submitted consult: `status` is agora's unified error
+/// Outcome of a consult as a value: `status` is agora's unified error
 /// currency (DESIGN.md §11.5). For a decided request it mirrors the plan
-/// (Ok / Insufficient / Denied / SolverFailed); transport-level failures
-/// (engine stopped: Unavailable, bad arguments: InvalidArgument, allocator
-/// exception: Internal) leave the plan default-constructed.
+/// (Ok / Insufficient / Denied / SolverFailed); failures (bad arguments:
+/// InvalidArgument, allocator exception: Internal) leave the plan
+/// default-constructed.
 struct EngineResult {
   Status status;
   alloc::AllocationPlan plan;
 };
 
+/// `backend.allocate(a, amount)` that never throws: its exceptions become
+/// their Status. EnforcementEngine::submit() and net::AgoraService's pump
+/// both decide through it.
+EngineResult resolve(const alloc::AllocatorBase& backend, std::size_t a, double amount);
+
 struct ShardStats {
   std::size_t participants = 0;
   std::uint64_t consults = 0;
-  /// Runs under the shard's run lock: what was queued plus the holder's own
-  /// op, if any. A blocking op that found the queue empty is a batch of one;
-  /// a mutation that skips the shard is no batch.
+  /// Always 0: the engine queues nothing, so nothing batches or coalesces.
+  /// Kept because the benchmark harness (perfbench/harness) still reads
+  /// them; they go with its next change.
   std::uint64_t batches = 0;
-  std::uint64_t coalesced_batches = 0;   ///< batches with more than one op
-  std::uint64_t coalesced_ops = 0;       ///< ops beyond the first per batch
+  std::uint64_t coalesced_ops = 0;
 };
 
 /// Federation telemetry: ledger totals plus the measured optimality gap
@@ -160,17 +161,6 @@ struct EngineStats {
 class EnforcementEngine : public alloc::AllocatorBase {
  public:
   EnforcementEngine(agree::AgreementSystem sys, EngineOptions opts = {});
-  ~EnforcementEngine() override;
-
-  /// Stop the engine: reject new submissions, resolve every queued-but-
-  /// unprocessed consult with Status::unavailable (fail-fast -- no LP is
-  /// solved for a caller that can no longer use the answer), and join the
-  /// workers. Idempotent; the destructor calls it. After shutdown() returns,
-  /// every future ever handed out by submit() is ready -- none is ever
-  /// abandoned to std::future_error. Later, consult() throws
-  /// PreconditionError without solving, and a mutation throws InternalError
-  /// without touching any shard.
-  void shutdown();
 
   EnforcementEngine(const EnforcementEngine&) = delete;
   EnforcementEngine& operator=(const EnforcementEngine&) = delete;
@@ -180,8 +170,9 @@ class EnforcementEngine : public alloc::AllocatorBase {
   /// run lock. Throws exactly like Allocator::allocate.
   alloc::AllocationPlan consult(std::size_t a, double amount) const;
 
-  /// Future-based submission. Never throws: argument violations and
-  /// shutdown resolve the future with the corresponding Status instead.
+  /// consult() on the calling thread, answered as a ready future. Never
+  /// throws: resolve() maps its exceptions to a Status. Kept for the
+  /// benchmark harness (perfbench/harness), its only caller outside tests.
   std::future<EngineResult> submit(std::size_t a, double amount) const;
 
   // --- AllocatorBase ------------------------------------------------------
@@ -195,8 +186,7 @@ class EnforcementEngine : public alloc::AllocatorBase {
   }
   double available_to(std::size_t a) const override;
   /// Aggregated certified-solve-chain telemetry across all shards, read
-  /// under each shard's run lock after what is queued there has run (a
-  /// barrier, like drain()). nullopt after shutdown().
+  /// under each shard's run lock. Never nullopt.
   std::optional<lp::PipelineStats> solver_stats() const override;
 
   // --- Snapshot reads (never touch shard state) ---------------------------
@@ -216,34 +206,21 @@ class EnforcementEngine : public alloc::AllocatorBase {
   std::size_t num_shards() const { return shards_.size(); }
   bool federated() const { return fed_ != nullptr; }
   std::size_t shard_of(std::size_t participant) const;
-  /// Barrier: when this returns, every operation submitted before the call
-  /// has run. Takes each shard's run lock in turn and runs what is queued.
-  void drain() const;
   EngineStats stats() const;
 
  private:
-  /// A submit() waiting in a shard's queue: the only operation that goes
-  /// through the queue and the worker.
-  struct Op {
-    std::size_t participant = 0;  ///< global id
-    double amount = 0.0;
-    std::promise<EngineResult> result;
-  };
-
   struct Shard {
     std::size_t id = 0;
     std::vector<std::size_t> members;     ///< global ids, ascending
     std::vector<std::size_t> local_of;    ///< global id -> local index (or npos)
-    /// Held by whoever runs this shard's work (see the file comment). Guards
-    /// the allocator and every field below marked "run lock".
+    /// Held by the caller running a consult or mutation on this shard (see
+    /// the file comment). Guards the allocator and every field below marked
+    /// "run lock".
     std::mutex run_mu;
     /// The shard's allocator (run lock). A federated settlement that moves
     /// the bank's earmarks replaces it under the run lock; nothing reads it
-    /// without that lock once the workers run.
+    /// without that lock once the constructor has returned.
     std::unique_ptr<alloc::Allocator> alloc;
-    BlockingQueue<Op> queue;
-    std::vector<Op> batch;      ///< ops taken off `queue` (run lock)
-    std::uint64_t ordinal = 0;  ///< ops run (run lock; event time)
     /// Mutations this shard has seen. Every mutate() advances it on every
     /// shard and then publishes epoch+1, so once the shard's m-th mutation
     /// has run its allocator state equals the global epoch-m snapshot
@@ -268,28 +245,15 @@ class EnforcementEngine : public alloc::AllocatorBase {
     /// moves bank earmarks replaces the allocator), so solver_stats() never
     /// loses history.
     lp::PipelineStats carried;
-    // Telemetry (relaxed atomics; readable without quiescence). Each count
-    // feeds the engine.* registry counter of its ShardStats field.
+    /// Consults decided on this shard (a relaxed atomic, readable without
+    /// the run lock); feeds engine.consults.
     obs::Tally consults;
-    obs::Tally batches;
-    obs::Tally coalesced_batches;
-    obs::Tally coalesced_ops;
-    obs::Gauge* obs_queue_depth = nullptr;
-    /// Serves submit() alone; started after every field above is set.
-    std::thread worker;
   };
 
-  void worker_loop(Shard& shard);
-  /// Caller holds shard.run_mu: run every op queued on the shard in FIFO
-  /// order, accounting them and the caller's `own` ops (0 or 1) as one batch.
-  void run_queued(Shard& shard, std::size_t own) const;
   /// Caller holds shard.run_mu: one consult on the shard's allocator,
   /// stamped with its epoch and offered to the plan cache. Throws like
   /// Allocator::allocate.
   alloc::AllocationPlan decide(Shard& shard, std::size_t a, double amount) const;
-  /// Caller holds shard.run_mu: resolve a queued submit(), with the
-  /// allocator's exceptions mapped to a Status.
-  void run_op(Shard& shard, Op& op) const;
   /// Caller-thread cache front end: lookup against the published epoch,
   /// re-certify the stored plan against the snapshot, return a copy on
   /// success. Nullopt (= decide on the shard) on miss/stale/reject.
@@ -325,12 +289,9 @@ class EnforcementEngine : public alloc::AllocatorBase {
 
   agree::AgreementSystem sys_;
   /// Participant count, immutable after construction: the lock-free entry
-  /// points (submit/consult argument checks, globalize) must not size
+  /// points (consult's argument checks, globalize) must not size
   /// sys_.capacity, whose buffer mutations rewrite under mutate_mu_.
   std::size_t n_ = 0;
-  /// Set by shutdown() before the queues close: a consult still queued is
-  /// failed fast instead of solved, and blocking operations are refused.
-  mutable std::atomic<bool> stopping_{false};
   EngineOptions opts_;
   Partition part_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -365,7 +326,6 @@ class EnforcementEngine : public alloc::AllocatorBase {
   // and the cache counts its hits and re-check rejections apart from the
   // registry's split (DESIGN.md §10).
   obs::Counter* obs_consults_ = nullptr;
-  obs::LogHistogram* obs_batch_size_ = nullptr;
   obs::Counter* obs_pc_hits_ = nullptr;
   obs::Counter* obs_pc_rejects_ = nullptr;
   obs::Counter* obs_pc_neg_hits_ = nullptr;

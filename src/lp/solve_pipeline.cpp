@@ -41,7 +41,7 @@ void accumulate(PipelineStats& into, const PipelineStats& from) {
 }
 
 SolvePipeline::SolvePipeline(PipelineOptions opts)
-    : opts_(opts), verifier_(opts.solve.tols) {
+    : opts_(opts), verifier_(opts.tols) {
   // Resolve all metric handles up front; solve() then only bumps atomics.
   for (int i = 0; i < kPipelineStages; ++i) {
     const std::string prefix =
@@ -92,7 +92,8 @@ PipelineResult SolvePipeline::solve(const Problem& p, SolveWorkspace* ws) {
     const auto stage = static_cast<PipelineStage>(idx);
     SolveResult r;
     const double stage_start = obs::kEnabled ? obs::now_seconds() : 0.0;
-    SolveOptions stage_opts = opts_.solve;
+    SolveOptions stage_opts;
+    stage_opts.tols = opts_.tols;
     switch (stage) {
       case PipelineStage::WarmRevised:
       case PipelineStage::ColdRevised:

@@ -54,9 +54,9 @@ inline const char* to_string(PipelineStage s) {
 }
 
 struct PipelineOptions {
-  /// The tolerances shared by the stages; the Verifier uses `solve.tols`
-  /// too. Each stage sets its own backend.
-  SolveOptions solve;
+  /// The tolerances shared by the stages and the Verifier. Each stage sets
+  /// its own backend.
+  Tolerances tols;
   /// Telemetry destination. Metric handles are resolved once at pipeline
   /// construction; the solve path itself never touches the registry map.
   /// Events carry the solve ordinal as their time (the pipeline has no

@@ -128,8 +128,9 @@ struct AgoraService::Impl {
     std::future<engine::EngineResult> fut;
   };
 
-  /// One op for the serial pump fronting a non-engine (thread-hostile)
-  /// backend: the pump thread is then the only caller of allocate().
+  /// One consult for the serial pump. The pump thread is the service's one
+  /// caller of the backend's allocate(), whatever the backend: a
+  /// thread-hostile direct allocator and a sharded engine alike.
   struct PumpOp {
     std::size_t participant = 0;
     double amount = 0.0;
@@ -147,28 +148,16 @@ struct AgoraService::Impl {
     g_queue = &sink.gauge("net.server.queue_depth");
     g_inflight = &sink.gauge("net.server.inflight");
     h_consult = &sink.histogram("net.server.consult.seconds");
-    if (engine == nullptr) {
-      pump_thread = std::thread([this] {
-        PumpOp op;
-        while (pump.wait_pop(op)) {
-          engine::EngineResult res;
-          try {
-            res.plan = backend.allocate(op.participant, op.amount);
-            res.status = res.plan.to_status();
-          } catch (const std::exception& e) {
-            res.status = to_status(e);
-          }
-          op.result.set_value(std::move(res));
-        }
-      });
-    }
+    pump_thread = std::thread([this] {
+      PumpOp op;
+      while (pump.wait_pop(op))
+        op.result.set_value(engine::resolve(backend, op.participant, op.amount));
+    });
   }
 
   ~Impl() {
-    if (pump_thread.joinable()) {
-      pump.close();
-      pump_thread.join();
-    }
+    pump.close();
+    pump_thread.join();
   }
 
   // --- outbound frames ------------------------------------------------------
@@ -328,7 +317,6 @@ struct AgoraService::Impl {
   // --- dispatch + completion ------------------------------------------------
 
   std::future<engine::EngineResult> submit(std::uint32_t participant, double amount) {
-    if (engine != nullptr) return engine->submit(participant, amount);
     PumpOp op;
     op.participant = participant;
     op.amount = amount;
@@ -550,8 +538,8 @@ struct AgoraService::Impl {
     for (auto& [id, c] : conns)
       if (c.fd.valid() && !c.closing) send_goaway(id, c);
     // Shed everything still parked in the admission queue with a definite
-    // unavailable -- EnforcementEngine::shutdown semantics: never burn LP
-    // time on a caller that must fail over anyway.
+    // unavailable: fail fast, never burn LP time on a caller that must fail
+    // over anyway.
     for (Pending& p : queue) {
       auto it = conns.find(p.conn);
       if (it == conns.end()) continue;
@@ -661,6 +649,8 @@ struct AgoraService::Impl {
   AgoraService& svc;
   alloc::AllocatorBase& backend;
   ServiceOptions opts;
+  /// Non-null when the backend is an engine: read only for the Info
+  /// frame's epoch. Consults reach every backend through the pump.
   engine::EnforcementEngine* engine = nullptr;
 
   Fd listener;

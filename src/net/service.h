@@ -2,9 +2,12 @@
 // admission backend (DESIGN.md §14).
 //
 // One poll(2) loop thread owns every socket and every piece of connection
-// state; the compute itself happens on the backend's own threads (an
-// EnforcementEngine's shard workers) reached through the never-throwing
-// future API of AllocatorBase-compatible backends. The loop:
+// state; the compute itself happens on one pump thread, the service's one
+// executor: it takes each dispatched consult in order, calls the backend's
+// AllocatorBase::allocate() with its exceptions mapped to a Status
+// (engine::resolve), and answers a future the loop polls. Every backend --
+// a direct Allocator or an EnforcementEngine on any number of shards --
+// is reached this one way. The loop:
 //
 //   * accepts loopback connections (bounded by max_connections; excess
 //     peers get a GoAway and a close, never a silent hang),
@@ -12,7 +15,7 @@
 //     Info inline and pushing Consults onto a BOUNDED admission queue --
 //     when the queue is full the request is shed immediately with
 //     Status::unavailable plus a retry-after hint scaled by queue pressure,
-//   * dispatches queued consults to the backend while the in-flight window
+//   * dispatches queued consults to the pump while the in-flight window
 //     has room, dropping (not computing) any whose client-supplied deadline
 //     budget already ran out (Status::deadline_exceeded),
 //   * sweeps completed futures into ConsultReply frames; an answer that
@@ -24,11 +27,11 @@
 //
 // Graceful drain (request_drain(), async-signal-safe; SIGTERM in
 // agora_serve): stop accepting, send GoAway on every connection, shed the
-// not-yet-dispatched queue with unavailable (EnforcementEngine::shutdown
-// semantics -- fail fast, never solve for a caller that must fail over),
-// wait up to drain_grace_ms for in-flight answers, resolve stragglers with
-// unavailable, flush, close. Every request that ever reached the service
-// gets a definite status frame or a definite close -- no future is lost.
+// not-yet-dispatched queue with unavailable (fail fast -- never solve for a
+// caller that must fail over), wait up to drain_grace_ms for in-flight
+// answers, resolve stragglers with unavailable, flush, close. Every request
+// that ever reached the service gets a definite status frame or a definite
+// close -- no future is lost.
 //
 // Invariant carried across the wire: a reply only claims a grant when the
 // backend's plan was Satisfied AND certified; the service never upgrades,
@@ -60,7 +63,7 @@ struct ServiceOptions {
   /// Admission-queue bound: consults parked here awaiting an in-flight
   /// slot. Beyond it the service sheds with unavailable + retry-after.
   std::size_t max_queue = 1024;
-  /// Cap on consults dispatched to the backend but not yet answered.
+  /// Cap on consults dispatched to the pump but not yet answered.
   std::size_t max_inflight = 128;
   /// Close a connection this long without a single complete frame.
   int idle_timeout_ms = 30'000;

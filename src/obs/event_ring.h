@@ -47,8 +47,6 @@ enum class EventKind : std::uint32_t {
   GrmReserveRetry,       ///< actor=grm, peer=site, a=attempt
   GrmResync,             ///< actor=grm, peer=lrm site
   ClientDeadline,        ///< actor=client endpoint, a=attempts made
-  // engine shard workers (time = per-shard op ordinal)
-  EngineBatch,           ///< actor=shard, a=batch size; only when size > 1
   // replicated GRM (time = bus virtual time)
   LeaderElected,         ///< actor=replica, a=term
   LogTruncate,           ///< actor=replica, a=first index kept/dropped, b=entries dropped
@@ -75,7 +73,6 @@ inline const char* to_string(EventKind k) {
     case EventKind::GrmReserveRetry: return "grm_reserve_retry";
     case EventKind::GrmResync: return "grm_resync";
     case EventKind::ClientDeadline: return "client_deadline";
-    case EventKind::EngineBatch: return "engine_batch";
     case EventKind::LeaderElected: return "leader_elected";
     case EventKind::LogTruncate: return "log_truncate";
     case EventKind::ReplicaSnapshot: return "replica_snapshot";

@@ -4,8 +4,8 @@
 // preconditions* (bad model construction, dimension mismatches) and
 // agora::Status for *expected outcomes* (an infeasible LP is not an error).
 // Every exception type here carries the StatusCode it maps to, so layers
-// that must not throw across a boundary (the enforcement engine's worker
-// threads, future-based submit results) convert with to_status() instead of
+// that must not throw across a boundary (the wire service's pump, the
+// engine's future-based submit results) convert with to_status() instead of
 // string-matching what() -- see DESIGN.md §11.5 for the full mapping.
 #pragma once
 

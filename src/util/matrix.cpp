@@ -117,7 +117,6 @@ LuFactorization::LuFactorization(const Matrix& a) : lu_(a), perm_(a.rows()) {
     }
     if (pivot != col) {
       std::swap(perm_[pivot], perm_[col]);
-      perm_sign_ = -perm_sign_;
       for (std::size_t j = 0; j < n; ++j)
         std::swap(lu_.at_unchecked(pivot, j), lu_.at_unchecked(col, j));
     }
@@ -152,19 +151,6 @@ std::vector<double> LuFactorization::solve(std::span<const double> b) const {
   return x;
 }
 
-double LuFactorization::determinant() const {
-  if (singular_) return 0.0;
-  double d = perm_sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) d *= lu_.at_unchecked(i, i);
-  return d;
-}
-
-std::vector<double> solve_linear_system(const Matrix& a, std::span<const double> b) {
-  LuFactorization lu(a);
-  AGORA_REQUIRE(!lu.singular(), "singular linear system");
-  return lu.solve(b);
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   AGORA_REQUIRE(a.size() == b.size(), "dot: length mismatch");
   double s = 0.0;
@@ -176,11 +162,6 @@ double sum(std::span<const double> v) {
   double s = 0.0;
   for (double x : v) s += x;
   return s;
-}
-
-double max_element(std::span<const double> v) {
-  AGORA_REQUIRE(!v.empty(), "max_element of empty span");
-  return *std::max_element(v.begin(), v.end());
 }
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {

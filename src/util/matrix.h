@@ -118,18 +118,11 @@ class LuFactorization {
   /// Solve A x = b for x.
   std::vector<double> solve(std::span<const double> b) const;
 
-  /// Determinant (product of pivots, sign-adjusted).
-  double determinant() const;
-
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;
   bool singular_ = false;
-  int perm_sign_ = 1;
 };
-
-/// Convenience: solve A x = b; throws on singular A.
-std::vector<double> solve_linear_system(const Matrix& a, std::span<const double> b);
 
 // --- Small vector helpers (used throughout the allocator & simulator) -----
 
@@ -138,9 +131,6 @@ double dot(std::span<const double> a, std::span<const double> b);
 
 /// Sum of all elements.
 double sum(std::span<const double> v);
-
-/// Max element; requires non-empty input.
-double max_element(std::span<const double> v);
 
 /// axpy: y += alpha * x.
 void axpy(double alpha, std::span<const double> x, std::span<double> y);

@@ -62,9 +62,8 @@ AgreementSystem induce(const AgreementSystem& sys, const std::vector<std::size_t
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-AllocatorOptions options(lp::Backend backend, bool reuse) {
+AllocatorOptions options(bool reuse) {
   AllocatorOptions o;
-  o.solve.backend = backend;
   o.reuse_context = reuse;
   o.sink = obs::Sink::none();
   return o;
@@ -74,39 +73,37 @@ AllocatorOptions options(lp::Backend backend, bool reuse) {
 
 TEST(AllocComponents, ConsultIsBitIdenticalToTheIslandAlone) {
   const AgreementSystem sys = island_economy();
-  for (const lp::Backend backend : {lp::Backend::Revised}) {
-    const AllocatorOptions opts = options(backend, /*reuse=*/true);
-    Allocator global(sys, opts);
-    for (std::size_t g = 0; g < kIslands; ++g) {
-      std::vector<std::size_t> members(kPerIsland);
-      for (std::size_t l = 0; l < kPerIsland; ++l) members[l] = g * kPerIsland + l;
-      Allocator island(induce(sys, members), opts);
-      // A consult sequence per island, committing some grants so that
-      // entitlements move and the revised workspace carries warm state.
-      for (int step = 0; step < 24; ++step) {
-        const std::size_t l = static_cast<std::size_t>(step * 3 + g) % kPerIsland;
-        const std::size_t a = members[l];
-        const double want = (0.15 + 0.05 * static_cast<double>(step % 20)) *
-                            global.available_to(a);
-        const AllocationPlan gp = global.allocate(a, want);
-        const AllocationPlan ip = island.allocate(l, want);
-        const std::string where = std::string(lp::to_string(backend)) + " island " +
-                                  std::to_string(g) + " step " + std::to_string(step);
-        ASSERT_EQ(gp.status, ip.status) << where;
-        EXPECT_EQ(gp.lp_iterations, ip.lp_iterations) << where;
-        EXPECT_EQ(gp.certified, ip.certified) << where;
-        if (!gp.satisfied()) continue;
-        EXPECT_TRUE(same_bits(gp.theta, ip.theta)) << where;
-        ASSERT_EQ(gp.draw.size(), sys.size());
-        for (std::size_t i = 0; i < sys.size(); ++i) {
-          const bool member = i / kPerIsland == g;
-          const std::size_t li = i % kPerIsland;
-          EXPECT_TRUE(same_bits(gp.draw[i], member ? ip.draw[li] : 0.0)) << where << " " << i;
-        }
-        if (step % 4 == 1) {
-          global.apply(gp);
-          island.apply(ip);
-        }
+  const AllocatorOptions opts = options(/*reuse=*/true);
+  Allocator global(sys, opts);
+  for (std::size_t g = 0; g < kIslands; ++g) {
+    std::vector<std::size_t> members(kPerIsland);
+    for (std::size_t l = 0; l < kPerIsland; ++l) members[l] = g * kPerIsland + l;
+    Allocator island(induce(sys, members), opts);
+    // A consult sequence per island, committing some grants so that
+    // entitlements move and the revised workspace carries warm state.
+    for (int step = 0; step < 24; ++step) {
+      const std::size_t l = static_cast<std::size_t>(step * 3 + g) % kPerIsland;
+      const std::size_t a = members[l];
+      const double want = (0.15 + 0.05 * static_cast<double>(step % 20)) *
+                          global.available_to(a);
+      const AllocationPlan gp = global.allocate(a, want);
+      const AllocationPlan ip = island.allocate(l, want);
+      const std::string where =
+          "island " + std::to_string(g) + " step " + std::to_string(step);
+      ASSERT_EQ(gp.status, ip.status) << where;
+      EXPECT_EQ(gp.lp_iterations, ip.lp_iterations) << where;
+      EXPECT_EQ(gp.certified, ip.certified) << where;
+      if (!gp.satisfied()) continue;
+      EXPECT_TRUE(same_bits(gp.theta, ip.theta)) << where;
+      ASSERT_EQ(gp.draw.size(), sys.size());
+      for (std::size_t i = 0; i < sys.size(); ++i) {
+        const bool member = i / kPerIsland == g;
+        const std::size_t li = i % kPerIsland;
+        EXPECT_TRUE(same_bits(gp.draw[i], member ? ip.draw[li] : 0.0)) << where << " " << i;
+      }
+      if (step % 4 == 1) {
+        global.apply(gp);
+        island.apply(ip);
       }
     }
   }
@@ -177,60 +174,58 @@ TEST(AllocComponents, DecomposedConsultsMatchTheWholeSystemModel) {
   std::size_t grants = 0;
   for (const Shape shape : {Shape::Islands, Shape::AbsoluteBridges, Shape::NoAgreements}) {
     for (const std::size_t level : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-      for (const lp::Backend backend : {lp::Backend::Revised}) {
-        const std::uint64_t seed = 1000 * static_cast<std::uint64_t>(shape) + 10 * level +
-                                   (backend == lp::Backend::Revised ? 2 : 0);
-        Pcg32 rng(seed);
-        const AgreementSystem sys = random_economy(shape, rng);
-        const std::size_t n = sys.size();
-        std::vector<std::size_t> comp_of(n);
-        const auto comps = agree::connected_components(sys);
-        for (std::size_t c = 0; c < comps.size(); ++c)
-          for (const std::size_t i : comps[c]) comp_of[i] = c;
+      // The +2 keeps the economies the seeds have always drawn.
+      const std::uint64_t seed = 1000 * static_cast<std::uint64_t>(shape) + 10 * level + 2;
+      Pcg32 rng(seed);
+      const AgreementSystem sys = random_economy(shape, rng);
+      const std::size_t n = sys.size();
+      std::vector<std::size_t> comp_of(n);
+      const auto comps = agree::connected_components(sys);
+      for (std::size_t c = 0; c < comps.size(); ++c)
+        for (const std::size_t i : comps[c]) comp_of[i] = c;
 
-        AllocatorOptions opts = options(backend, /*reuse=*/true);
-        opts.transitive.max_level = level;
-        Allocator alloc(sys, opts);
-        // Tracks the capacities and availability report the reference
-        // model is built over.
-        Allocator ref(sys, opts);
+      AllocatorOptions opts = options(/*reuse=*/true);
+      opts.transitive.max_level = level;
+      Allocator alloc(sys, opts);
+      // Tracks the capacities and availability report the reference
+      // model is built over.
+      Allocator ref(sys, opts);
 
-        for (int step = 0; step < 40; ++step) {
-          const std::string where = "seed " + std::to_string(seed) + " step " +
-                                    std::to_string(step);
-          const auto action = rng.uniform_u32(8);
-          if (action == 0) {
-            std::vector<double> back(n);
-            for (double& b : back) b = rng.uniform(0.0, 1.0);
-            alloc.release(back);
-            ref.release(back);
-            continue;
+      for (int step = 0; step < 40; ++step) {
+        const std::string where = "seed " + std::to_string(seed) + " step " +
+                                  std::to_string(step);
+        const auto action = rng.uniform_u32(8);
+        if (action == 0) {
+          std::vector<double> back(n);
+          for (double& b : back) b = rng.uniform(0.0, 1.0);
+          alloc.release(back);
+          ref.release(back);
+          continue;
+        }
+        const std::size_t a = rng.uniform_u32(static_cast<std::uint32_t>(n));
+        // Up to 1.3x availability, so some consults are infeasible.
+        const double amount = rng.uniform(0.0, 1.3) * ref.available_to(a);
+        const AllocationPlan p = alloc.allocate(a, amount);
+        const AllocationPlan want = whole_system_plan(ref, a, amount);
+        ASSERT_EQ(p.status, want.status) << where;
+        if (!p.satisfied()) continue;
+        ++grants;
+        EXPECT_TRUE(p.certified) << where;
+        ASSERT_EQ(p.draw.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (comp_of[i] != comp_of[a]) {
+            EXPECT_EQ(p.draw[i], 0.0) << where << " at " << i;
           }
-          const std::size_t a = rng.uniform_u32(static_cast<std::uint32_t>(n));
-          // Up to 1.3x availability, so some consults are infeasible.
-          const double amount = rng.uniform(0.0, 1.3) * ref.available_to(a);
-          const AllocationPlan p = alloc.allocate(a, amount);
-          const AllocationPlan want = whole_system_plan(ref, a, amount);
-          ASSERT_EQ(p.status, want.status) << where;
-          if (!p.satisfied()) continue;
-          ++grants;
-          EXPECT_TRUE(p.certified) << where;
-          ASSERT_EQ(p.draw.size(), n);
-          for (std::size_t i = 0; i < n; ++i) {
-            if (comp_of[i] != comp_of[a]) {
-              EXPECT_EQ(p.draw[i], 0.0) << where << " at " << i;
-            }
-          }
-          EXPECT_NEAR(p.total_drawn(), amount, kTol * (1.0 + amount)) << where;
-          // Every grant is the LP optimum: its theta is the whole-system
-          // model's minimum.
-          EXPECT_NEAR(p.theta, want.theta, kTol * (1.0 + want.theta)) << where;
-          if (action <= 3) {
-            // Commit the reference plan on both so capacities stay in
-            // lockstep even where alternative optima differ in draws.
-            alloc.apply(want);
-            ref.apply(want);
-          }
+        }
+        EXPECT_NEAR(p.total_drawn(), amount, kTol * (1.0 + amount)) << where;
+        // Every grant is the LP optimum: its theta is the whole-system
+        // model's minimum.
+        EXPECT_NEAR(p.theta, want.theta, kTol * (1.0 + want.theta)) << where;
+        if (action <= 3) {
+          // Commit the reference plan on both so capacities stay in
+          // lockstep even where alternative optima differ in draws.
+          alloc.apply(want);
+          ref.apply(want);
         }
       }
     }
@@ -242,28 +237,26 @@ TEST(AllocComponents, DecomposedConsultsMatchTheWholeSystemModel) {
 
 TEST(AllocComponents, PivotsPerConsultScaleWithTheComponent) {
   const AgreementSystem sys = island_economy();
-  for (const lp::Backend backend : {lp::Backend::Revised}) {
-    Allocator alloc(sys, options(backend, /*reuse=*/true));
-    std::uint64_t pivots = 0, consults = 0;
-    std::vector<double> held(sys.size(), 0.0);
-    for (int step = 0; step < 512; ++step) {
-      const std::size_t a = static_cast<std::size_t>(step * 7) % sys.size();
-      const double frac = 0.1 + 0.1 * static_cast<double>(step % 11);  // up to 1.1: some denials
-      const AllocationPlan p = alloc.allocate(a, frac * alloc.available_to(a));
-      pivots += p.lp_iterations;
-      ++consults;
-      if (p.satisfied() && step % 4 == 0) {
-        alloc.apply(p);
-        for (std::size_t i = 0; i < held.size(); ++i) held[i] += p.draw[i];
-      }
-      if (step % 32 == 31) {
-        alloc.release(held);
-        held.assign(held.size(), 0.0);
-      }
+  Allocator alloc(sys, options(/*reuse=*/true));
+  std::uint64_t pivots = 0, consults = 0;
+  std::vector<double> held(sys.size(), 0.0);
+  for (int step = 0; step < 512; ++step) {
+    const std::size_t a = static_cast<std::size_t>(step * 7) % sys.size();
+    const double frac = 0.1 + 0.1 * static_cast<double>(step % 11);  // up to 1.1: some denials
+    const AllocationPlan p = alloc.allocate(a, frac * alloc.available_to(a));
+    pivots += p.lp_iterations;
+    ++consults;
+    if (p.satisfied() && step % 4 == 0) {
+      alloc.apply(p);
+      for (std::size_t i = 0; i < held.size(); ++i) held[i] += p.draw[i];
     }
-    const double mean = static_cast<double>(pivots) / static_cast<double>(consults);
-    EXPECT_LE(mean, 2.0 * static_cast<double>(kPerIsland + 1)) << lp::to_string(backend);
+    if (step % 32 == 31) {
+      alloc.release(held);
+      held.assign(held.size(), 0.0);
+    }
   }
+  const double mean = static_cast<double>(pivots) / static_cast<double>(consults);
+  EXPECT_LE(mean, 2.0 * static_cast<double>(kPerIsland + 1));
 }
 
 }  // namespace

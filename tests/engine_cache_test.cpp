@@ -196,7 +196,7 @@ TEST(EngineCache, Threads1AllMissBitIdenticalToDirectAllocator) {
   opts.plan_cache = true;
   EnforcementEngine engine(sys, opts);
   alloc::Allocator direct(sys, opts.alloc);
-  // Every amount unique => every lookup misses => the full queue + worker +
+  // Every amount unique => every lookup misses => the full run-lock +
   // warm-started allocator path runs, and must match the direct path bit
   // for bit.
   for (int i = 0; i < 40; ++i) {
@@ -301,11 +301,11 @@ TEST(EngineCache, RepeatedImpossibleRequestServesCachedDenial) {
   EXPECT_GE(s.plan_cache.neg_inserts, 1u);
   EXPECT_EQ(s.plan_cache.neg_hits, 5u);
   EXPECT_EQ(s.plan_cache.hits, 0u);
-  // The denial replays without a worker solve: exactly one consult reached
+  // The denial replays without a shard solve: exactly one consult reached
   // the shard.
-  std::uint64_t worker_consults = 0;
-  for (const ShardStats& sh : s.shard) worker_consults += sh.consults;
-  EXPECT_EQ(worker_consults, 1u);
+  std::uint64_t shard_consults = 0;
+  for (const ShardStats& sh : s.shard) shard_consults += sh.consults;
+  EXPECT_EQ(shard_consults, 1u);
 }
 
 TEST(EngineCache, MutationInvalidatesCachedDenialAndRequestCanGrant) {
@@ -419,12 +419,12 @@ TEST(EngineCache, HammerConsultsInterleavedWithMutationsNeverServeStale) {
 
   // Accounting closes: every consult was served by exactly one of the cache
   // front end (grant + denial hits minus re-check rejects of either
-  // polarity) or a shard worker.
+  // polarity) or a shard.
   const EngineStats s = engine.stats();
-  std::uint64_t worker_consults = 0;
-  for (const ShardStats& sh : s.shard) worker_consults += sh.consults;
+  std::uint64_t shard_consults = 0;
+  for (const ShardStats& sh : s.shard) shard_consults += sh.consults;
   EXPECT_EQ((s.plan_cache.hits + s.plan_cache.neg_hits - s.plan_cache.certify_rejects) +
-                worker_consults,
+                shard_consults,
             2u * 1200u);
   EXPECT_GT(s.plan_cache.hits, 0u);
 }

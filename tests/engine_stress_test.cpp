@@ -1,7 +1,8 @@
 // Stress tests for the sharded EnforcementEngine (DESIGN.md §11): many
 // producer threads hammering submit()/consult() while mutators apply,
-// release and rewrite capacities concurrently; and random shard counts with
-// construction/destruction churn. Run under the tsan preset by
+// release and rewrite capacities concurrently, every operation running
+// under the shard run locks on its caller's thread; and random shard counts
+// with construction/destruction churn. Run under the tsan preset by
 // tools/tier1.sh -- the point of these tests is the interleavings, not the
 // arithmetic.
 #include <gtest/gtest.h>
@@ -135,7 +136,6 @@ void hammer(const agree::AgreementSystem& sys, std::size_t threads, std::size_t 
     });
   }
   for (std::thread& t : crew) t.join();
-  eng.drain();
 
   EXPECT_EQ(bad_status.load(), 0u);
   EXPECT_GT(decided.load(), 0u);
@@ -173,9 +173,10 @@ TEST(EngineStress, ManyProducersOnOneComponentShard) {
 }
 
 TEST(EngineStress, RandomShardCountChurn) {
-  // Construction/teardown churn at rng-chosen shard counts: in-flight
-  // futures submitted right before destruction must still resolve (the
-  // queue drains before the workers join).
+  // Construction/teardown churn at rng-chosen shard counts, with two
+  // producers submitting concurrently right up to destruction: every future
+  // is a decision made before its submit() returned, and outlives the
+  // engine.
   const agree::AgreementSystem sys = island_economy(4, 3, 0.3);
   Pcg32 rng(424242);
   for (std::size_t round = 0; round < 10; ++round) {
@@ -201,12 +202,11 @@ TEST(EngineStress, RandomShardCountChurn) {
         });
       }
       for (std::thread& t : producers) t.join();
-      // Engine destructs here with some futures possibly still queued.
+      // The engine destructs here; the futures it handed out stay valid.
     }
     for (auto& f : pending) {
       const EngineResult r = f.get();
-      EXPECT_TRUE(decision_status(r.status) || r.status.code() == StatusCode::Unavailable)
-          << r.status.to_string();
+      EXPECT_TRUE(decision_status(r.status)) << r.status.to_string();
     }
   }
 }

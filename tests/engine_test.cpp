@@ -3,12 +3,14 @@
 // byte-identical trace-event streams), component-exact sharded decisions,
 // concurrent applies that can never grant the same capacity twice, the
 // unified Status surface of submit(), snapshot epochs and which shards a
-// mutation touches, per-shard FIFO across submit() and blocking calls, and
-// certification inheritance.
+// mutation touches, one caller's operations taking effect in call order,
+// certification inheritance, and an engine that starts no threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <limits>
 #include <thread>
@@ -163,16 +165,13 @@ TEST(EngineSerial, PlansAreBitIdenticalToDirectAllocator) {
       eng.release(back);
     }
   }
-  eng.drain();
 
-  // Byte-identical event streams: the engine's worker emits exactly the LP
-  // pipeline events the direct allocator emits, and nothing else (engine
-  // batch events require coalescing, which serial use cannot produce).
+  // Byte-identical event streams: the engine emits exactly the LP pipeline
+  // events the direct allocator emits, and nothing else.
   const auto de = direct_ring.snapshot();
   const auto ee = engine_ring.snapshot();
   ASSERT_EQ(de.size(), ee.size());
   for (std::size_t i = 0; i < de.size(); ++i) EXPECT_EQ(de[i], ee[i]);
-  for (const auto& ev : ee) EXPECT_NE(ev.kind, obs::EventKind::EngineBatch);
 
   // And the aggregated solve-chain telemetry matches the direct pipeline.
   const std::optional<lp::PipelineStats> es = eng.solver_stats();
@@ -382,7 +381,6 @@ TEST(EngineSnapshot, MutationDoesNoWorkOnAShardItLeavesUnchanged) {
   const ShardStats before = eng.stats().shard[other];
   eng.apply(plan);
   const ShardStats after = eng.stats().shard[other];
-  EXPECT_EQ(after.batches, before.batches);
   EXPECT_EQ(after.consults, before.consults);
   EXPECT_EQ(eng.epoch(), 1u);
 
@@ -402,7 +400,6 @@ TEST(EngineSnapshot, StatsReportShardLayout) {
   EnforcementEngine eng(island_economy(2, 3, 0.2), eopts);
   (void)eng.consult(0, 1.0);
   (void)eng.consult(3, 1.0);
-  eng.drain();
   const EngineStats st = eng.stats();
   EXPECT_EQ(st.shards, 2u);
   EXPECT_EQ(st.components, 2u);
@@ -420,7 +417,10 @@ TEST(EngineSnapshot, StatsReportShardLayout) {
 
 // -------------------------------------------------------------------- FIFO ---
 
-TEST(EngineFifo, BlockingCallsRunBehindQueuedSubmits) {
+TEST(EngineFifo, SubmitDecidesBeforeItReturns) {
+  // submit() queues nothing: it decides on the calling thread, so its
+  // future is ready when it returns, and one caller's submits, consults and
+  // mutations take effect in the order it calls them.
   EngineOptions eopts;
   eopts.sink = obs::Sink::none();
   eopts.alloc.sink = obs::Sink::none();
@@ -431,15 +431,19 @@ TEST(EngineFifo, BlockingCallsRunBehindQueuedSubmits) {
   const alloc::AllocationPlan plan = eng.consult(0, 3.0);
   ASSERT_TRUE(plan.satisfied());
   std::vector<std::future<EngineResult>> flood;
-  for (int i = 0; i < 200; ++i) flood.push_back(eng.submit(static_cast<std::size_t>(i % 4), 0.5));
+  for (int i = 0; i < 200; ++i) {
+    flood.push_back(eng.submit(static_cast<std::size_t>(i % 4), 0.5));
+    ASSERT_EQ(flood.back().wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  }
   eng.apply(plan);
-  const alloc::AllocationPlan last = eng.consult(1, 0.5);
+  const EngineResult last = eng.submit(1, 0.5).get();
   for (auto& f : flood) {
     const EngineResult r = f.get();
     ASSERT_TRUE(r.status.ok());
     EXPECT_EQ(r.plan.decision_epoch, 0u);
   }
-  EXPECT_EQ(last.decision_epoch, 1u);
+  ASSERT_TRUE(last.status.ok());
+  EXPECT_EQ(last.plan.decision_epoch, 1u);
 }
 
 // ------------------------------------------------------------ certification ---
@@ -488,68 +492,35 @@ TEST(EngineCertify, ConcurrentSolverStatsReadersEachGetACopy) {
   EXPECT_EQ(eng.solver_stats()->certified, 200u);
 }
 
-// ---------------------------------------------------------------- shutdown ---
+// ----------------------------------------------------------------- threads ---
 
-TEST(EngineShutdown, EveryPendingFutureResolvesWithAStatus) {
-  EngineOptions eopts;
-  eopts.threads = 2;
-  eopts.sink = obs::Sink::none();
-  eopts.alloc.sink = obs::Sink::none();
-  EnforcementEngine eng(island_economy(2, 4, 0.3), eopts);
-
-  // Flood the shard queues well past what the workers can process before
-  // shutdown lands, then shut down immediately: queued consults must
-  // resolve fast with Unavailable, never hang or break their promise.
-  std::vector<std::future<EngineResult>> futs;
-  futs.reserve(400);
-  for (int i = 0; i < 400; ++i)
-    futs.push_back(eng.submit(static_cast<std::size_t>(i % 8), 0.5));
-  eng.shutdown();
-
-  std::size_t decided = 0, unavailable = 0;
-  for (auto& f : futs) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
-        << "a future was left pending after shutdown()";
-    const EngineResult res = f.get();  // never throws broken_promise
-    switch (res.status.code()) {
-      case StatusCode::Ok:
-      case StatusCode::Insufficient:
-      case StatusCode::Denied:
-      case StatusCode::SolverFailed:
-        ++decided;
-        break;
-      case StatusCode::Unavailable:
-        ++unavailable;
-        EXPECT_TRUE(res.plan.draw.empty());  // fail-fast: nothing was solved
-        break;
-      default:
-        FAIL() << "unexpected status " << res.status.to_string();
-    }
-  }
-  EXPECT_EQ(decided + unavailable, 400u);
+/// Threads of this process: the entries of /proc/self/task (0 where the
+/// directory does not exist).
+std::size_t process_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  std::size_t n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) ++n;
+  return n;
 }
 
-TEST(EngineShutdown, IsIdempotentAndRejectsLateTraffic) {
+TEST(EngineThreads, AnEightShardEngineStartsNoThread) {
+  const std::size_t before = process_threads();
+  if (before == 0) GTEST_SKIP() << "/proc/self/task is not available";
   EngineOptions eopts;
   eopts.sink = obs::Sink::none();
   eopts.alloc.sink = obs::Sink::none();
-  EnforcementEngine eng(island_economy(2, 2, 0.3), eopts);
-  EXPECT_TRUE(eng.submit(0, 1.0).get().status.ok());
-  eng.shutdown();
-  eng.shutdown();  // second call is a no-op
-
-  // Post-shutdown submissions resolve immediately with Unavailable; the
-  // blocking façade maps that to the same exception a bad argument gets.
-  EngineResult late = eng.submit(0, 1.0).get();
-  EXPECT_EQ(late.status.code(), StatusCode::Unavailable);
-  EXPECT_THROW(eng.consult(0, 1.0), PreconditionError);
-  EXPECT_EQ(eng.stats().shard[0].consults, 1u);  // refused without solving
-  EXPECT_FALSE(eng.solver_stats().has_value());
-  // A mutation after shutdown is a caller bug and touches no shard.
-  EXPECT_THROW(eng.set_capacities(std::vector<double>(eng.size(), 3.0)), InternalError);
-  EXPECT_EQ(eng.epoch(), 0u);
-  // Snapshot reads still work: the published state outlives the workers.
-  EXPECT_EQ(eng.snapshot()->capacity.size(), 4u);
+  eopts.threads = 8;
+  EnforcementEngine eng(island_economy(8, 4, 0.25), eopts);
+  ASSERT_EQ(eng.num_shards(), 8u);
+  EXPECT_EQ(process_threads(), before);
+  // Consults, submits and mutations run on this thread; none starts one.
+  const alloc::AllocationPlan plan = eng.consult(5, 2.0);
+  ASSERT_TRUE(plan.satisfied());
+  EXPECT_TRUE(eng.submit(30, 1.0).get().status.ok());
+  eng.apply(plan);
+  EXPECT_EQ(process_threads(), before);
 }
 
 }  // namespace

@@ -336,19 +336,9 @@ TEST(Facade, StatsAndRegistryCountEachEventOnce) {
   }
   service.stop();
   eng.release(held.draw);
-  eng.drain();
 
   PairCheck engine_pair(engine_reg);
   const engine::EngineStats es = eng.stats();
-  std::uint64_t batches = 0, coalesced_batches = 0, coalesced_ops = 0;
-  for (const engine::ShardStats& s : es.shard) {
-    batches += s.batches;
-    coalesced_batches += s.coalesced_batches;
-    coalesced_ops += s.coalesced_ops;
-  }
-  engine_pair("engine.batches", batches);
-  engine_pair("engine.batches.coalesced", coalesced_batches, false);
-  engine_pair("engine.requests.coalesced", coalesced_ops, false);
   engine_pair("engine.epochs", es.epoch);
   engine_pair("engine.plan_cache.misses", es.plan_cache.misses);
   engine_pair("engine.plan_cache.stale", es.plan_cache.stale);

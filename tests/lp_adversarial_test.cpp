@@ -230,7 +230,7 @@ TEST(Adversarial, CorruptedInverseFallsBackWhenHealingDisabled) {
   // reject it and the pipeline must recover a certified answer from the
   // cold stage -- the corpus case where the warm path alone fails.
   PipelineOptions po;
-  po.solve.tols.refactor_residual = 1e30;  // turn off in-solver self-healing
+  po.tols.refactor_residual = 1e30;  // turn off in-solver self-healing
   SolvePipeline pl(po);
   const Problem p = warm_corpus();
   SolveWorkspace ws;

@@ -368,7 +368,6 @@ TEST(Pipeline, ColdRevisedCertifiesTheBandedFixtureOptimum) {
   EXPECT_NEAR(cold.objective, 0.98784694, 1e-7);
 
   PipelineOptions po;
-  po.solve = backend_opts(Backend::Revised);
   po.sink = obs::Sink::none();
   SolvePipeline pl(po);
   const PipelineResult pr = pl.solve(p);

@@ -1,8 +1,9 @@
 // Loopback integration tests for the wire boundary (DESIGN.md §14): the
 // framed service fronting a real EnforcementEngine (or, for the overload
-// test, a gated direct Allocator behind the service's serial pump), driven
-// by net::Client and by raw sockets for the adversarial cases. Covers
-// decision parity with the direct allocator, explicit load shedding with
+// test, a gated direct Allocator), every consult reaching the backend
+// through the service's serial pump, driven by net::Client and by raw
+// sockets for the adversarial cases. Covers decision parity with the
+// direct allocator on one shard and on two, explicit load shedding with
 // retry-after hints, deadline propagation (shed on arrival, dropped in
 // queue, late answers replaced), malformed-input handling (Error frame +
 // close), graceful drain (GoAway, every in-flight request resolved), and
@@ -16,6 +17,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,6 +41,17 @@ agree::AgreementSystem small_economy(std::size_t n = 6, double share = 0.15) {
   for (std::size_t a = 0; a < n; ++a)
     for (std::size_t b = 0; b < n; ++b)
       if (a != b) sys.relative(a, b) = share;
+  return sys;
+}
+
+/// Two islands of `per` participants with no agreement between them: two
+/// components, so an engine asked for two shards runs one per island.
+agree::AgreementSystem two_island_economy(std::size_t per = 4, double share = 0.2) {
+  agree::AgreementSystem sys(2 * per);
+  for (std::size_t i = 0; i < 2 * per; ++i) sys.capacity[i] = 8.0 + static_cast<double>(i);
+  for (std::size_t a = 0; a < 2 * per; ++a)
+    for (std::size_t b = 0; b < 2 * per; ++b)
+      if (a != b && a / per == b / per) sys.relative(a, b) = share;
   return sys;
 }
 
@@ -101,45 +114,56 @@ bool peer_closed(int fd, int timeout_ms = 2000) {
 // ----------------------------------------------------------------- parity ---
 
 TEST(NetService, ConsultsMatchTheDirectAllocatorDecisionForDecision) {
-  Harness h;
-  alloc::Allocator direct(h.sys, alloc::AllocatorOptions{});
-  Client client(h.client_options());
-  for (std::uint32_t a = 0; a < h.sys.size(); ++a) {
-    for (const double amount : {0.5, 2.0, 7.5, 1.0e5}) {
-      const ConsultOutcome out = client.consult(a, amount);
-      const alloc::AllocationPlan want = direct.allocate(a, amount);
-      switch (want.status) {
-        case alloc::PlanStatus::Satisfied: {
-          ASSERT_EQ(out.status.code(), StatusCode::Ok)
-              << "a=" << a << " amount=" << amount << ": " << out.status.to_string();
-          EXPECT_TRUE(out.reply.certified) << "uncertified grant crossed the wire";
-          EXPECT_NEAR(out.reply.total_drawn, amount, 1e-7);
-          EXPECT_NEAR(out.reply.theta, want.theta, 1e-9);
-          double sum = 0.0;
-          for (const WireDraw& d : out.reply.draws) {
-            ASSERT_LT(d.participant, h.sys.size());
-            EXPECT_NEAR(want.draw[d.participant], d.amount, 1e-9);
-            sum += d.amount;
+  // One connected economy (one shard), then two islands on two shards: the
+  // service's one pump serves both layouts.
+  const struct {
+    agree::AgreementSystem economy;
+    std::size_t shards;
+  } cases[] = {{small_economy(), 1}, {two_island_economy(), 2}};
+  for (const auto& c : cases) {
+    Harness h(ServiceOptions{}, /*threads=*/2, c.economy);
+    ASSERT_EQ(h.engine.num_shards(), c.shards);
+    alloc::Allocator direct(h.sys, alloc::AllocatorOptions{});
+    Client client(h.client_options());
+    for (std::uint32_t a = 0; a < h.sys.size(); ++a) {
+      for (const double amount : {0.5, 2.0, 7.5, 1.0e5}) {
+        const ConsultOutcome out = client.consult(a, amount);
+        const alloc::AllocationPlan want = direct.allocate(a, amount);
+        const std::string where = std::to_string(c.shards) + " shards a=" +
+                                  std::to_string(a) + " amount=" + std::to_string(amount);
+        switch (want.status) {
+          case alloc::PlanStatus::Satisfied: {
+            ASSERT_EQ(out.status.code(), StatusCode::Ok)
+                << where << ": " << out.status.to_string();
+            EXPECT_TRUE(out.reply.certified) << "uncertified grant crossed the wire";
+            EXPECT_NEAR(out.reply.total_drawn, amount, 1e-7) << where;
+            EXPECT_NEAR(out.reply.theta, want.theta, 1e-9) << where;
+            double sum = 0.0;
+            for (const WireDraw& d : out.reply.draws) {
+              ASSERT_LT(d.participant, h.sys.size());
+              EXPECT_NEAR(want.draw[d.participant], d.amount, 1e-9) << where;
+              sum += d.amount;
+            }
+            EXPECT_NEAR(sum, amount, 1e-7) << where;
+            break;
           }
-          EXPECT_NEAR(sum, amount, 1e-7);
-          break;
+          case alloc::PlanStatus::Insufficient:
+            EXPECT_EQ(out.status.code(), StatusCode::Insufficient) << where;
+            break;
+          case alloc::PlanStatus::Denied:
+            EXPECT_EQ(out.status.code(), StatusCode::Denied) << where;
+            break;
+          case alloc::PlanStatus::SolverFailed:
+            EXPECT_EQ(out.status.code(), StatusCode::SolverFailed) << where;
+            break;
         }
-        case alloc::PlanStatus::Insufficient:
-          EXPECT_EQ(out.status.code(), StatusCode::Insufficient);
-          break;
-        case alloc::PlanStatus::Denied:
-          EXPECT_EQ(out.status.code(), StatusCode::Denied);
-          break;
-        case alloc::PlanStatus::SolverFailed:
-          EXPECT_EQ(out.status.code(), StatusCode::SolverFailed);
-          break;
       }
     }
+    const ServiceStats s = h.service.stats();
+    EXPECT_EQ(s.consults, h.sys.size() * 4);
+    EXPECT_EQ(s.answered, h.sys.size() * 4);
+    EXPECT_EQ(s.malformed, 0u);
   }
-  const ServiceStats s = h.service.stats();
-  EXPECT_EQ(s.consults, h.sys.size() * 4);
-  EXPECT_EQ(s.answered, h.sys.size() * 4);
-  EXPECT_EQ(s.malformed, 0u);
 }
 
 TEST(NetService, PingAndInfoWork) {

@@ -115,7 +115,7 @@ int run_server(Flags& flags) {
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
 
-  std::printf("agora_serve: %zu participants, %zu engine threads%s\n", participants,
+  std::printf("agora_serve: %zu participants, %zu engine shards%s\n", participants,
               eopts.threads, eopts.plan_cache ? ", plan cache on" : "");
   std::printf("listening on 127.0.0.1:%u (SIGTERM drains)\n",
               static_cast<unsigned>(service.port()));
@@ -284,7 +284,7 @@ int main(int argc, char** argv) {
                       "server: per-agreement relative share (share * (participants - 1) "
                       "must be <= 1)");
   flags.define_double("capacity", "10", "server: base capacity per participant");
-  flags.define_int("threads", "2", "server: enforcement-engine shard threads");
+  flags.define_int("threads", "2", "server: enforcement-engine shards");
   flags.define_int("plan-cache", "1", "server: 1 = epoch-keyed plan cache in the engine");
   flags.define_int("max-queue", "1024", "server: admission-queue bound (shed beyond)");
   flags.define_int("max-inflight", "128", "server: in-flight dispatch window");

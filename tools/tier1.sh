@@ -55,9 +55,10 @@ cmake --build build-release -j
 # per-component availability refresh, whose entitlement blocks are indexed
 # by component members, and the closed-form denials, whose Farkas vector
 # addresses the standard form's rows by layout), and the engine suites
-# (engine_test, engine_stress_test: blocking consults and mutations run the shard's
-# allocator, credit table and gap ring on the caller's thread, so those
-# objects' lifetimes now span threads the tests drive), and the proxy
+# (engine_test, engine_stress_test: the engine starts no threads, so every
+# consult and mutation runs the shard's allocator, credit table and gap
+# ring on whichever caller thread holds its run lock, and those objects'
+# lifetimes span the threads the tests drive), and the proxy
 # simulator suites (proxysim_test, proxysim_bridge_test: arrivals stream from
 # per-proxy cursors into the traces and delayed decisions keep their budgets
 # in a flat side store addressed by slot, both index-heavy code where an
@@ -122,9 +123,9 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 # ThreadSanitizer pass over the deliberately multithreaded code: the
 # concurrent observability substrate (metrics registry, lock-free EventRing
 # and its multithreaded hammer test), the sharded enforcement engine (run
-# locks taken by callers and shard workers, the submit() queues, snapshot
-# publication, the unchanged-shard skip -- engine_test pins the serial
-# semantics, engine_stress_test hammers it with producer/mutator threads),
+# locks taken by caller threads, snapshot publication, the unchanged-shard
+# skip -- engine_test pins the serial semantics, engine_stress_test
+# hammers it with producer/mutator threads),
 # and the rms chaos suite, whose fault-injection paths exercise the bus
 # under the heaviest event/metric traffic. engine_cache_test joins both
 # passes: the plan cache's spinlocked slots (shared_ptr copies racing
@@ -134,7 +135,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 cmake -B build-tsan -S . -DAGORA_TSAN=ON
 cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
   engine_test engine_stress_test engine_cache_test engine_federation_test \
-  federation_chaos_test net_service_test
+  federation_chaos_test net_service_test net_soak_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/rms_chaos_test
 ./build-tsan/tests/rms_failover_test
@@ -147,11 +148,15 @@ cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
 # this pass is for.
 ./build-tsan/tests/engine_federation_test
 ./build-tsan/tests/federation_chaos_test
-# net_service_test joins the TSan pass: the poll-loop thread's connection
-# state races client threads and the engine's shard workers through the
-# admission queue, in-flight futures, and the relaxed-atomic counts behind
-# stats().
+# The wire service under TSan: its poll-loop thread hands every consult to
+# the one pump thread that calls the backend (net_service_test, whose
+# client threads race the loop through the admission queue, the pump's
+# queue, in-flight futures and the relaxed-atomic counts behind stats()),
+# and net_soak_test, which drains and destroys a service and its engine
+# while clients churn and then restarts both on the same port, so the old
+# pump's close and join and the new pump's start race live client traffic.
 ./build-tsan/tests/net_service_test
+./build-tsan/tests/net_soak_test
 
 echo "tier1: all green"
 echo "tier1: LP perf numbers (BENCH_lp.json) are produced by tools/bench.sh"
